@@ -228,6 +228,7 @@ def _element_from_json(obj: Any, table, where: str, reflection: bool):
     for key in (part_key, "at", "value"):
         _require(key in obj, f"{where}: element missing {key!r}")
     part = _entity_list(obj[part_key], table, f"{where}.{part_key}")
+    _require(part, f"{where}.{part_key}: must name at least one entity")
     at = _timeset_from_json(obj["at"], f"{where}.at")
     value = _value_from_json(obj["value"], f"{where}.value")
     if reflection:
@@ -250,6 +251,8 @@ def _information_from_json(obj: Any, table, where: str) -> Information:
         _require(key in obj, f"{where}: missing {key!r}")
     name = obj["name"]
     _require(isinstance(name, str) and name, f"{where}: name must be nonempty")
+    for key in ("states", "reflections", "mapping"):
+        _require(isinstance(obj[key], list), f"{where}: {key} must be a list")
     states = [
         _element_from_json(e, table, f"{where}.states[{i}]", reflection=False)
         for i, e in enumerate(obj["states"])
@@ -258,7 +261,6 @@ def _information_from_json(obj: Any, table, where: str) -> Information:
         _element_from_json(e, table, f"{where}.reflections[{i}]", reflection=True)
         for i, e in enumerate(obj["reflections"])
     ]
-    _require(isinstance(obj["mapping"], list), f"{where}: mapping must be a list")
     pairs = []
     for i, entry in enumerate(obj["mapping"]):
         _require(
@@ -438,12 +440,14 @@ def loads_document(text: str, source: str = "<string>") -> ModelDocument:
         _require(isinstance(obj, dict), f"{w}: chain must be an object")
         for key in ("name", "links"):
             _require(key in obj, f"{w}: missing {key!r}")
+        names = obj["links"]
+        _require(isinstance(names, list) and names, f"{w}: links must be a nonempty list")
         links = []
-        for lname in obj["links"]:
+        for lname in names:
             if lname not in by_name:
                 raise UnresolvedReferenceError(f"{w}: undeclared information {lname!r}")
             links.append(by_name[lname])
-        chains.append(NamedChain(obj["name"], tuple(obj["links"]), SerialChain(tuple(links))))
+        chains.append(NamedChain(obj["name"], tuple(names), SerialChain(tuple(links))))
 
     return ModelDocument(
         format_version=version,

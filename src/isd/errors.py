@@ -43,10 +43,6 @@ class NotEquivalenceError(ISDError):
     or transitivity over the given states."""
 
 
-class NonInvertibleReflectionError(NonInvertibleError):
-    """Kept distinct so reflection-side failures are distinguishable."""
-
-
 class ZeroTargetMeasureError(ISDError):
     """Coverage was asked for against a target of measure zero."""
 

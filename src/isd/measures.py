@@ -500,11 +500,10 @@ def distortion(
     reflection; the exact inverse of a reducible information gives
     distance zero under every metric kind."""
     require_valid(info)
-    missing = [r for r in info.sorted_reflections() if r not in reflection_map]
+    missing = [r for r in info.reflections if r not in reflection_map]
     if missing:
-        raise IncompleteReflectionError(
-            f"no estimate for reflection {missing[0]}"
-        )
+        first = min(missing, key=ReflectionElement.sort_key)
+        raise IncompleteReflectionError(f"no estimate for reflection {first}")
     if metric.kind in ("symmetric_difference_count", "jaccard_distance"):
         estimated = frozenset(reflection_map[r] for r in info.reflections)
         return _set_distance(metric.kind, frozenset(info.states), estimated)

@@ -87,14 +87,8 @@ def _normalize_pairs(mapping: MappingLike):
 
 
 @dataclass(frozen=True)
-class Information:
-    """A sextuple with its state-to-reflection mapping.
-
-    ``name`` is a label for documents and reports and is excluded from
-    structural equality.  The constructor normalizes sets and mapping
-    order but does not enforce semantic invariants; ``validate`` reports
-    them and operations that need a well-formed value call it first.
-    """
+class _Sextuple:
+    """The fields and normalization shared by Information and RawMapping."""
 
     name: str = field(compare=False)
     ontology: frozenset[EntityId]
@@ -117,6 +111,18 @@ class Information:
     @property
     def map(self) -> Mapping[StateElement, ReflectionElement]:
         return self._map
+
+
+@dataclass(frozen=True)
+class Information(_Sextuple):
+    """A sextuple with its state-to-reflection mapping.
+
+    ``name`` is a label for documents and reports and is excluded from
+    structural equality.  The constructor normalizes sets and mapping
+    order but does not enforce semantic invariants; ``validate`` reports
+    them.  Operations that need a well-formed value check it once, and
+    composites of checked links are valid by construction.
+    """
 
     def sorted_states(self) -> list[StateElement]:
         return sorted(self.states, key=StateElement.sort_key)
@@ -144,7 +150,7 @@ class Information:
 
 
 @dataclass(frozen=True)
-class RawMapping:
+class RawMapping(_Sextuple):
     """An unvalidated sextuple-shaped value.
 
     Inverting an information swaps the state and reflection sides; the
@@ -153,28 +159,6 @@ class RawMapping:
     than as an Information.  ``promote`` upgrades it when it happens to
     satisfy every invariant.
     """
-
-    name: str = field(compare=False)
-    ontology: frozenset[EntityId]
-    occurrence: TimeSet
-    states: frozenset[StateElement]
-    carrier: frozenset[EntityId]
-    reflection_time: TimeSet
-    reflections: frozenset[ReflectionElement]
-    mapping: tuple[tuple[StateElement, ReflectionElement], ...]
-    _map: dict = field(init=False, compare=False, repr=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ontology", frozenset(self.ontology))
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "carrier", frozenset(self.carrier))
-        object.__setattr__(self, "reflections", frozenset(self.reflections))
-        object.__setattr__(self, "mapping", _normalize_pairs(self.mapping))
-        object.__setattr__(self, "_map", dict(self.mapping))
-
-    @property
-    def map(self) -> Mapping[StateElement, ReflectionElement]:
-        return self._map
 
     def promote(self) -> Information:
         info = Information(
@@ -187,9 +171,7 @@ class RawMapping:
             self.reflections,
             self.mapping,
         )
-        report = validate(info)
-        if report:
-            raise InvalidInformationError(report)
+        require_valid(info)
         return info
 
 
@@ -203,7 +185,8 @@ def validate(info: InformationLike) -> list[Violation]:
     """Check every semantic invariant; returns an empty list when clean.
 
     Violations, not exceptions: a report can name several problems at
-    once, which is what document loading wants.
+    once, which is what document loading wants.  Uncached; only the
+    elements that break a rule are sorted into the report.
     """
     out: list[Violation] = []
     for label, comp in (
@@ -215,13 +198,18 @@ def validate(info: InformationLike) -> list[Violation]:
         if not comp:
             out.append(Violation("empty-component", f"{label} is empty"))
 
-    for e in sorted(info.carrier, key=EntityId.sort_key):
-        if not e.is_objective:
-            out.append(
-                Violation("carrier-not-objective", f"carrier not objective: {e.id}")
-            )
+    bad_carrier = (e for e in info.carrier if not e.is_objective)
+    for e in sorted(bad_carrier, key=EntityId.sort_key):
+        out.append(
+            Violation("carrier-not-objective", f"carrier not objective: {e.id}")
+        )
 
-    for s in sorted(info.states, key=StateElement.sort_key):
+    bad_states = (
+        s
+        for s in info.states
+        if not (s.subject <= info.ontology and s.at.is_subset(info.occurrence))
+    )
+    for s in sorted(bad_states, key=StateElement.sort_key):
         if not s.subject <= info.ontology:
             extra = ", ".join(sorted(e.id for e in s.subject - info.ontology))
             out.append(
@@ -238,7 +226,12 @@ def validate(info: InformationLike) -> list[Violation]:
                 )
             )
 
-    for r in sorted(info.reflections, key=ReflectionElement.sort_key):
+    bad_reflections = (
+        r
+        for r in info.reflections
+        if not (r.carrier_part <= info.carrier and r.at.is_subset(info.reflection_time))
+    )
+    for r in sorted(bad_reflections, key=ReflectionElement.sort_key):
         if not r.carrier_part <= info.carrier:
             extra = ", ".join(sorted(e.id for e in r.carrier_part - info.carrier))
             out.append(
@@ -278,18 +271,23 @@ def validate(info: InformationLike) -> list[Violation]:
     return out
 
 
+def _checked(info: InformationLike) -> list[Violation]:
+    """``validate`` at most once per value: frozen objects cannot become
+    invalid, so a clean result is remembered as ``_known_valid``."""
+    if getattr(info, "_known_valid", False):
+        return []
+    report = validate(info)
+    if not report:
+        object.__setattr__(info, "_known_valid", True)
+    return report
+
+
 def require_valid(info: InformationLike) -> None:
     if isinstance(info, RawMapping):
         return  # exempt by construction
-    # frozen objects cannot become invalid, so one clean bill of health
-    # is cached for good; chained composes revalidate the same links a
-    # quadratic number of times otherwise
-    if getattr(info, "_known_valid", False):
-        return
-    report = validate(info)
+    report = _checked(info)
     if report:
         raise InvalidInformationError(report)
-    object.__setattr__(info, "_known_valid", True)
 
 
 # -- reducibility and inversion ---------------------------------------------
@@ -311,7 +309,6 @@ def invert(info: InformationLike) -> InformationLike:
     all-objective carrier), in which case it is promoted.  Inverting
     twice returns to the original value.
     """
-    require_valid(info)
     if not is_reducible(info):
         raise NonInvertibleError("mapping is not injective; no inverse exists")
     inv_pairs = []
@@ -337,21 +334,12 @@ def invert(info: InformationLike) -> InformationLike:
 
 def reduction_map(info: InformationLike) -> Mapping[ReflectionElement, StateElement]:
     """The inverse mapping reflection -> original state, as a dict."""
-    require_valid(info)
     if not is_reducible(info):
         raise NonInvertibleError("mapping is not injective; no inverse exists")
     return {r: s for s, r in info.mapping}
 
 
 # -- serial composition ------------------------------------------------------
-
-
-def _reflection_key(r: ReflectionElement):
-    return (frozenset(e for e in r.carrier_part), r.at, r.value)
-
-
-def _state_key(s: StateElement):
-    return (frozenset(e for e in s.subject), s.at, s.value)
 
 
 def check_link(first: InformationLike, second: InformationLike) -> list[Violation]:
@@ -373,9 +361,8 @@ def check_link(first: InformationLike, second: InformationLike) -> list[Violatio
                 f"reflection time of {first.name!r} differs from occurrence of {second.name!r}",
             )
         )
-    state_keys = {_state_key(s) for s in second.states}
     for r in sorted(first.reflections, key=ReflectionElement.sort_key):
-        if _reflection_key(r) not in state_keys:
+        if StateElement(r.carrier_part, r.at, r.value) not in second.states:
             out.append(
                 Violation(
                     "handoff-element",
@@ -402,12 +389,20 @@ def compose(first: Information, second: Information) -> Information:
     problems = check_link(first, second)
     if problems:
         raise ChainMismatchError(problems[0].message)
-    by_key = {_state_key(s): s for s in second.states}
-    pairs = []
-    for s, r in first.mapping:
-        mid = by_key[_reflection_key(r)]
-        pairs.append((s, second.map[mid]))
-    return Information(
+    return _join(first, second)
+
+
+def _join(first: Information, second: Information) -> Information:
+    """``compose`` after both links and their hand-off passed.  The result
+    is valid by construction: it keeps the first link's clean state side
+    and the second's clean reflection side, and the hand-off is one-to-one,
+    so the mapping is total and onto.  RawMapping links are exempt from
+    checks, so a composite of one is not marked."""
+    pairs = [
+        (s, second.map[StateElement(r.carrier_part, r.at, r.value)])
+        for s, r in first.mapping
+    ]
+    out = Information(
         f"{first.name}*{second.name}",
         first.ontology,
         first.occurrence,
@@ -417,6 +412,9 @@ def compose(first: Information, second: Information) -> Information:
         second.reflections,
         pairs,
     )
+    if isinstance(first, Information) and isinstance(second, Information):
+        object.__setattr__(out, "_known_valid", True)
+    return out
 
 
 @dataclass(frozen=True)
@@ -434,7 +432,7 @@ class SerialChain:
 def check_chain(chain: SerialChain) -> list[Violation]:
     out = []
     for i, link in enumerate(chain.links):
-        for v in validate(link):
+        for v in _checked(link):
             out.append(Violation(v.code, f"link {i} ({link.name!r}): {v.message}"))
     for i, (a, b) in enumerate(zip(chain.links, chain.links[1:])):
         for v in check_link(a, b):
@@ -447,7 +445,7 @@ def collapse_chain(chain: SerialChain) -> Information:
     problems = check_chain(chain)
     if problems:
         raise ChainMismatchError(problems[0].message)
-    return functools.reduce(compose, chain.links)
+    return functools.reduce(_join, chain.links)
 
 
 # -- sub-information and combination ----------------------------------------

@@ -1,0 +1,90 @@
+"""The package's original ``validate``, kept verbatim as a reference.
+
+``isd.model.validate`` sorts only the elements that break a rule; this
+copy sorts every component first.  The property tests check that both
+return the same violations in the same order.
+"""
+
+from __future__ import annotations
+
+from isd.model import InformationLike, ReflectionElement, StateElement, Violation
+from isd.values import EntityId
+
+
+def validate(info: InformationLike) -> list[Violation]:
+    """Check every semantic invariant; returns an empty list when clean.
+
+    Violations, not exceptions: a report can name several problems at
+    once, which is what document loading wants.
+    """
+    out: list[Violation] = []
+    for label, comp in (
+        ("ontology", info.ontology),
+        ("states", info.states),
+        ("carrier", info.carrier),
+        ("reflections", info.reflections),
+    ):
+        if not comp:
+            out.append(Violation("empty-component", f"{label} is empty"))
+
+    for e in sorted(info.carrier, key=EntityId.sort_key):
+        if not e.is_objective:
+            out.append(
+                Violation("carrier-not-objective", f"carrier not objective: {e.id}")
+            )
+
+    for s in sorted(info.states, key=StateElement.sort_key):
+        if not s.subject <= info.ontology:
+            extra = ", ".join(sorted(e.id for e in s.subject - info.ontology))
+            out.append(
+                Violation(
+                    "state-subject-outside-ontology",
+                    f"state subject outside ontology: {extra}",
+                )
+            )
+        if not s.at.is_subset(info.occurrence):
+            out.append(
+                Violation(
+                    "state-time-outside-occurrence",
+                    f"state time {s.at} outside occurrence {info.occurrence}",
+                )
+            )
+
+    for r in sorted(info.reflections, key=ReflectionElement.sort_key):
+        if not r.carrier_part <= info.carrier:
+            extra = ", ".join(sorted(e.id for e in r.carrier_part - info.carrier))
+            out.append(
+                Violation(
+                    "reflection-part-outside-carrier",
+                    f"reflection carrier part outside carrier: {extra}",
+                )
+            )
+        if not r.at.is_subset(info.reflection_time):
+            out.append(
+                Violation(
+                    "reflection-time-outside",
+                    f"reflection time {r.at} outside reflection time {info.reflection_time}",
+                )
+            )
+
+    mapped = {s for s, _ in info.mapping}
+    for s in sorted(info.states - mapped, key=StateElement.sort_key):
+        out.append(
+            Violation("mapping-not-total", f"mapping not total: no reflection for {s}")
+        )
+    for s in sorted(mapped - info.states, key=StateElement.sort_key):
+        out.append(
+            Violation("mapping-key-unknown", f"mapping key is not a state: {s}")
+        )
+    images = {r for _, r in info.mapping}
+    for r in sorted(info.reflections - images, key=ReflectionElement.sort_key):
+        out.append(
+            Violation(
+                "mapping-not-surjective", f"mapping not surjective: {r} never reached"
+            )
+        )
+    for r in sorted(images - info.reflections, key=ReflectionElement.sort_key):
+        out.append(
+            Violation("mapping-value-unknown", f"mapping value is not a reflection: {r}")
+        )
+    return out

@@ -195,6 +195,41 @@ def test_parse_error_cases():
             loads_document(_patch(mutate))
 
 
+def _info0(r):
+    return r["informations"][0]
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (
+            lambda r: _info0(r)["states"][0].update(subject=[]),
+            "informations[0].states[0].subject",
+        ),
+        (
+            lambda r: _info0(r)["reflections"][1].update(carrier_part=[]),
+            "informations[0].reflections[1].carrier_part",
+        ),
+        (lambda r: _info0(r).update(states=7), "informations[0]: states"),
+        (lambda r: _info0(r).update(reflections=None), "informations[0]: reflections"),
+        (lambda r: r.update(chains=[{"name": "c", "links": []}]), "chains[0]: links"),
+        (lambda r: r.update(chains=[{"name": "c", "links": "probe"}]), "chains[0]: links"),
+    ],
+    ids=[
+        "empty-subject",
+        "empty-carrier-part",
+        "states-not-list",
+        "reflections-not-list",
+        "chain-no-links",
+        "chain-links-not-list",
+    ],
+)
+def test_malformed_document_names_location(mutate, where):
+    with pytest.raises(DocumentParseError) as exc:
+        loads_document(_patch(mutate), source="doc.json")
+    assert f"doc.json: {where}" in str(exc.value)
+
+
 def test_unresolved_references():
     cases = [
         lambda r: r["informations"][0].update(ontology=["martian"]),

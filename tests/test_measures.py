@@ -573,6 +573,11 @@ def test_distortion_requires_total_map(pair_info):
     j.pop(next(iter(j)))
     with pytest.raises(IncompleteReflectionError):
         distortion(pair_info, j, Metric("symmetric_difference_count"))
+    # with several missing, the first in canonical order is named
+    first = pair_info.sorted_reflections()[0]
+    with pytest.raises(IncompleteReflectionError) as exc:
+        distortion(pair_info, {}, Metric("symmetric_difference_count"))
+    assert str(exc.value) == f"no estimate for reflection {first}"
 
 
 # -- mismatch -----------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Structural algebra: validation, inversion, chains, sub-information,
 combination, atoms, copies."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+import isd.model
 
 from isd.errors import (
     ChainMismatchError,
@@ -32,6 +35,7 @@ from isd.model import (
 )
 from isd.timeset import TimeSet
 from isd.values import Value, objective, subjective
+from isd.verify import random_chain
 
 from conftest import lossy_info, two_atom_info
 
@@ -154,29 +158,42 @@ def test_reduction_map_recovers_states(pair_info):
     assert set(m.values()) == set(pair_info.states)
 
 
-def test_check_link_and_compose(pair_info):
-    # build the follow-on link from the reflections verbatim
-    nxt_states = [
-        StateElement(r.carrier_part, r.at, r.value) for r in pair_info.reflections
-    ]
+def _follow_on(info):
+    """A second link that stores ``info``'s reflections on a disk."""
+    states = [StateElement(r.carrier_part, r.at, r.value) for r in info.reflections]
     disk = objective("disk")
-    pairs = [
-        (s, ReflectionElement({disk}, s.at.shift(1), s.value)) for s in nxt_states
-    ]
-    nxt = Information(
+    pairs = [(s, ReflectionElement({disk}, s.at.shift(1), s.value)) for s in states]
+    return Information(
         "store",
-        pair_info.carrier,
-        pair_info.reflection_time,
-        nxt_states,
+        info.carrier,
+        info.reflection_time,
+        states,
         {disk},
-        pair_info.reflection_time.shift(1),
+        info.reflection_time.shift(1),
         [r for _, r in pairs],
         pairs,
     )
+
+
+def _as_raw(info):
+    return RawMapping(
+        info.name,
+        info.ontology,
+        info.occurrence,
+        info.states,
+        info.carrier,
+        info.reflection_time,
+        info.reflections,
+        info.mapping,
+    )
+
+
+def test_check_link_and_compose(pair_info):
+    nxt = _follow_on(pair_info)
     assert check_link(pair_info, nxt) == []
     composed = compose(pair_info, nxt)
     assert composed.states == pair_info.states
-    assert composed.carrier == {disk}
+    assert composed.carrier == {objective("disk")}
     assert len(composed.mapping) == 2
 
     with pytest.raises(ChainMismatchError):
@@ -184,26 +201,42 @@ def test_check_link_and_compose(pair_info):
 
 
 def test_chain_collapse_matches_pairwise_compose(pair_info):
-    nxt_states = [
-        StateElement(r.carrier_part, r.at, r.value) for r in pair_info.reflections
-    ]
-    disk = objective("disk")
-    pairs = [
-        (s, ReflectionElement({disk}, s.at.shift(1), s.value)) for s in nxt_states
-    ]
-    nxt = Information(
-        "store",
-        pair_info.carrier,
-        pair_info.reflection_time,
-        nxt_states,
-        {disk},
-        pair_info.reflection_time.shift(1),
-        [r for _, r in pairs],
-        pairs,
-    )
+    nxt = _follow_on(pair_info)
     chain = SerialChain((pair_info, nxt))
     assert check_chain(chain) == []
     assert collapse_chain(chain) == compose(pair_info, nxt)
+
+
+def test_chain_validates_each_link_once(monkeypatch):
+    chain = random_chain(random.Random(7), n_links=8)
+    calls = []
+    real = isd.model.validate
+
+    def counting(info):
+        calls.append(info.name)
+        return real(info)
+
+    monkeypatch.setattr(isd.model, "validate", counting)
+    assert check_chain(chain) == []
+    whole = collapse_chain(chain)
+    assert calls == [link.name for link in chain.links]
+    assert whole._known_valid
+
+
+def test_composite_of_raw_link_not_marked_valid(pair_info):
+    nxt = _follow_on(pair_info)
+    assert compose(pair_info, nxt)._known_valid
+    raw = _as_raw(pair_info)
+    assert not getattr(compose(raw, nxt), "_known_valid", False)
+    assert not getattr(collapse_chain(SerialChain((raw, nxt))), "_known_valid", False)
+
+
+def test_raw_mapping_differs_from_information(pair_info):
+    raw = _as_raw(pair_info)
+    assert raw != pair_info
+    assert raw.map == pair_info.map
+    assert repr(raw).startswith("RawMapping(name='pair', ontology=")
+    assert raw.promote() == pair_info
 
 
 def test_chain_mismatch_detected(pair_info):

@@ -26,6 +26,8 @@ from functools import reduce
 
 from isd.model import (
     Information,
+    ReflectionElement,
+    StateElement,
     atoms,
     check_chain,
     collapse_chain,
@@ -37,11 +39,14 @@ from isd.model import (
     validate,
 )
 from isd.timeset import TimeSet, symmetric_difference_size
+from isd.values import Value, subjective
 from isd.verify import (
     random_chain,
     random_information,
     random_partition_relation,
 )
+
+import reference_model
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -192,6 +197,107 @@ def test_document_codec_round_trip(info):
     text = emit_document(doc)
     again = loads_document(text)
     assert emit_document(again) == text
+
+
+# -- validation ---------------------------------------------------------------
+
+VIOLATION_CODES = (
+    "empty-component",
+    "carrier-not-objective",
+    "state-subject-outside-ontology",
+    "state-time-outside-occurrence",
+    "reflection-part-outside-carrier",
+    "reflection-time-outside",
+    "mapping-not-total",
+    "mapping-key-unknown",
+    "mapping-not-surjective",
+    "mapping-value-unknown",
+)
+
+
+def _inject(info, codes, rng):
+    """Rebuild ``info`` with faults meant to raise each of ``codes``;
+    several elements are hit at once, so report order matters."""
+    f = {
+        "ontology": set(info.ontology),
+        "occurrence": info.occurrence,
+        "states": set(info.states),
+        "carrier": set(info.carrier),
+        "reflection_time": info.reflection_time,
+        "reflections": set(info.reflections),
+    }
+    pairs = list(info.mapping)
+    states = sorted(info.states, key=StateElement.sort_key)
+    reflections = sorted(info.reflections, key=ReflectionElement.sort_key)
+    for code in codes:
+        k = rng.randint(1, 3)
+        if code == "empty-component":
+            f[rng.choice(["ontology", "states", "carrier", "reflections"])] = set()
+        elif code == "carrier-not-objective":
+            f["carrier"] |= {subjective(f"ghost{i}") for i in range(k)}
+        elif code == "state-subject-outside-ontology":
+            for s in rng.sample(states, min(k, len(states))):
+                f["ontology"].discard(rng.choice(sorted(s.subject, key=lambda e: e.id)))
+        elif code == "state-time-outside-occurrence":
+            f["occurrence"] = rng.choice(states).at
+        elif code == "reflection-part-outside-carrier":
+            for r in rng.sample(reflections, min(k, len(reflections))):
+                f["carrier"].discard(rng.choice(sorted(r.carrier_part, key=lambda e: e.id)))
+        elif code == "reflection-time-outside":
+            f["reflection_time"] = rng.choice(reflections).at
+        elif code == "mapping-not-total":
+            start = rng.randrange(len(pairs))
+            del pairs[start : start + k]
+        elif code == "mapping-key-unknown":
+            for i in range(k):
+                at, value = TimeSet.point(900 + i), Value.symbol(f"stray{i}")
+                stray = StateElement(rng.choice(states).subject, at, value)
+                pairs.append((stray, rng.choice(reflections)))
+        elif code == "mapping-not-surjective":
+            for i in range(k):
+                f["reflections"].add(
+                    ReflectionElement(
+                        rng.choice(reflections).carrier_part,
+                        TimeSet.point(800 + i),
+                        Value.symbol(f"orphan{i}"),
+                    )
+                )
+        elif code == "mapping-value-unknown":
+            for r in rng.sample(reflections, min(k, len(reflections))):
+                f["reflections"].discard(r)
+    return Information(info.name, mapping=pairs, **f)
+
+
+@given(infos(), st.sets(st.sampled_from(VIOLATION_CODES)), seeds)
+@settings(max_examples=150, deadline=None)
+def test_validate_matches_reference(info, codes, pick):
+    broken = _inject(info, sorted(codes), random.Random(pick))
+    assert validate(broken) == reference_model.validate(broken)
+
+
+def test_fault_injection_reaches_every_code():
+    for code in VIOLATION_CODES:
+        broken = _inject(random_information(random.Random(0)), [code], random.Random(0))
+        assert code in {v.code for v in validate(broken)}
+
+
+@given(seeds, st.integers(min_value=2, max_value=8))
+@settings(max_examples=40, deadline=None)
+def test_collapsed_chain_validates_from_scratch(seed, n_links):
+    whole = collapse_chain(random_chain(random.Random(seed), n_links=n_links))
+    assert whole._known_valid
+    fresh = Information(
+        whole.name,
+        whole.ontology,
+        whole.occurrence,
+        whole.states,
+        whole.carrier,
+        whole.reflection_time,
+        whole.reflections,
+        whole.mapping,
+    )
+    assert not getattr(fresh, "_known_valid", False)
+    assert validate(fresh) == []
 
 
 # -- chains -------------------------------------------------------------------
