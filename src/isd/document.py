@@ -15,7 +15,8 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from operator import attrgetter
+from typing import Any, NoReturn
 
 from .dynamics import (
     MeasureKind,
@@ -36,7 +37,7 @@ from .model import (
     ReflectionElement,
     SerialChain,
     StateElement,
-    validate,
+    _checked,
 )
 from .timeset import TimeSet
 from .values import EntityId, Realm, Value
@@ -44,20 +45,86 @@ from .values import EntityId, Realm, Value
 FORMAT_VERSION = "1"
 
 
+# -- typed access ------------------------------------------------------------
+#
+# Every reader takes a location ``where``: the source name, or a tuple of
+# location parts (strings, list indices, nested locations).  Tuples are
+# cheap to build and are rendered only when a check fails, so loading a
+# valid document formats no messages.
+
+_JSON_TYPES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+_REQUIRED = object()
+
+
+def _loc(where) -> str:
+    if type(where) is str:
+        return where
+    return "".join(f"[{part}]" if type(part) is int else _loc(part) for part in where)
+
+
+def _fail(where, problem: str, error: type = DocumentParseError) -> NoReturn:
+    raise error(f"{_loc(where)}: {problem}") from None
+
+
+def _typed(value, kind: type, where):
+    """``value`` when it is exactly a JSON ``kind``: ``true`` is no integer."""
+    if type(value) is not kind:
+        _fail(where, f"must be {_JSON_TYPES[kind]}, not {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _field(obj: dict, key: str, kind: type, where, default=_REQUIRED):
+    """``obj[key]`` as a JSON ``kind``; ``default`` when absent, if given."""
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        _fail(where, f"missing {key!r}")
+    return _typed(value, kind, (where, ": ", key))
+
+
+def _enum(cls, value, where, what: str):
+    try:
+        return cls(value)
+    except ValueError:
+        _fail(where, f"unknown {what} {value!r}")
+
+
+def _index_pairs(obj: dict, key: str, left: list, right: list, where) -> list:
+    """``obj[key]`` as ``[i, j]`` index pairs, resolved to ``(left[i], right[j])``."""
+    out = []
+    for n, entry in enumerate(_field(obj, key, list, where)):
+        if (
+            type(entry) is not list
+            or len(entry) != 2
+            or type(entry[0]) is not int
+            or type(entry[1]) is not int
+            or not 0 <= entry[0] < len(left)
+            or not 0 <= entry[1] < len(right)
+        ):
+            _fail(
+                where,
+                f"{key} entry {n} must be [i, j] with 0 <= i < {len(left)} "
+                f"and 0 <= j < {len(right)}",
+            )
+        out.append((left[entry[0]], right[entry[1]]))
+    return out
+
+
 # -- primitive codecs --------------------------------------------------------
 
 
-def _frac_to_json(q: Fraction) -> str:
-    return str(q)
-
-
-def _frac_from_json(s: Any, where: str) -> Fraction:
-    if not isinstance(s, str):
-        raise DocumentParseError(f"{where}: rational must be a string, got {s!r}")
+def _frac_from_json(s: Any, where) -> Fraction:
     try:
-        return Fraction(s)
+        return Fraction(_typed(s, str, where))
     except (ValueError, ZeroDivisionError) as e:
-        raise DocumentParseError(f"{where}: bad rational {s!r} ({e})") from None
+        _fail(where, f"bad rational {s!r} ({e})")
 
 
 def _rate_to_json(r) -> str:
@@ -66,7 +133,7 @@ def _rate_to_json(r) -> str:
     return str(r)
 
 
-def _rate_from_json(s: Any, where: str):
+def _rate_from_json(s: Any, where):
     if s == "inf":
         return ExtendedRate.infinite()
     return _frac_from_json(s, where)
@@ -79,35 +146,28 @@ def _timeset_to_json(ts: TimeSet) -> dict:
     return {"intervals": intervals}
 
 
-def _timeset_from_json(obj: Any, where: str) -> TimeSet:
-    if not isinstance(obj, dict) or "intervals" not in obj:
-        raise DocumentParseError(f"{where}: time set must be an object with intervals")
+def _timeset_from_json(obj: dict, key: str, where) -> TimeSet:
+    """The time set ``obj[key]``: intervals, the last of which may be a ray."""
+    at = (where, ".", key)
+    entries = _field(_field(obj, key, dict, where), "intervals", list, at)
+    if not entries:
+        _fail(at, "intervals must be a nonempty list")
     pairs = []
     ray = None
-    entries = obj["intervals"]
-    if not isinstance(entries, list) or not entries:
-        raise DocumentParseError(f"{where}: intervals must be a nonempty list")
     for i, entry in enumerate(entries):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise DocumentParseError(f"{where}: interval {i} must be a [lo, hi] pair")
-        lo = _frac_from_json(entry[0], f"{where}: interval {i} lower endpoint")
-        if entry[1] is None:
-            if i != len(entries) - 1:
-                raise DocumentParseError(
-                    f"{where}: only the last interval may be unbounded"
-                )
-            ray = lo
+        if type(entry) is not list or len(entry) != 2:
+            _fail(at, f"interval {i} must be a [lo, hi] pair")
+        lo = _frac_from_json(entry[0], (at, ".intervals", i, 0))
+        if entry[1] is not None:
+            pairs.append((lo, _frac_from_json(entry[1], (at, ".intervals", i, 1))))
+        elif i != len(entries) - 1:
+            _fail(at, "only the last interval may be unbounded")
         else:
-            hi = _frac_from_json(entry[1], f"{where}: interval {i} upper endpoint")
-            if lo > hi:
-                raise DocumentParseError(
-                    f"{where}: interval {i} endpoints out of order"
-                )
-            pairs.append((lo, hi))
+            ray = lo
     try:
         return TimeSet(tuple(pairs), ray)
     except ValueError as e:
-        raise DocumentParseError(f"{where}: {e}") from None
+        _fail(at, str(e))
 
 
 def _value_to_json(v: Value) -> dict:
@@ -120,27 +180,26 @@ def _value_to_json(v: Value) -> dict:
     return {"record": {k: _value_to_json(inner) for k, inner in v.body}}
 
 
-def _value_from_json(obj: Any, where: str) -> Value:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise DocumentParseError(f"{where}: value must be a single-key object")
+def _value_from_json(obj: Any, where) -> Value:
+    if type(obj) is not dict or len(obj) != 1:
+        _fail(where, "value must be a single-key object")
     (tag, body), = obj.items()
     if tag == "symbol":
-        if not isinstance(body, str) or not body:
-            raise DocumentParseError(f"{where}: symbol must be a nonempty string")
+        if type(body) is not str or not body:
+            _fail(where, "symbol must be a nonempty string")
         return Value.symbol(body)
     if tag == "scalar":
         return Value.scalar(_frac_from_json(body, where))
     if tag == "vector":
-        if not isinstance(body, list):
-            raise DocumentParseError(f"{where}: vector must be a list")
-        return Value.vector([_frac_from_json(q, where) for q in body])
+        return Value.vector([_frac_from_json(q, where) for q in _typed(body, list, where)])
     if tag == "record":
-        if not isinstance(body, dict):
-            raise DocumentParseError(f"{where}: record must be an object")
         return Value.record(
-            {k: _value_from_json(inner, f"{where}.{k}") for k, inner in body.items()}
+            {
+                k: _value_from_json(inner, (where, ".", k))
+                for k, inner in _typed(body, dict, where).items()
+            }
         )
-    raise DocumentParseError(f"{where}: unknown value tag {tag!r}")
+    _fail(where, f"unknown value tag {tag!r}")
 
 
 # -- document dataclasses ----------------------------------------------------
@@ -162,6 +221,13 @@ class NamedChain:
     chain: SerialChain
 
 
+def _lookup(items, what: str, name: str, key=attrgetter("name")):
+    for item in items:
+        if key(item) == name:
+            return item
+    raise UnresolvedReferenceError(f"no {what} named {name!r}")
+
+
 @dataclass(frozen=True)
 class ModelDocument:
     format_version: str = FORMAT_VERSION
@@ -173,291 +239,197 @@ class ModelDocument:
     chains: tuple[NamedChain, ...] = ()
 
     def information(self, name: str) -> Information:
-        for info in self.informations:
-            if info.name == name:
-                return info
-        raise UnresolvedReferenceError(f"no information named {name!r}")
+        return _lookup(self.informations, "information", name)
 
     def measure(self, name: str) -> MeasureAssignment:
-        for m in self.measures:
-            if m.name == name:
-                return m
-        raise UnresolvedReferenceError(f"no measure named {name!r}")
+        return _lookup(self.measures, "measure", name)
 
     def bound_relation(self, name: str) -> BoundRelation:
-        for r in self.relations:
-            if r.relation.name == name:
-                return r
-        raise UnresolvedReferenceError(f"no relation named {name!r}")
+        return _lookup(self.relations, "relation", name, attrgetter("relation.name"))
 
     def system(self, name: str) -> SystemConfig:
-        for s in self.systems:
-            if s.name == name:
-                return s
-        raise UnresolvedReferenceError(f"no system named {name!r}")
+        return _lookup(self.systems, "system", name)
 
     def chain(self, name: str) -> NamedChain:
-        for c in self.chains:
-            if c.name == name:
-                return c
-        raise UnresolvedReferenceError(f"no chain named {name!r}")
+        return _lookup(self.chains, "chain", name)
 
 
 # -- loading ------------------------------------------------------------------
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise DocumentParseError(message)
-
-
-def _entity_list(ids: Any, table: Mapping[str, EntityId], where: str) -> frozenset[EntityId]:
-    _require(isinstance(ids, list), f"{where}: must be a list of entity ids")
+def _entity_list(obj: dict, key: str, table, where) -> frozenset[EntityId]:
+    at = (where, ".", key)
     out = []
-    for i in ids:
-        _require(isinstance(i, str), f"{where}: entity ids must be strings")
-        if i not in table:
-            raise UnresolvedReferenceError(f"{where}: undeclared entity {i!r}")
-        out.append(table[i])
+    for n, eid in enumerate(_field(obj, key, list, where)):
+        if _typed(eid, str, (at, n)) not in table:
+            _fail(at, f"undeclared entity {eid!r}", UnresolvedReferenceError)
+        out.append(table[eid])
     return frozenset(out)
 
 
-def _element_from_json(obj: Any, table, where: str, reflection: bool):
-    _require(isinstance(obj, dict), f"{where}: element must be an object")
+def _element_from_json(obj: Any, table, where, reflection: bool):
     part_key = "carrier_part" if reflection else "subject"
-    for key in (part_key, "at", "value"):
-        _require(key in obj, f"{where}: element missing {key!r}")
-    part = _entity_list(obj[part_key], table, f"{where}.{part_key}")
-    _require(part, f"{where}.{part_key}: must name at least one entity")
-    at = _timeset_from_json(obj["at"], f"{where}.at")
-    value = _value_from_json(obj["value"], f"{where}.value")
-    if reflection:
-        return ReflectionElement(part, at, value)
-    return StateElement(part, at, value)
+    part = _entity_list(_typed(obj, dict, where), part_key, table, where)
+    if not part:
+        _fail((where, ".", part_key), "must name at least one entity")
+    at = _timeset_from_json(obj, "at", where)
+    value = _value_from_json(_field(obj, "value", dict, where), (where, ".value"))
+    return (ReflectionElement if reflection else StateElement)(part, at, value)
 
 
-def _information_from_json(obj: Any, table, where: str) -> Information:
-    _require(isinstance(obj, dict), f"{where}: information must be an object")
-    for key in (
-        "name",
-        "ontology",
-        "occurrence",
-        "states",
-        "carrier",
-        "reflection_time",
-        "reflections",
-        "mapping",
-    ):
-        _require(key in obj, f"{where}: missing {key!r}")
-    name = obj["name"]
-    _require(isinstance(name, str) and name, f"{where}: name must be nonempty")
-    for key in ("states", "reflections", "mapping"):
-        _require(isinstance(obj[key], list), f"{where}: {key} must be a list")
+def _information_from_json(obj: Any, table, where) -> Information:
+    name = _field(_typed(obj, dict, where), "name", str, where)
+    if not name:
+        _fail(where, "name must be nonempty")
     states = [
-        _element_from_json(e, table, f"{where}.states[{i}]", reflection=False)
-        for i, e in enumerate(obj["states"])
+        _element_from_json(e, table, (where, ".states", i), reflection=False)
+        for i, e in enumerate(_field(obj, "states", list, where))
     ]
     reflections = [
-        _element_from_json(e, table, f"{where}.reflections[{i}]", reflection=True)
-        for i, e in enumerate(obj["reflections"])
+        _element_from_json(e, table, (where, ".reflections", i), reflection=True)
+        for i, e in enumerate(_field(obj, "reflections", list, where))
     ]
-    pairs = []
-    for i, entry in enumerate(obj["mapping"]):
-        _require(
-            isinstance(entry, list) and len(entry) == 2,
-            f"{where}: mapping entry {i} must be [state_index, reflection_index]",
+    try:
+        return Information(
+            name,
+            _entity_list(obj, "ontology", table, where),
+            _timeset_from_json(obj, "occurrence", where),
+            frozenset(states),
+            _entity_list(obj, "carrier", table, where),
+            _timeset_from_json(obj, "reflection_time", where),
+            frozenset(reflections),
+            _index_pairs(obj, "mapping", states, reflections, where),
         )
-        si, ri = entry
-        _require(
-            isinstance(si, int) and 0 <= si < len(states),
-            f"{where}: mapping entry {i} has bad state index {si!r}",
-        )
-        _require(
-            isinstance(ri, int) and 0 <= ri < len(reflections),
-            f"{where}: mapping entry {i} has bad reflection index {ri!r}",
-        )
-        pairs.append((states[si], reflections[ri]))
-    return Information(
-        name,
-        _entity_list(obj["ontology"], table, f"{where}.ontology"),
-        _timeset_from_json(obj["occurrence"], f"{where}.occurrence"),
-        frozenset(states),
-        _entity_list(obj["carrier"], table, f"{where}.carrier"),
-        _timeset_from_json(obj["reflection_time"], f"{where}.reflection_time"),
-        frozenset(reflections),
-        pairs,
-    )
+    except ValueError as e:  # one state mapped to two reflections
+        _fail(where, str(e))
 
 
-def _transform_from_json(obj: Any, where: str) -> MeasureTransform:
-    _require(isinstance(obj, dict) and "kind" in obj, f"{where}: transform needs a kind")
-    kind = obj["kind"]
+def _information_named(by_name, name: Any, where) -> Information:
+    if _typed(name, str, where) not in by_name:
+        _fail(where, f"undeclared information {name!r}", UnresolvedReferenceError)
+    return by_name[name]
+
+
+def _transform_from_json(obj: Any, where) -> MeasureTransform:
+    kind = _field(_typed(obj, dict, where), "kind", str, where)
     if kind == "identity":
         return MeasureTransform.identity()
-    _require("amount" in obj, f"{where}: {kind} transform needs an amount")
-    amount = _rate_from_json(obj["amount"], f"{where}.amount")
+    amount = _rate_from_json(_field(obj, "amount", str, where), (where, ".amount"))
     try:
         return MeasureTransform(kind, amount)
     except ValueError as e:
-        raise DocumentParseError(f"{where}: {e}") from None
+        _fail(where, str(e))
 
 
-def _system_from_json(obj: Any, where: str) -> SystemConfig:
-    _require(isinstance(obj, dict), f"{where}: system must be an object")
-    for key in ("name", "shape", "stages"):
-        _require(key in obj, f"{where}: missing {key!r}")
-    try:
-        shape = Shape(obj["shape"])
-    except ValueError:
-        raise DocumentParseError(f"{where}: unknown shape {obj['shape']!r}") from None
+def _system_from_json(obj: Any, where) -> SystemConfig:
+    name = _field(_typed(obj, dict, where), "name", str, where)
+    shape = _enum(Shape, _field(obj, "shape", str, where), where, "shape")
     stages = []
-    for i, st in enumerate(obj["stages"]):
-        w = f"{where}.stages[{i}]"
-        _require(isinstance(st, dict), f"{w}: stage must be an object")
-        for key in ("name", "kind"):
-            _require(key in st, f"{w}: missing {key!r}")
-        try:
-            kind = StageKind(st["kind"])
-        except ValueError:
-            raise DocumentParseError(f"{w}: unknown stage kind {st['kind']!r}") from None
-        transforms = {}
-        for mname, tobj in sorted(st.get("transforms", {}).items()):
-            try:
-                mk = MeasureKind(mname)
-            except ValueError:
-                raise DocumentParseError(f"{w}: unknown measure {mname!r}") from None
-            transforms[mk] = _transform_from_json(tobj, f"{w}.transforms.{mname}")
-        stages.append(StageSpec(st["name"], kind, transforms))
-    return SystemConfig(obj["name"], tuple(stages), shape)
+    for i, st in enumerate(_field(obj, "stages", list, where)):
+        w = (where, ".stages", i)
+        kind = _enum(StageKind, _field(_typed(st, dict, w), "kind", str, w), w, "stage kind")
+        transforms = {
+            _enum(MeasureKind, mname, w, "measure"): _transform_from_json(
+                tobj, (w, ".transforms.", mname)
+            )
+            for mname, tobj in sorted(_field(st, "transforms", dict, w, {}).items())
+        }
+        stages.append(StageSpec(_field(st, "name", str, w), kind, transforms))
+    return SystemConfig(name, tuple(stages), shape)
 
 
-def loads_document(text: str, source: str = "<string>") -> ModelDocument:
-    """Parse and fully check a document: syntax, declared-before-used
-    references, and every information invariant (violations aggregated)."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentParseError(
-            f"{source}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
-    _require(isinstance(raw, dict), f"{source}: document must be a JSON object")
-    version = raw.get("format_version")
-    _require(
-        version == FORMAT_VERSION,
-        f"{source}: unsupported format_version {version!r} (expected {FORMAT_VERSION!r})",
-    )
+def _document_from_json(raw: Any, source: str) -> ModelDocument:
+    version = _typed(raw, dict, source).get("format_version")
+    if version != FORMAT_VERSION:
+        _fail(source, f"unsupported format_version {version!r} (expected {FORMAT_VERSION!r})")
 
     table: dict[str, EntityId] = {}
-    for i, ent in enumerate(raw.get("entities", [])):
-        w = f"{source}: entities[{i}]"
-        _require(isinstance(ent, dict) and "id" in ent, f"{w}: needs an id")
-        eid = ent["id"]
-        _require(isinstance(eid, str) and eid, f"{w}: id must be nonempty")
-        _require(eid not in table, f"{w}: duplicate entity id {eid!r}")
-        realm_name = ent.get("realm", "objective")
-        try:
-            realm = Realm(realm_name)
-        except ValueError:
-            raise DocumentParseError(f"{w}: unknown realm {realm_name!r}") from None
+    for i, ent in enumerate(_field(raw, "entities", list, source, [])):
+        w = (source, ": entities", i)
+        eid = _field(_typed(ent, dict, w), "id", str, w)
+        if not eid or eid in table:
+            _fail(w, f"id must be nonempty and unique, got {eid!r}")
+        realm = _enum(Realm, _field(ent, "realm", str, w, "objective"), w, "realm")
         table[eid] = EntityId(eid, realm)
 
-    informations = []
-    seen_names = set()
-    for i, obj in enumerate(raw.get("informations", [])):
-        info = _information_from_json(obj, table, f"{source}: informations[{i}]")
-        _require(
-            info.name not in seen_names,
-            f"{source}: duplicate information name {info.name!r}",
-        )
-        seen_names.add(info.name)
-        informations.append(info)
+    by_name: dict[str, Information] = {}
+    for i, obj in enumerate(_field(raw, "informations", list, source, [])):
+        info = _information_from_json(obj, table, (source, ": informations", i))
+        if info.name in by_name:
+            _fail(source, f"duplicate information name {info.name!r}")
+        by_name[info.name] = info
 
-    bad = {}
-    for info in informations:
-        report = validate(info)
-        if report:
-            bad[info.name] = report
+    bad = {name: report for name, info in by_name.items() if (report := _checked(info))}
     if bad:
         raise DocumentInvariantError(bad)
 
     measures = []
-    for i, obj in enumerate(raw.get("measures", [])):
-        w = f"{source}: measures[{i}]"
-        _require(isinstance(obj, dict) and "name" in obj, f"{w}: needs a name")
+    for i, obj in enumerate(_field(raw, "measures", list, source, [])):
+        w = (source, ": measures", i)
+        name = _field(_typed(obj, dict, w), "name", str, w)
         weights = {}
-        for eid, wt in obj.get("weights", {}).items():
+        for eid, wt in _field(obj, "weights", dict, w, {}).items():
             if eid not in table:
-                raise UnresolvedReferenceError(f"{w}: undeclared entity {eid!r}")
-            weights[table[eid]] = _frac_from_json(wt, f"{w}.weights.{eid}")
-        default = _frac_from_json(obj.get("default_weight", "1"), f"{w}.default_weight")
-        measures.append(MeasureAssignment(obj["name"], weights, default))
-
-    by_name = {info.name: info for info in informations}
-    relations = []
-    for i, obj in enumerate(raw.get("relations", [])):
-        w = f"{source}: relations[{i}]"
-        _require(isinstance(obj, dict), f"{w}: relation must be an object")
-        for key in ("name", "info", "pairs"):
-            _require(key in obj, f"{w}: missing {key!r}")
-        if obj["info"] not in by_name:
-            raise UnresolvedReferenceError(
-                f"{w}: undeclared information {obj['info']!r}"
-            )
-        info = by_name[obj["info"]]
-        ordered = info.sorted_states()
-        pairs = set()
-        for j, entry in enumerate(obj["pairs"]):
-            _require(
-                isinstance(entry, list) and len(entry) == 2,
-                f"{w}: pair {j} must be [i, j] state indices",
-            )
-            a, b = entry
-            for idx in (a, b):
-                _require(
-                    isinstance(idx, int) and 0 <= idx < len(ordered),
-                    f"{w}: pair {j} has bad state index {idx!r}",
-                )
-            pairs.add((ordered[a], ordered[b]))
-        relations.append(
-            BoundRelation(
-                obj["info"],
-                Relation(
-                    obj["name"],
-                    frozenset(pairs),
-                    bool(obj.get("declared_equivalence", False)),
-                ),
-            )
+                _fail(w, f"undeclared entity {eid!r}", UnresolvedReferenceError)
+            weights[table[eid]] = _frac_from_json(wt, (w, ".weights.", eid))
+        default = _frac_from_json(
+            _field(obj, "default_weight", str, w, "1"), (w, ".default_weight")
         )
+        try:
+            measures.append(MeasureAssignment(name, weights, default))
+        except ValueError as e:  # a negative weight
+            _fail(w, str(e))
+
+    relations = []
+    for i, obj in enumerate(_field(raw, "relations", list, source, [])):
+        w = (source, ": relations", i)
+        name = _field(_typed(obj, dict, w), "name", str, w)
+        info_name = _field(obj, "info", str, w)
+        ordered = _information_named(by_name, info_name, w).sorted_states()
+        pairs = frozenset(_index_pairs(obj, "pairs", ordered, ordered, w))
+        equivalence = _field(obj, "declared_equivalence", bool, w, False)
+        relations.append(BoundRelation(info_name, Relation(name, pairs, equivalence)))
 
     systems = tuple(
-        _system_from_json(obj, f"{source}: systems[{i}]")
-        for i, obj in enumerate(raw.get("systems", []))
+        _system_from_json(obj, (source, ": systems", i))
+        for i, obj in enumerate(_field(raw, "systems", list, source, []))
     )
 
     chains = []
-    for i, obj in enumerate(raw.get("chains", [])):
-        w = f"{source}: chains[{i}]"
-        _require(isinstance(obj, dict), f"{w}: chain must be an object")
-        for key in ("name", "links"):
-            _require(key in obj, f"{w}: missing {key!r}")
-        names = obj["links"]
-        _require(isinstance(names, list) and names, f"{w}: links must be a nonempty list")
-        links = []
-        for lname in names:
-            if lname not in by_name:
-                raise UnresolvedReferenceError(f"{w}: undeclared information {lname!r}")
-            links.append(by_name[lname])
-        chains.append(NamedChain(obj["name"], tuple(names), SerialChain(tuple(links))))
+    for i, obj in enumerate(_field(raw, "chains", list, source, [])):
+        w = (source, ": chains", i)
+        name = _field(_typed(obj, dict, w), "name", str, w)
+        names = _field(obj, "links", list, w)
+        if not names:
+            _fail(w, "links must be a nonempty list")
+        links = tuple(
+            _information_named(by_name, link, (w, ".links", k)) for k, link in enumerate(names)
+        )
+        chains.append(NamedChain(name, tuple(names), SerialChain(links)))
 
     return ModelDocument(
         format_version=version,
         entities=tuple(sorted(table.values(), key=EntityId.sort_key)),
-        informations=tuple(informations),
+        informations=tuple(by_name.values()),
         measures=tuple(measures),
         relations=tuple(relations),
         systems=systems,
         chains=tuple(chains),
     )
+
+
+def loads_document(text: str, source: str = "<string>") -> ModelDocument:
+    """Parse and fully check a document: syntax, declared-before-used
+    references, and every information invariant (violations aggregated).
+    Any malformed input raises a ``DocumentError`` naming its location."""
+    try:
+        return _document_from_json(json.loads(text), source)
+    except json.JSONDecodeError as e:
+        raise DocumentParseError(
+            f"{source}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
+        ) from None
+    except RecursionError:
+        raise DocumentParseError(f"{source}: nested too deeply to read") from None
 
 
 def load_document(path: str) -> ModelDocument:

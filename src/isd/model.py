@@ -361,14 +361,18 @@ def check_link(first: InformationLike, second: InformationLike) -> list[Violatio
                 f"reflection time of {first.name!r} differs from occurrence of {second.name!r}",
             )
         )
-    for r in sorted(first.reflections, key=ReflectionElement.sort_key):
-        if StateElement(r.carrier_part, r.at, r.value) not in second.states:
-            out.append(
-                Violation(
-                    "handoff-element",
-                    f"reflection {r} of {first.name!r} has no matching state in {second.name!r}",
-                )
+    unmatched = [
+        r
+        for r in first.reflections
+        if StateElement(r.carrier_part, r.at, r.value) not in second.states
+    ]
+    for r in sorted(unmatched, key=ReflectionElement.sort_key):
+        out.append(
+            Violation(
+                "handoff-element",
+                f"reflection {r} of {first.name!r} has no matching state in {second.name!r}",
             )
+        )
     if len(first.reflections) != len(second.states):
         out.append(
             Violation(

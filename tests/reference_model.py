@@ -1,8 +1,10 @@
-"""The package's original ``validate``, kept verbatim as a reference.
+"""The package's original ``validate`` and ``check_link``, kept verbatim
+as references.
 
-``isd.model.validate`` sorts only the elements that break a rule; this
-copy sorts every component first.  The property tests check that both
-return the same violations in the same order.
+``isd.model.validate`` and ``isd.model.check_link`` sort only the
+elements that break a rule; these copies sort every component first.
+The property tests check that both return the same violations in the
+same order.
 """
 
 from __future__ import annotations
@@ -86,5 +88,43 @@ def validate(info: InformationLike) -> list[Violation]:
     for r in sorted(images - info.reflections, key=ReflectionElement.sort_key):
         out.append(
             Violation("mapping-value-unknown", f"mapping value is not a reflection: {r}")
+        )
+    return out
+
+
+def check_link(first: InformationLike, second: InformationLike) -> list[Violation]:
+    """The hand-off conditions between consecutive links: the first link's
+    carrier, reflection times, and reflections must be the second link's
+    ontology, occurrence, and states (value-for-value)."""
+    out = []
+    if first.carrier != second.ontology:
+        out.append(
+            Violation(
+                "handoff-carrier",
+                f"carrier of {first.name!r} differs from ontology of {second.name!r}",
+            )
+        )
+    if first.reflection_time != second.occurrence:
+        out.append(
+            Violation(
+                "handoff-time",
+                f"reflection time of {first.name!r} differs from occurrence of {second.name!r}",
+            )
+        )
+    for r in sorted(first.reflections, key=ReflectionElement.sort_key):
+        if StateElement(r.carrier_part, r.at, r.value) not in second.states:
+            out.append(
+                Violation(
+                    "handoff-element",
+                    f"reflection {r} of {first.name!r} has no matching state in {second.name!r}",
+                )
+            )
+    if len(first.reflections) != len(second.states):
+        out.append(
+            Violation(
+                "handoff-count",
+                f"{first.name!r} has {len(first.reflections)} reflections but "
+                f"{second.name!r} has {len(second.states)} states",
+            )
         )
     return out

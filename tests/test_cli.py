@@ -1,12 +1,18 @@
-"""Command-line surface, driven in-process through main()."""
+"""Command-line surface, driven in-process through main() and, where the
+interpreter's own error output matters, as a subprocess."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import isd
+import isd.model
 from isd.cli import main
+from isd.document import load_document
 
 BUNDLED = str(Path(isd.__file__).parent / "data" / "news_pipeline.json")
 
@@ -175,6 +181,49 @@ def test_missing_document_is_clean_error(capsys, tmp_path):
     code, _, err = run(capsys, "measure", str(tmp_path / "gone.json"))
     assert code == 2
     assert "error:" in err
+
+
+def test_malformed_document_is_clean_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format_version": "1", "entities": 3}', encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(isd.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isd.cli", "analyze", str(bad)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "entities" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_measure_validates_each_information_once(monkeypatch, capsys):
+    n_infos = len(load_document(BUNDLED).informations)
+    calls = []
+    real = isd.model.validate
+
+    def counting(info):
+        calls.append(info.name)
+        return real(info)
+
+    monkeypatch.setattr(isd.model, "validate", counting)
+    code, out, _ = run(
+        capsys,
+        "measure",
+        BUNDLED,
+        "--info",
+        "capture",
+        "--relations",
+        "same_source",
+        "--target",
+        "uplink",
+        "--coverage-target",
+        "camera,recorder,notebook",
+    )
+    assert code == 0 and "not computed" not in out
+    assert len(calls) == n_infos
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 """Document format: parsing, validation, canonical emission."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from isd.document import (
     save_document,
 )
 from isd.errors import (
+    DocumentError,
     DocumentInvariantError,
     DocumentParseError,
     UnresolvedReferenceError,
@@ -199,21 +201,43 @@ def _info0(r):
     return r["informations"][0]
 
 
+def _deep_record(depth):
+    """SYNTHETIC with one state value nested ``depth`` records deep."""
+    leaf = '{"scalar": "-3/4"}'
+    return SYNTHETIC.replace(leaf, '{"record": {"k": ' * depth + leaf + "}}" * depth)
+
+
 @pytest.mark.parametrize(
-    "mutate, where",
+    "text, where",
     [
         (
-            lambda r: _info0(r)["states"][0].update(subject=[]),
+            _patch(lambda r: _info0(r)["states"][0].update(subject=[])),
             "informations[0].states[0].subject",
         ),
         (
-            lambda r: _info0(r)["reflections"][1].update(carrier_part=[]),
+            _patch(lambda r: _info0(r)["reflections"][1].update(carrier_part=[])),
             "informations[0].reflections[1].carrier_part",
         ),
-        (lambda r: _info0(r).update(states=7), "informations[0]: states"),
-        (lambda r: _info0(r).update(reflections=None), "informations[0]: reflections"),
-        (lambda r: r.update(chains=[{"name": "c", "links": []}]), "chains[0]: links"),
-        (lambda r: r.update(chains=[{"name": "c", "links": "probe"}]), "chains[0]: links"),
+        (_patch(lambda r: _info0(r).update(states=7)), "informations[0]: states"),
+        (_patch(lambda r: _info0(r).update(reflections=None)), "informations[0]: reflections"),
+        (_patch(lambda r: r.update(chains=[{"name": "c", "links": []}])), "chains[0]: links"),
+        (_patch(lambda r: r.update(chains=[{"name": "c", "links": "probe"}])), "chains[0]: links"),
+        (_patch(lambda r: r.update(entities=3)), "entities"),
+        (
+            _patch(lambda r: r["systems"][0]["stages"][0].update(transforms=[])),
+            "systems[0].stages[0]: transforms",
+        ),
+        (_deep_record(3000), "nested too deeply"),
+        (_patch(lambda r: r["measures"][0]["weights"].update(lab="-1")), "measures[0]"),
+        (_patch(lambda r: r["measures"][0].update(default_weight="-2")), "measures[0]"),
+        (
+            _patch(lambda r: _info0(r).update(mapping=[[0, 0], [0, 1], [1, 0]])),
+            "informations[0]: mapping assigns two reflections",
+        ),
+        (
+            _patch(lambda r: r["relations"][0].update(declared_equivalence="no")),
+            "relations[0]: declared_equivalence",
+        ),
     ],
     ids=[
         "empty-subject",
@@ -222,12 +246,54 @@ def _info0(r):
         "reflections-not-list",
         "chain-no-links",
         "chain-links-not-list",
+        "entities-not-list",
+        "transforms-not-object",
+        "record-nested-3000-deep",
+        "negative-weight",
+        "negative-default-weight",
+        "state-mapped-twice",
+        "equivalence-not-boolean",
     ],
 )
-def test_malformed_document_names_location(mutate, where):
+def test_malformed_document_names_location(text, where):
     with pytest.raises(DocumentParseError) as exc:
-        loads_document(_patch(mutate), source="doc.json")
+        loads_document(text, source="doc.json")
     assert f"doc.json: {where}" in str(exc.value)
+
+
+REPLACEMENTS = [
+    3, -1, True, None, "", "x", "-1", "1/0",
+    [], {}, [1], {"a": 1}, [[0, 0]], ["0", "1"], "inf", 1.5,
+]
+
+
+def _node_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _node_paths(child, path + (key,))
+
+
+def test_every_single_node_replacement_fails_typed():
+    base = json.loads(SYNTHETIC)
+    escapes, cases = [], 0
+    for path in _node_paths(base):
+        for value in REPLACEMENTS:
+            raw = copy.deepcopy(base)
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            cases += 1
+            try:
+                loads_document(json.dumps(raw))
+            except DocumentError:
+                pass
+            except Exception as e:  # anything else escapes the package's errors
+                escapes.append((path, value, repr(e)))
+    assert cases == 2256
+    assert escapes == []
 
 
 def test_unresolved_references():

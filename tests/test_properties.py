@@ -30,6 +30,7 @@ from isd.model import (
     StateElement,
     atoms,
     check_chain,
+    check_link,
     collapse_chain,
     combine,
     invert,
@@ -39,7 +40,7 @@ from isd.model import (
     validate,
 )
 from isd.timeset import TimeSet, symmetric_difference_size
-from isd.values import Value, subjective
+from isd.values import Value, objective, subjective
 from isd.verify import (
     random_chain,
     random_information,
@@ -279,6 +280,66 @@ def test_fault_injection_reaches_every_code():
     for code in VIOLATION_CODES:
         broken = _inject(random_information(random.Random(0)), [code], random.Random(0))
         assert code in {v.code for v in validate(broken)}
+
+
+HANDOFF_CODES = ("handoff-carrier", "handoff-time", "handoff-element", "handoff-count")
+
+
+def _inject_handoff(first, second, codes, rng):
+    """Rebuild the pair with faults meant to raise each hand-off code;
+    several states are hit at once, so report order matters."""
+    carrier, occurrence, states = set(first.carrier), second.occurrence, set(second.states)
+    for code in codes:
+        k = rng.randint(1, 3)
+        if code == "handoff-carrier":
+            carrier.add(objective(f"spare{k}"))
+        elif code == "handoff-time":
+            occurrence = occurrence.union(TimeSet.point(700 + k))
+        elif code == "handoff-element":
+            ordered = sorted(states, key=StateElement.sort_key)
+            for i, s in enumerate(rng.sample(ordered, min(k, len(ordered)))):
+                states.discard(s)
+                states.add(StateElement(s.subject, s.at, Value.symbol(f"moved{i}")))
+        elif code == "handoff-count":
+            subject = rng.choice(sorted(states, key=StateElement.sort_key)).subject
+            for i in range(k):
+                states.add(StateElement(subject, TimeSet.point(600 + i), Value.symbol("extra")))
+    first = Information(
+        first.name,
+        first.ontology,
+        first.occurrence,
+        first.states,
+        carrier,
+        first.reflection_time,
+        first.reflections,
+        first.mapping,
+    )
+    second = Information(
+        second.name,
+        second.ontology,
+        occurrence,
+        states,
+        second.carrier,
+        second.reflection_time,
+        second.reflections,
+        second.mapping,
+    )
+    return first, second
+
+
+@given(seeds, st.sets(st.sampled_from(HANDOFF_CODES)), seeds)
+@settings(max_examples=100, deadline=None)
+def test_check_link_matches_reference(seed, codes, pick):
+    chain = random_chain(random.Random(seed), n_links=2)
+    first, second = _inject_handoff(*chain.links, sorted(codes), random.Random(pick))
+    assert check_link(first, second) == reference_model.check_link(first, second)
+
+
+def test_handoff_injection_reaches_every_code():
+    chain = random_chain(random.Random(0), n_links=2)
+    for code in HANDOFF_CODES:
+        first, second = _inject_handoff(*chain.links, [code], random.Random(0))
+        assert code in {v.code for v in check_link(first, second)}
 
 
 @given(seeds, st.integers(min_value=2, max_value=8))
