@@ -43,10 +43,7 @@ from .measures import (
     variety,
     volume,
 )
-from .oracles import measurement_reflection
 from .report import Report
-from .scenario import run_scenario
-from .verify import run_verify
 
 _NOT_COMPUTED = "not computed: missing {}"
 
@@ -71,6 +68,8 @@ def _split(text: str | None) -> list[str]:
 
 
 def cmd_measure(args) -> int:
+    from .oracles import measurement_reflection
+
     doc = load_document(args.document)
     if args.info:
         info = doc.information(args.info)
@@ -194,12 +193,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verify
+
     report = run_verify(seed=args.seed, trials=args.trials, names=_split(args.filter))
     _deliver(report, args)
     return 0 if report.ok else 1
 
 
 def cmd_scenario(args) -> int:
+    from .scenario import run_scenario
+
     report = run_scenario(args.name)
     _deliver(report, args)
     return 0 if report.ok else 1

@@ -454,17 +454,15 @@ def _element_to_json(e, reflection: bool) -> dict:
     }
 
 
-def _information_to_json(info: Information) -> dict:
-    states = info.sorted_states()
+def _information_to_json(info: Information, s_index: dict[StateElement, int]) -> dict:
     reflections = info.sorted_reflections()
-    s_index = {s: i for i, s in enumerate(states)}
     r_index = {r: i for i, r in enumerate(reflections)}
     mapping = sorted([s_index[s], r_index[r]] for s, r in info.mapping)
     return {
         "name": info.name,
         "ontology": sorted(e.id for e in info.ontology),
         "occurrence": _timeset_to_json(info.occurrence),
-        "states": [_element_to_json(s, reflection=False) for s in states],
+        "states": [_element_to_json(s, reflection=False) for s in s_index],
         "carrier": sorted(e.id for e in info.carrier),
         "reflection_time": _timeset_to_json(info.reflection_time),
         "reflections": [_element_to_json(r, reflection=True) for r in reflections],
@@ -494,8 +492,14 @@ def document_to_json(doc: ModelDocument) -> dict:
     out["entities"] = [
         {"id": e.id, "realm": e.realm.value} for e in _document_entity_table(doc)
     ]
+    # each information's states in canonical order, indexed once for its
+    # own mapping and for the pairs of every relation bound to it
+    state_index = {
+        id(info): {s: i for i, s in enumerate(info.sorted_states())}
+        for info in doc.informations
+    }
     out["informations"] = [
-        _information_to_json(info)
+        _information_to_json(info, state_index[id(info)])
         for info in sorted(doc.informations, key=lambda i: i.name)
     ]
     out["measures"] = [
@@ -511,8 +515,7 @@ def document_to_json(doc: ModelDocument) -> dict:
     ]
     rel_out = []
     for bound in sorted(doc.relations, key=lambda b: b.relation.name):
-        info = doc.information(bound.info)
-        index = {s: i for i, s in enumerate(info.sorted_states())}
+        index = state_index[id(doc.information(bound.info))]
         pairs = sorted([index[a], index[b]] for a, b in bound.relation.pairs)
         rel_out.append(
             {

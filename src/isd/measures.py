@@ -95,7 +95,8 @@ class ExtendedRate:
         return self.value < other.value
 
     def __hash__(self):
-        return hash(("ExtendedRate", self.value))
+        # a finite rate equals its rational, so it must hash like it
+        return hash(self.value)
 
     def plus(self, q: Rational) -> "ExtendedRate":
         if self.value is None:

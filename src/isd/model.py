@@ -83,7 +83,9 @@ def _normalize_pairs(mapping: MappingLike):
         if s in seen and seen[s] != r:
             raise ValueError(f"mapping assigns two reflections to one state: {s}")
         seen[s] = r
-    return tuple(sorted(seen.items(), key=lambda p: (p[0].sort_key(), p[1].sort_key())))
+    # states are unique here and StateElement.sort_key is injective, so the
+    # state key alone gives the full (state, reflection) order
+    return tuple(sorted(seen.items(), key=lambda p: p[0].sort_key()))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
-"""The package's original ``validate`` and ``check_link``, kept verbatim
-as references.
+"""The package's original ``validate``, ``check_link`` and mapping
+normalization, kept verbatim as references.
 
 ``isd.model.validate`` and ``isd.model.check_link`` sort only the
 elements that break a rule; these copies sort every component first.
-The property tests check that both return the same violations in the
-same order.
+``isd.model`` orders a mapping by state key alone; ``normalize_pairs``
+orders it by state and reflection keys.  The property tests check that
+both sides return the same violations, and the same mapping, in the same
+order.
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 from isd.model import InformationLike, ReflectionElement, StateElement, Violation
 from isd.values import EntityId
@@ -128,3 +132,16 @@ def check_link(first: InformationLike, second: InformationLike) -> list[Violatio
             )
         )
     return out
+
+
+def normalize_pairs(mapping):
+    if isinstance(mapping, Mapping):
+        items = list(mapping.items())
+    else:
+        items = [(s, r) for s, r in mapping]
+    seen = {}
+    for s, r in items:
+        if s in seen and seen[s] != r:
+            raise ValueError(f"mapping assigns two reflections to one state: {s}")
+        seen[s] = r
+    return tuple(sorted(seen.items(), key=lambda p: (p[0].sort_key(), p[1].sort_key())))

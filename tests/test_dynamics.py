@@ -282,3 +282,14 @@ def test_extended_rate_arithmetic():
     assert five.clamped(inf).value == 5
     assert inf.clamped(five).value == 5
     assert five.clamped(ExtendedRate.finite(2)).value == 2
+
+
+@pytest.mark.parametrize("q", [0, 1, 5, Fraction(1, 3), Fraction(7, 2), 10**20])
+def test_finite_extended_rate_hashes_like_its_rational(q):
+    rate = ExtendedRate.finite(q)
+    assert rate == q and Fraction(q) == rate
+    assert hash(rate) == hash(q) == hash(Fraction(q))
+    assert len({rate, Fraction(q)}) == 1
+    assert Fraction(q) in {rate} and rate in {q}
+    assert {q: "rational"}[rate] == "rational"
+    assert ExtendedRate.infinite() not in {rate, q}

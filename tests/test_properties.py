@@ -342,6 +342,45 @@ def test_handoff_injection_reaches_every_code():
         assert code in {v.code for v in check_link(first, second)}
 
 
+# Small pools, so that drawn elements often share subject, time or value
+# and differ only in the rest of their sort key.
+small_values = st.recursive(
+    st.one_of(
+        st.sampled_from("ab").map(Value.symbol),
+        st.integers(0, 2).map(Value.scalar),
+        st.lists(st.integers(0, 1), max_size=2).map(Value.vector),
+    ),
+    lambda inner: st.dictionaries(st.sampled_from("xy"), inner, max_size=2).map(
+        Value.record
+    ),
+    max_leaves=3,
+)
+small_parts = st.sets(
+    st.sampled_from([objective("p"), objective("q"), subjective("p")]), min_size=1
+)
+small_times = st.one_of(
+    st.integers(0, 2).map(TimeSet.point),
+    st.integers(0, 2).map(TimeSet.ray),
+    timesets(),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.builds(StateElement, small_parts, small_times, small_values),
+            st.builds(ReflectionElement, small_parts, small_times, small_values),
+        ),
+        max_size=12,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_mapping_order_matches_reference(pairs):
+    pairs = list(dict(pairs).items())
+    info = Information("m", set(), TimeSet.point(0), set(), set(), TimeSet.point(0), set(), pairs)
+    assert info.mapping == reference_model.normalize_pairs(pairs)
+
+
 @given(seeds, st.integers(min_value=2, max_value=8))
 @settings(max_examples=40, deadline=None)
 def test_collapsed_chain_validates_from_scratch(seed, n_links):
