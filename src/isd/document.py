@@ -127,12 +127,6 @@ def _frac_from_json(s: Any, where) -> Fraction:
         _fail(where, f"bad rational {s!r} ({e})")
 
 
-def _rate_to_json(r) -> str:
-    if isinstance(r, ExtendedRate):
-        return "inf" if r.is_infinite else str(r.value)
-    return str(r)
-
-
 def _rate_from_json(s: Any, where):
     if s == "inf":
         return ExtendedRate.infinite()
@@ -535,7 +529,7 @@ def document_to_json(doc: ModelDocument) -> dict:
                 t = stage.transforms[mk]
                 entry: dict[str, Any] = {"kind": t.kind}
                 if t.kind != "identity":
-                    entry["amount"] = _rate_to_json(t.amount)
+                    entry["amount"] = str(t.amount)
                 tr[mk.value] = entry
             stages.append({"name": stage.name, "kind": stage.kind.value, "transforms": tr})
         sys_out.append({"name": system.name, "shape": system.shape.value, "stages": stages})

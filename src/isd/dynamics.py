@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .errors import ConfigShapeError
+from .errors import ConfigShapeError, NegativeMeasureError
 from .measures import ExtendedRate
 from .timeset import Rational, as_fraction
 
@@ -127,11 +127,14 @@ class MeasureTransform:
         else:
             if amount is None:
                 raise ValueError(f"{self.kind} needs an amount")
-            if not isinstance(amount, ExtendedRate):
+            if isinstance(amount, ExtendedRate):
+                if self.kind in ("add", "scale"):
+                    raise ValueError(f"{self.kind} amount must be a rational")
+            elif self.kind == "clamp_max":
+                amount = ExtendedRate.finite(amount)  # a negative cap fails here
+            else:
                 amount = as_fraction(amount)
-            if self.kind == "scale" and (
-                isinstance(amount, ExtendedRate) or amount < 0
-            ):
+            if self.kind == "scale" and amount < 0:
                 raise ValueError("scale factor must be a nonnegative rational")
             object.__setattr__(self, "amount", amount)
 
@@ -141,7 +144,7 @@ class MeasureTransform:
 
     @classmethod
     def clamp_max(cls, cap: Union[Rational, ExtendedRate]) -> "MeasureTransform":
-        return cls("clamp_max", cap if isinstance(cap, ExtendedRate) else as_fraction(cap))
+        return cls("clamp_max", cap)
 
     @classmethod
     def scale(cls, factor: Rational) -> "MeasureTransform":
@@ -149,7 +152,7 @@ class MeasureTransform:
 
     @classmethod
     def set_to(cls, value: Union[Rational, ExtendedRate]) -> "MeasureTransform":
-        return cls("set_to", value if isinstance(value, ExtendedRate) else as_fraction(value))
+        return cls("set_to", value)
 
     @classmethod
     def identity(cls) -> "MeasureTransform":
@@ -173,12 +176,7 @@ def _apply_transform(t: MeasureTransform, v: ProfileValue) -> ProfileValue:
     if t.kind == "set_to":
         return t.amount
     if t.kind == "clamp_max":
-        cap = (
-            t.amount
-            if isinstance(t.amount, ExtendedRate)
-            else ExtendedRate.finite(t.amount)
-        )
-        return _clamp_value(v, cap)
+        return _clamp_value(v, t.amount)
     raise AssertionError(t.kind)
 
 
@@ -349,23 +347,20 @@ def propagate(config: SystemConfig, source: MeasureProfile) -> PropagationResult
             v = _apply_transform(t, profile[measure])
             if measure in _CAPPED:
                 if t.kind == "clamp_max":
-                    cap = (
-                        t.amount
-                        if isinstance(t.amount, ExtendedRate)
-                        else ExtendedRate.finite(t.amount)
-                    )
-                    caps[measure] = min(caps.get(measure, cap), cap, key=_rate_key)
+                    caps[measure] = min(caps.get(measure, t.amount), t.amount)
                 if measure in caps:
                     v = _clamp_value(v, caps[measure])
-            profile = profile.replace(measure, v)
+            try:
+                profile = profile.replace(measure, v)
+            except ValueError as e:
+                raise NegativeMeasureError(
+                    f"stage {stage.name!r} drives {measure.value} to {v}; "
+                    "it must be nonnegative"
+                ) from e
         per_stage.append(profile)
     return PropagationResult(
         stage_profiles=tuple(per_stage), end=profile, warnings=tuple(warnings)
     )
-
-
-def _rate_key(r: ExtendedRate):
-    return (1, Fraction(0)) if r.is_infinite else (0, r.value)
 
 
 def _clamp_value(v: ProfileValue, cap: ExtendedRate) -> ProfileValue:

@@ -80,6 +80,11 @@ class ConfigShapeError(ISDError):
     """A system configuration's declared shape does not match its stages."""
 
 
+class NegativeMeasureError(ISDError, ValueError):
+    """Propagation through a stage drove a nonnegative measure below zero;
+    the message names the stage and the measure."""
+
+
 class UnknownScenarioError(ISDError):
     """Scenario name not recognized."""
 

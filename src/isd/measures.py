@@ -205,13 +205,6 @@ class Relation:
     def __post_init__(self):
         object.__setattr__(self, "pairs", frozenset(tuple(p) for p in self.pairs))
 
-    def elements(self) -> frozenset:
-        out = set()
-        for a, b in self.pairs:
-            out.add(a)
-            out.add(b)
-        return frozenset(out)
-
     def classes_over(self, elements: Iterable[Element]) -> list[frozenset]:
         """Partition ``elements`` by the reflexive-symmetric-transitive
         closure of the pairs restricted to them."""
@@ -532,30 +525,17 @@ def mismatch(info: InformationLike, target: InformationLike, metric: Metric) -> 
         raise ValueError("mismatch requires a weighted_product metric")
     require_valid(info)
     require_valid(target)
-    parts = {
-        "ontology": _set_distance(
-            "symmetric_difference_count", info.ontology, target.ontology
-        ),
-        "occurrence": _timeset_distance(info.occurrence, target.occurrence),
-        "states": _set_distance(
-            "symmetric_difference_count", frozenset(info.states), frozenset(target.states)
-        ),
-        "carrier": _set_distance(
-            "symmetric_difference_count", info.carrier, target.carrier
-        ),
-        "reflection_time": _timeset_distance(info.reflection_time, target.reflection_time),
-        "reflections": _set_distance(
-            "symmetric_difference_count",
-            frozenset(info.reflections),
-            frozenset(target.reflections),
-        ),
-    }
     total = Fraction(0)
-    for name, dist in parts.items():
+    for name in MISMATCH_COMPONENTS:
         w = metric.weight(name)
         if w == 0:
             continue
-        if isinstance(dist, float):  # only inf escapes the rationals here
-            return inf
+        a, b = getattr(info, name), getattr(target, name)
+        if isinstance(a, TimeSet):
+            dist = _timeset_distance(a, b)
+            if isinstance(dist, float):  # only inf escapes the rationals here
+                return inf
+        else:
+            dist = len(a ^ b)
         total += w * dist
     return total

@@ -123,8 +123,39 @@ class Information(_Sextuple):
     structural equality.  The constructor normalizes sets and mapping
     order but does not enforce semantic invariants; ``validate`` reports
     them.  Operations that need a well-formed value check it once, and
-    composites of checked links are valid by construction.
+    composites of checked links and ``from_pairs`` values with an
+    objective carrier are valid by construction.
     """
+
+    @classmethod
+    def from_pairs(
+        cls, name: str, pairs: Iterable[tuple[StateElement, ReflectionElement]]
+    ) -> Information:
+        """The tightest information holding ``pairs``: ontology, occurrence,
+        carrier and reflection time are the unions of the subjects, state
+        times, carrier parts and reflection times; states and reflections
+        are the pairs' two sides.  Such a value can break only the
+        objective-carrier rule, so it is marked valid when its carrier is
+        objective.  Raises ValueError when ``pairs`` is empty or gives one
+        state two reflections."""
+        pairs = list(pairs)
+        if not pairs:
+            raise ValueError("an information needs at least one pair")
+        states = frozenset(s for s, _ in pairs)
+        reflections = frozenset(r for _, r in pairs)
+        out = cls(
+            name,
+            frozenset().union(*(s.subject for s in states)),
+            TimeSet.union(*(s.at for s in states)),
+            states,
+            frozenset().union(*(r.carrier_part for r in reflections)),
+            TimeSet.union(*(r.at for r in reflections)),
+            reflections,
+            pairs,
+        )
+        if all(e.is_objective for e in out.carrier):
+            object.__setattr__(out, "_known_valid", True)
+        return out
 
     def sorted_states(self) -> list[StateElement]:
         return sorted(self.states, key=StateElement.sort_key)
@@ -519,16 +550,7 @@ class Atom:
     reflection: ReflectionElement
 
     def lift(self, name: str = "atom") -> Information:
-        return Information(
-            name,
-            self.state.subject,
-            self.state.at,
-            frozenset([self.state]),
-            self.reflection.carrier_part,
-            self.reflection.at,
-            frozenset([self.reflection]),
-            [(self.state, self.reflection)],
-        )
+        return Information.from_pairs(name, [(self.state, self.reflection)])
 
 
 def atoms(info: InformationLike) -> tuple[Atom, ...]:

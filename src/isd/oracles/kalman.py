@@ -208,17 +208,7 @@ def tracking_information(
         s = StateElement(frozenset([target]), at, Value.scalar(Fraction(float(pos))))
         r = ReflectionElement(frozenset([sensor]), at, Value.scalar(Fraction(float(z))))
         pairs.append((s, r))
-    times = TimeSet.from_points([Fraction(float(t)) for t in run.times])
-    return Information(
-        "tracking",
-        frozenset([target]),
-        times,
-        frozenset(s for s, _ in pairs),
-        frozenset([sensor]),
-        times,
-        frozenset(r for _, r in pairs),
-        pairs,
-    )
+    return Information.from_pairs("tracking", pairs)
 
 
 def kalman_reflection(run: TrackingRun, info: Information) -> dict:

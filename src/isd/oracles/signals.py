@@ -100,17 +100,7 @@ def sample_signal(
         s = StateElement(frozenset([source]), TimeSet.point(t), v)
         r = ReflectionElement(frozenset([sensor]), TimeSet.point(t), v)
         pairs.append((s, r))
-    times = TimeSet.from_points(points)
-    return Information(
-        "samples",
-        frozenset([source]),
-        times,
-        frozenset(s for s, _ in pairs),
-        frozenset([sensor]),
-        times,
-        frozenset(r for _, r in pairs),
-        pairs,
-    )
+    return Information.from_pairs("samples", pairs)
 
 
 @dataclass(frozen=True)

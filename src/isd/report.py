@@ -11,21 +11,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any
-
-from .measures import ExtendedRate
 
 
 def format_number(x: Any) -> str:
-    if isinstance(x, ExtendedRate):
-        return "inf" if x.is_infinite else str(x.value)
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
     if isinstance(x, float):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"

@@ -85,7 +85,7 @@ def _build_links() -> list[Information]:
     links = []
     for name, _, carrier_ids, d, vt in _LINKS:
         carriers = tuple(objective(c) for c in carrier_ids)
-        states, reflections, pairs = [], [], []
+        pairs = []
         next_heads = {}
         for i, (item, *_rest) in enumerate(_ITEMS):
             subj, t, text = heads[item]
@@ -95,23 +95,9 @@ def _build_links() -> list[Information]:
             out_text = _transform(vt, item, text)
             s = StateElement(subj, TimeSet.point(t), Value.symbol(text))
             r = ReflectionElement(part, TimeSet.point(t + d), Value.symbol(out_text))
-            states.append(s)
-            reflections.append(r)
             pairs.append((s, r))
             next_heads[item] = (part, t + d, out_text)
-        ontology = frozenset().union(*(s.subject for s in states))
-        links.append(
-            Information(
-                name,
-                ontology,
-                TimeSet.from_points([s.at.inf for s in states]),
-                frozenset(states),
-                frozenset(carriers),
-                TimeSet.from_points([r.at.inf for r in reflections]),
-                frozenset(reflections),
-                pairs,
-            )
-        )
+        links.append(Information.from_pairs(name, pairs))
         heads = next_heads
     return links
 

@@ -156,11 +156,13 @@ class TimeSet:
                 return False
         return True
 
-    def union(self, other: TimeSet) -> TimeSet:
-        ray = self.ray_from
-        if other.ray_from is not None:
-            ray = other.ray_from if ray is None else min(ray, other.ray_from)
-        return TimeSet(self.intervals + other.intervals, ray)
+    def union(self, *others: TimeSet) -> TimeSet:
+        """Union with any number of TimeSets, normalized once."""
+        sets = (self, *others)
+        rays = [ts.ray_from for ts in sets if ts.ray_from is not None]
+        return TimeSet(
+            tuple(iv for ts in sets for iv in ts.intervals), min(rays, default=None)
+        )
 
     def shift(self, delta: Rational) -> TimeSet:
         delta = as_fraction(delta)

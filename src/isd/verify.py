@@ -113,15 +113,7 @@ def _random_states(rng: random.Random, n: int) -> list[StateElement]:
     return out
 
 
-def _union_times(elements) -> TimeSet:
-    it = iter(elements)
-    acc = next(it).at
-    for e in it:
-        acc = acc.union(e.at)
-    return acc
-
-
-def _link_from_states(rng: random.Random, name: str, states, ontology) -> Information:
+def _link_from_states(rng: random.Random, name: str, states) -> Information:
     pool = [objective(f"{name}.c{i}") for i in range(3)]
     pairs = []
     for k, s in enumerate(sorted(states, key=StateElement.sort_key)):
@@ -131,24 +123,11 @@ def _link_from_states(rng: random.Random, name: str, states, ontology) -> Inform
             part, s.at.shift(d), Value.scalar(Fraction(1000 * k + rng.randint(0, 99)))
         )
         pairs.append((s, r))
-    reflections = [r for _, r in pairs]
-    carrier = frozenset().union(*(r.carrier_part for r in reflections))
-    return Information(
-        name,
-        ontology,
-        _union_times(states),
-        frozenset(states),
-        carrier,
-        _union_times(reflections),
-        frozenset(reflections),
-        pairs,
-    )
+    return Information.from_pairs(name, pairs)
 
 
 def random_information(rng: random.Random, n_atoms: int | None = None, name: str = "rand") -> Information:
-    states = _random_states(rng, n_atoms or rng.randint(2, 5))
-    ontology = frozenset().union(*(s.subject for s in states))
-    return _link_from_states(rng, name, states, ontology)
+    return _link_from_states(rng, name, _random_states(rng, n_atoms or rng.randint(2, 5)))
 
 
 def random_chain(rng: random.Random, n_links: int | None = None) -> SerialChain:
@@ -158,7 +137,7 @@ def random_chain(rng: random.Random, n_links: int | None = None) -> SerialChain:
         states = [
             StateElement(r.carrier_part, r.at, r.value) for r in prev.reflections
         ]
-        links.append(_link_from_states(rng, f"link{i}", states, prev.carrier))
+        links.append(_link_from_states(rng, f"link{i}", states))
     return SerialChain(tuple(links))
 
 
@@ -424,18 +403,7 @@ def check_sub_information_reducibility(rng: random.Random, trials: int) -> Check
         pairs = list(whole.mapping)
         take = sorted(rng.sample(range(len(pairs)), rng.randint(1, len(pairs))))
         kept = [pairs[i] for i in take]
-        states = [s for s, _ in kept]
-        reflections = [r for _, r in kept]
-        sub = Information(
-            "sub",
-            frozenset().union(*(s.subject for s in states)),
-            _union_times(states),
-            frozenset(states),
-            frozenset().union(*(r.carrier_part for r in reflections)),
-            _union_times(reflections),
-            frozenset(reflections),
-            kept,
-        )
+        sub = Information.from_pairs("sub", kept)
         is_sub, proper = is_sub_information(sub, whole)
         if not is_sub:
             out.require("atom-restriction is a sub-information", False)

@@ -1,19 +1,30 @@
-"""The package's original ``validate``, ``check_link`` and mapping
-normalization, kept verbatim as references.
+"""The package's original ``validate``, ``check_link``, mapping
+normalization and tight-information assembly, kept verbatim as
+references.
 
 ``isd.model.validate`` and ``isd.model.check_link`` sort only the
 elements that break a rule; these copies sort every component first.
 ``isd.model`` orders a mapping by state key alone; ``normalize_pairs``
-orders it by state and reflection keys.  The property tests check that
-both sides return the same violations, and the same mapping, in the same
-order.
+orders it by state and reflection keys.  ``Information.from_pairs``
+unions each time component in one normalization; ``from_pairs`` here
+folds pairwise unions field by field.  The property tests check that
+both sides return the same violations, the same mapping in the same
+order, and the same information.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Mapping
 
-from isd.model import InformationLike, ReflectionElement, StateElement, Violation
+from isd.model import (
+    Information,
+    InformationLike,
+    ReflectionElement,
+    StateElement,
+    Violation,
+)
+from isd.timeset import TimeSet
 from isd.values import EntityId
 
 
@@ -145,3 +156,19 @@ def normalize_pairs(mapping):
             raise ValueError(f"mapping assigns two reflections to one state: {s}")
         seen[s] = r
     return tuple(sorted(seen.items(), key=lambda p: (p[0].sort_key(), p[1].sort_key())))
+
+
+def from_pairs(name, pairs) -> Information:
+    states = [s for s, _ in pairs]
+    reflections = [r for _, r in pairs]
+    times = lambda els: reduce(TimeSet.union, (e.at for e in els))
+    return Information(
+        name,
+        frozenset().union(*(s.subject for s in states)),
+        times(states),
+        frozenset(states),
+        frozenset().union(*(r.carrier_part for r in reflections)),
+        times(reflections),
+        frozenset(reflections),
+        pairs,
+    )

@@ -183,9 +183,9 @@ def test_missing_document_is_clean_error(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_malformed_document_is_clean_error(tmp_path):
+def _analyze_fails_cleanly(tmp_path, text, named):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"format_version": "1", "entities": 3}', encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(Path(isd.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "isd.cli", "analyze", str(bad)],
@@ -195,8 +195,28 @@ def test_malformed_document_is_clean_error(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 2
-    assert "error:" in proc.stderr and "entities" in proc.stderr
+    assert "error:" in proc.stderr and named in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_malformed_document_is_clean_error(tmp_path):
+    _analyze_fails_cleanly(tmp_path, '{"format_version": "1", "entities": 3}', "entities")
+
+
+@pytest.mark.parametrize(
+    "transform, named",
+    [
+        ({"kind": "clamp_max", "amount": "-1"}, "transforms.Volume"),
+        ({"kind": "add", "amount": "-4"}, "stage 'capture' drives Volume to -4"),
+        ({"kind": "set_to", "amount": "-1"}, "stage 'capture' drives Volume to -1"),
+        ({"kind": "add", "amount": "inf"}, "add amount"),
+    ],
+    ids=["negative-clamp", "add-below-zero", "set-below-zero", "add-inf"],
+)
+def test_negative_transform_is_clean_error(tmp_path, transform, named):
+    doc = json.loads(Path(BUNDLED).read_text(encoding="utf-8"))
+    doc["systems"][0]["stages"][0]["transforms"]["Volume"] = transform
+    _analyze_fails_cleanly(tmp_path, json.dumps(doc), named)
 
 
 def test_measure_validates_each_information_once(monkeypatch, capsys):

@@ -19,7 +19,7 @@ from isd.dynamics import (
     stage_efficacies,
     validate_config,
 )
-from isd.errors import ConfigShapeError
+from isd.errors import ConfigShapeError, ISDError, NegativeMeasureError
 from isd.measures import ExtendedRate
 
 M = MeasureKind
@@ -116,6 +116,11 @@ def test_transform_validation():
         MeasureTransform("identity", Fraction(1))
     with pytest.raises(ValueError):
         MeasureTransform.scale(Fraction(-1))
+    with pytest.raises(ValueError):
+        MeasureTransform.clamp_max(-1)
+    with pytest.raises(ValueError):
+        MeasureTransform("add", ExtendedRate.infinite())
+    assert isinstance(MeasureTransform.clamp_max(4).amount, ExtendedRate)
     assert MeasureTransform.add("1/2").amount == Fraction(1, 2)
     assert MeasureTransform.set_to(ExtendedRate.infinite()).amount.is_infinite
 
@@ -256,6 +261,24 @@ def test_propagate_volume_cap_then_add():
     assert out.stage_profiles[0][M.VOLUME] == 10
     assert out.stage_profiles[1][M.VOLUME] == 4
     assert out.end[M.VOLUME] == 4  # the add is re-clamped by the bottleneck
+
+
+@pytest.mark.parametrize(
+    "transform", [MeasureTransform.add(-4), MeasureTransform.set_to(-1)]
+)
+def test_propagate_below_zero_is_typed(transform):
+    config = SystemConfig(
+        "rig",
+        (
+            StageSpec("c", K.COLLECTION, {M.VOLUME: MeasureTransform.set_to(3)}),
+            StageSpec("p", K.PROCESSING, {M.VOLUME: transform}),
+            StageSpec("e", K.EXERTION),
+        ),
+        Shape.DOUBLE_CPE,
+    )
+    with pytest.raises(NegativeMeasureError, match="stage 'p' drives Volume to -1") as e:
+        propagate(config, MeasureProfile({}))
+    assert isinstance(e.value, ISDError) and isinstance(e.value, ValueError)
 
 
 def test_propagate_uncapped_measures_can_grow():

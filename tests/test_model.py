@@ -1,6 +1,7 @@
 """Structural algebra: validation, inversion, chains, sub-information,
 combination, atoms, copies."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -208,7 +209,9 @@ def test_chain_collapse_matches_pairwise_compose(pair_info):
 
 
 def test_chain_validates_each_link_once(monkeypatch):
-    chain = random_chain(random.Random(7), n_links=8)
+    # unmarked copies: random_chain builds its links already validated
+    links = random_chain(random.Random(7), n_links=8).links
+    chain = SerialChain(tuple(dataclasses.replace(link) for link in links))
     calls = []
     real = isd.model.validate
 
@@ -221,6 +224,11 @@ def test_chain_validates_each_link_once(monkeypatch):
     whole = collapse_chain(chain)
     assert calls == [link.name for link in chain.links]
     assert whole._known_valid
+
+
+def test_from_pairs_needs_a_pair():
+    with pytest.raises(ValueError, match="at least one pair"):
+        Information.from_pairs("empty", [])
 
 
 def test_composite_of_raw_link_not_marked_valid(pair_info):

@@ -2,6 +2,7 @@
 builders, driven through hypothesis-chosen seeds so shrinking still
 produces a small reproducible counterexample (the seed)."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -149,29 +150,13 @@ def test_atoms_recombine(info):
     assert whole == info
 
 
-def _restrict(info, kept_pairs):
-    states = [s for s, _ in kept_pairs]
-    reflections = [r for _, r in kept_pairs]
-    times = lambda els: reduce(TimeSet.union, (e.at for e in els))
-    return Information(
-        "sub",
-        frozenset().union(*(s.subject for s in states)),
-        times(states),
-        frozenset(states),
-        frozenset().union(*(r.carrier_part for r in reflections)),
-        times(reflections),
-        frozenset(reflections),
-        kept_pairs,
-    )
-
-
 @given(infos(), seeds)
 @settings(max_examples=60, deadline=None)
 def test_sub_information_reducible_and_monotone(info, pick):
     rng = random.Random(pick)
     pairs = list(info.mapping)
     kept = [p for p in pairs if rng.random() < 0.5] or [pairs[0]]
-    sub = _restrict(info, kept)
+    sub = reference_model.from_pairs("sub", kept)
     ok, proper = is_sub_information(sub, info)
     assert ok
     assert proper == (len(kept) < len(pairs))
@@ -364,21 +349,35 @@ small_times = st.one_of(
     timesets(),
 )
 
-
-@given(
-    st.lists(
-        st.tuples(
-            st.builds(StateElement, small_parts, small_times, small_values),
-            st.builds(ReflectionElement, small_parts, small_times, small_values),
-        ),
-        max_size=12,
-    )
+small_pairs = st.tuples(
+    st.builds(StateElement, small_parts, small_times, small_values),
+    st.builds(ReflectionElement, small_parts, small_times, small_values),
 )
+
+
+@given(st.lists(small_pairs, max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_mapping_order_matches_reference(pairs):
     pairs = list(dict(pairs).items())
     info = Information("m", set(), TimeSet.point(0), set(), set(), TimeSet.point(0), set(), pairs)
     assert info.mapping == reference_model.normalize_pairs(pairs)
+
+
+@given(st.lists(small_pairs, min_size=1, max_size=12), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_from_pairs_matches_reference(pairs, duplicates):
+    pairs = list(dict(pairs).items())
+    pairs += pairs[:duplicates]
+    info = Information.from_pairs("p", pairs)
+    assert info == reference_model.from_pairs("p", pairs)
+    assert info.name == "p"
+    fresh = dataclasses.replace(info)
+    assert not getattr(fresh, "_known_valid", False)
+    report = validate(fresh)
+    if getattr(info, "_known_valid", False):
+        assert report == []
+    else:
+        assert report and {v.code for v in report} == {"carrier-not-objective"}
 
 
 @given(seeds, st.integers(min_value=2, max_value=8))
