@@ -344,7 +344,11 @@ def propagate(config: SystemConfig, source: MeasureProfile) -> PropagationResult
                     f"{measure.value}; transform suppressed"
                 )
                 continue
-            v = _apply_transform(t, profile[measure])
+            old = profile[measure]
+            try:
+                v = _apply_transform(t, old)
+            except ValueError:  # ExtendedRate.plus refuses a sum below zero
+                v = old.value + t.amount
             if measure in _CAPPED:
                 if t.kind == "clamp_max":
                     caps[measure] = min(caps.get(measure, t.amount), t.amount)

@@ -99,9 +99,10 @@ class ExtendedRate:
         return hash(self.value)
 
     def plus(self, q: Rational) -> "ExtendedRate":
+        """Add a rational; a sum below zero raises ValueError."""
         if self.value is None:
             return self
-        return ExtendedRate(max(Fraction(0), self.value + as_fraction(q)))
+        return ExtendedRate.finite(self.value + as_fraction(q))
 
     def scaled(self, k: Rational) -> "ExtendedRate":
         k = as_fraction(k)

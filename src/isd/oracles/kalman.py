@@ -109,8 +109,10 @@ def kalman_filter(model: KalmanModel) -> KalmanResult:
     Raises
     ------
     NumericalSingularityError
-        If the innovation covariance H P H' + R has condition number
-        above 1e12 at any step.
+        If the innovation covariance H P H' + R has a non-finite entry or
+        condition number above 1e12 at any step.  A nonzero scalar has
+        condition number 1, so a 1x1 covariance fails only at zero, and
+        its SVD is skipped.
     """
     A, B, H, Q, R = model.A, model.B, model.H, model.Q, model.R
     n = A.shape[0]
@@ -122,7 +124,9 @@ def kalman_filter(model: KalmanModel) -> KalmanResult:
         x_pred = A @ x + B @ u
         P_pred = A @ P @ A.T + Q
         S = H @ P_pred @ H.T + R
-        if np.linalg.cond(S) > CONDITION_LIMIT:
+        if not np.isfinite(S).all():
+            raise NumericalSingularityError("innovation covariance is not finite")
+        if (S[0, 0] == 0) if S.shape == (1, 1) else (np.linalg.cond(S) > CONDITION_LIMIT):
             raise NumericalSingularityError(
                 "innovation covariance too ill-conditioned to invert"
             )

@@ -10,12 +10,17 @@ intervals [t, t] represent isolated instants.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt
+from heapq import merge
+from math import inf, isqrt, lcm
+from operator import itemgetter
 from typing import Iterable, Union
 
 Rational = Union[Fraction, int, str]
+
+_LO = itemgetter(0)
 
 
 def as_fraction(x: Rational) -> Fraction:
@@ -49,7 +54,7 @@ class TimeSet:
                 raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
             pairs.append((lo, hi))
         ray = None if self.ray_from is None else as_fraction(self.ray_from)
-        pairs.sort()
+        pairs.sort(key=_LO)  # equal lower endpoints merge in any order
         merged: list[tuple[Fraction, Fraction]] = []
         for lo, hi in pairs:
             if merged and lo <= merged[-1][1]:
@@ -137,22 +142,30 @@ class TimeSet:
             gaps.append((hi, lo))
         return tuple(gaps)
 
+    def _last_starting_by(self, t: Fraction):
+        """The last bounded interval with lo <= t, or None.  In normal form
+        it is the only one that can contain t."""
+        k = bisect_right(self.intervals, t, key=_LO)
+        return self.intervals[k - 1] if k else None
+
     def contains_point(self, t: Rational) -> bool:
         t = as_fraction(t)
         if self.ray_from is not None and t >= self.ray_from:
             return True
-        return any(lo <= t <= hi for lo, hi in self.intervals)
+        iv = self._last_starting_by(t)
+        return iv is not None and t <= iv[1]
 
     def is_subset(self, other: TimeSet) -> bool:
         """Point-set containment.  Because both sides are in normal form,
         each component must fit inside a single component of ``other``."""
-        for lo, hi in self.intervals:
-            if other.ray_from is not None and lo >= other.ray_from:
-                continue
-            if not any(olo <= lo and hi <= ohi for olo, ohi in other.intervals):
-                return False
         if self.ray_from is not None:
             if other.ray_from is None or other.ray_from > self.ray_from:
+                return False
+        for lo, hi in self.intervals:
+            if other.ray_from is not None and lo >= other.ray_from:
+                break  # this and every later component lie in the ray
+            iv = other._last_starting_by(lo)
+            if iv is None or hi > iv[1]:
                 return False
         return True
 
@@ -180,6 +193,28 @@ class TimeSet:
         return " u ".join(parts)
 
 
+def _edges(ts: TimeSet) -> list[Fraction]:
+    """The endpoints lo0, hi0, lo1, hi1, ..., ray_from in order.
+
+    In normal form they never decrease, and only a degenerate interval
+    repeats one.  So after a cursor has passed every endpoint up to t, t
+    lies in ``ts`` exactly when it was one of them or the count passed is
+    odd, and the open gap just after t lies in ``ts`` exactly when that
+    count is odd.
+    """
+    edges = [t for iv in ts.intervals for t in iv]
+    if ts.ray_from is not None:
+        edges.append(ts.ray_from)
+    return edges
+
+
+def _past(edges: list[int], i: int, t: int) -> int:
+    """Move a cursor at or before ``t`` past the endpoints equal to it."""
+    while i < len(edges) and edges[i] == t:
+        i += 1
+    return i
+
+
 def symmetric_difference_size(a: TimeSet, b: TimeSet) -> tuple:
     """Size of the symmetric difference of two TimeSets.
 
@@ -188,42 +223,33 @@ def symmetric_difference_size(a: TimeSet, b: TimeSet) -> tuple:
     is (0, 0) exactly when a == b, which is what makes it usable as a
     component distance; length is math.inf when exactly one side is
     unbounded past every breakpoint.
+
+    One sweep over the merged endpoints of both sides, with one cursor
+    per side (see ``_edges``).  The endpoints are first scaled to integers
+    over their least common denominator, so the sweep compares and
+    subtracts ints and builds a single Fraction at the end.  No point
+    other than an endpoint is ever probed.
     """
-    pts = set()
-    for ts in (a, b):
-        for lo, hi in ts.intervals:
-            pts.add(lo)
-            pts.add(hi)
-        if ts.ray_from is not None:
-            pts.add(ts.ray_from)
-    cuts = sorted(pts)
-
-    def in_sym(t: Fraction) -> bool:
-        return a.contains_point(t) != b.contains_point(t)
-
-    seg_flags = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        seg_flags.append(in_sym((lo + hi) / 2))
-    tail_flag = False
-    if cuts:
-        tail_flag = in_sym(cuts[-1] + 1)
-
-    length = Fraction(0)
-    for flag, (lo, hi) in zip(seg_flags, zip(cuts, cuts[1:])):
-        if flag:
-            length += hi - lo
-    if tail_flag:
-        length = inf
-
-    isolated = 0
-    for i, t in enumerate(cuts):
-        if not in_sym(t):
-            continue
-        left = seg_flags[i - 1] if i > 0 else False
-        right = seg_flags[i] if i < len(seg_flags) else tail_flag
-        if not left and not right:
+    ea, eb = _edges(a), _edges(b)
+    den = lcm(*(t.denominator for t in ea), *(t.denominator for t in eb))
+    ea = [t.numerator * (den // t.denominator) for t in ea]
+    eb = [t.numerator * (den // t.denominator) for t in eb]
+    length = isolated = i = j = prev = 0
+    before = False  # the open segment ending at the current cut is in a ^ b
+    # A value both sides share comes out of the merge twice; the cursors have
+    # passed it the first time, so the second pass changes nothing.
+    for t in merge(ea, eb):
+        i0, j0 = i, j
+        i, j = _past(ea, i, t), _past(eb, j, t)
+        after = i % 2 != j % 2  # the open segment starting at t is in a ^ b
+        if before:
+            length += t - prev
+        elif not after and (i > i0 or i % 2 == 1) != (j > j0 or j % 2 == 1):
             isolated += 1
-    return (length, isolated)
+        before, prev = after, t
+    if before:  # the tail past the last cut
+        return inf, isolated
+    return Fraction(length, den), isolated
 
 
 def exact_or_float_sqrt(q: Fraction):

@@ -204,18 +204,27 @@ def test_malformed_document_is_clean_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "transform, named",
+    "stages, named",
     [
-        ({"kind": "clamp_max", "amount": "-1"}, "transforms.Volume"),
-        ({"kind": "add", "amount": "-4"}, "stage 'capture' drives Volume to -4"),
-        ({"kind": "set_to", "amount": "-1"}, "stage 'capture' drives Volume to -1"),
-        ({"kind": "add", "amount": "inf"}, "add amount"),
+        ([{"Volume": {"kind": "clamp_max", "amount": "-1"}}], "transforms.Volume"),
+        ([{"Volume": {"kind": "add", "amount": "-4"}}], "stage 'capture' drives Volume to -4"),
+        ([{"Volume": {"kind": "set_to", "amount": "-1"}}], "stage 'capture' drives Volume to -1"),
+        ([{"Volume": {"kind": "add", "amount": "inf"}}], "add amount"),
+        (
+            [
+                {"SamplingRate": {"kind": "clamp_max", "amount": "5"}},
+                {"SamplingRate": {"kind": "add", "amount": "-10"}},
+            ],
+            "stage 'uplink' drives SamplingRate to -5",
+        ),
     ],
-    ids=["negative-clamp", "add-below-zero", "set-below-zero", "add-inf"],
+    ids=["negative-clamp", "add-below-zero", "set-below-zero", "add-inf", "clamp-then-add"],
 )
-def test_negative_transform_is_clean_error(tmp_path, transform, named):
+def test_negative_transform_is_clean_error(tmp_path, stages, named):
+    """``stages`` holds transforms to set on the bundled system's first stages."""
     doc = json.loads(Path(BUNDLED).read_text(encoding="utf-8"))
-    doc["systems"][0]["stages"][0]["transforms"]["Volume"] = transform
+    for stage, transforms in zip(doc["systems"][0]["stages"], stages):
+        stage["transforms"].update(transforms)
     _analyze_fails_cleanly(tmp_path, json.dumps(doc), named)
 
 

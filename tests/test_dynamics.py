@@ -264,19 +264,28 @@ def test_propagate_volume_cap_then_add():
 
 
 @pytest.mark.parametrize(
-    "transform", [MeasureTransform.add(-4), MeasureTransform.set_to(-1)]
+    "transform",
+    [
+        {M.VOLUME: MeasureTransform.add(-4)},
+        {M.VOLUME: MeasureTransform.set_to(-1)},
+        # the clamp leaves an ExtendedRate, which must not floor at zero
+        {M.SAMPLING_RATE: MeasureTransform.add(-10)},
+    ],
 )
 def test_propagate_below_zero_is_typed(transform):
+    first = {M.VOLUME: MeasureTransform.set_to(3), M.SAMPLING_RATE: MeasureTransform.clamp_max(5)}
     config = SystemConfig(
         "rig",
         (
-            StageSpec("c", K.COLLECTION, {M.VOLUME: MeasureTransform.set_to(3)}),
-            StageSpec("p", K.PROCESSING, {M.VOLUME: transform}),
+            StageSpec("c", K.COLLECTION, first),
+            StageSpec("p", K.PROCESSING, transform),
             StageSpec("e", K.EXERTION),
         ),
         Shape.DOUBLE_CPE,
     )
-    with pytest.raises(NegativeMeasureError, match="stage 'p' drives Volume to -1") as e:
+    (measure,) = transform
+    driven = {M.VOLUME: "Volume to -1", M.SAMPLING_RATE: "SamplingRate to -5"}[measure]
+    with pytest.raises(NegativeMeasureError, match=f"stage 'p' drives {driven}") as e:
         propagate(config, MeasureProfile({}))
     assert isinstance(e.value, ISDError) and isinstance(e.value, ValueError)
 
@@ -300,6 +309,9 @@ def test_extended_rate_arithmetic():
     five = ExtendedRate.finite(5)
     assert inf.plus(Fraction(3)).is_infinite
     assert five.plus(Fraction(3)).value == 8
+    assert five.plus(Fraction(-5)).value == 0
+    with pytest.raises(ValueError):
+        five.plus(Fraction(-6))
     assert inf.scaled(Fraction(0)).value == 0  # 0 * inf = 0 by convention
     assert inf.scaled(Fraction(2)).is_infinite
     assert five.clamped(inf).value == 5

@@ -43,6 +43,7 @@ from isd.oracles import (
 )
 from isd.timeset import TimeSet
 
+import reference_kalman
 from conftest import two_atom_info
 
 
@@ -255,6 +256,21 @@ def test_kalman_singular_innovation_rejected():
     )
     with pytest.raises(NumericalSingularityError):
         kalman_filter(model)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kalman_matches_reference_bytes(seed):
+    model = simulate_tracking(seed=seed).model
+    got, want = kalman_filter(model), reference_kalman.kalman_filter(model)
+    for name in ("predicted_states", "predicted_covariances", "gains", "states", "covariances"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("r, p0", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.0, 0.0)])
+def test_kalman_scalar_innovation_failures_are_typed(r, p0):
+    with pytest.raises(NumericalSingularityError):
+        kalman_filter(_static_model(3, r, p0, [0.0, 1.0, 2.0]))
 
 
 def test_tracking_information_round():

@@ -1,9 +1,12 @@
 """The bundled newsroom walkthrough."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import isd
+from isd.document import emit_document
 from isd.dynamics import Shape
 from isd.errors import UnknownScenarioError
 from isd.measures import delay
@@ -24,6 +27,20 @@ def test_pipeline_document_structure():
     assert len(chain.chain.links) == 7
     assert check_chain(chain.chain) == []
     assert doc.system("newsroom").shape is Shape.FULL_TRIPLE_RING_CORE
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        Path(isd.__file__).parent / "data" / "news_pipeline.json",
+        Path(__file__).parent / "golden" / "news_pipeline.json",
+    ],
+    ids=["bundled", "golden"],
+)
+def test_committed_document_is_the_builder_output(path):
+    """``scripts/regenerate_data.py`` writes this text; the committed copies
+    must be exactly what it would write now."""
+    assert emit_document(build_news_pipeline()).encode("utf-8") == path.read_bytes()
 
 
 def test_handoff_identities():

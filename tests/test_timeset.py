@@ -4,8 +4,12 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isd.timeset import TimeSet, exact_or_float_sqrt, symmetric_difference_size
+
+import reference_timeset
 
 
 def test_normalization_merges_touching_intervals():
@@ -116,3 +120,76 @@ def test_exact_or_float_sqrt():
     out = exact_or_float_sqrt(Fraction(2))
     assert isinstance(out, float)
     assert abs(out - 2**0.5) < 1e-15
+
+
+# -- the seed kernel as the reference ------------------------------------------
+
+# Half-unit grid points collide often, so touching and overlapping intervals,
+# shared endpoints and equal sets are common; the wide range adds distinct
+# denominators.
+edges = st.one_of(
+    st.integers(-8, 8).map(lambda k: Fraction(k, 2)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=7),
+)
+spans = st.one_of(
+    st.tuples(edges, edges).map(sorted).map(tuple),
+    edges.map(lambda t: (t, t)),  # isolated instants
+)
+raw_timesets = st.tuples(
+    st.lists(spans, max_size=6), st.one_of(st.none(), edges)
+).filter(lambda raw: raw[0] or raw[1] is not None)
+# both sides independent, or both from the same input
+raw_pairs = st.one_of(
+    st.tuples(raw_timesets, raw_timesets), raw_timesets.map(lambda r: (r, r))
+)
+
+
+def _both(raw):
+    pairs, ray = raw
+    return TimeSet(tuple(pairs), ray), reference_timeset.TimeSet(tuple(pairs), ray)
+
+
+def _same(ts, ref):
+    return ts.intervals == ref.intervals and ts.ray_from == ref.ray_from
+
+
+@given(raw_timesets)
+@settings(max_examples=150, deadline=None)
+def test_normal_form_matches_reference(raw):
+    ts, ref = _both(raw)
+    assert _same(ts, ref)
+    assert all(type(t) is Fraction for iv in ts.intervals for t in iv)
+
+
+@given(raw_timesets, st.data())
+@settings(max_examples=150, deadline=None)
+def test_contains_point_matches_reference(raw, data):
+    ts, ref = _both(raw)
+    ends = [t for iv in ts.intervals for t in iv] + [ts.ray_from] * ts.is_unbounded
+    near = st.sampled_from(ends).map(lambda t: t + Fraction(1, 100))
+    probe = st.one_of(edges, st.sampled_from(ends), near)
+    for t in data.draw(st.lists(probe, min_size=1, max_size=8)):
+        assert ts.contains_point(t) == ref.contains_point(t)
+
+
+@given(raw_pairs, raw_timesets)
+@settings(max_examples=200, deadline=None)
+def test_is_subset_and_union_match_reference(raw, extra):
+    (a, ref_a), (b, ref_b) = _both(raw[0]), _both(raw[1])
+    c, ref_c = _both(extra)
+    grown, ref_grown = a.union(b, c), ref_a.union(ref_b, ref_c)
+    assert _same(grown, ref_grown)
+    assert a.is_subset(b) == ref_a.is_subset(ref_b)
+    assert b.is_subset(a) == ref_b.is_subset(ref_a)
+    assert a.is_subset(grown) and ref_a.is_subset(ref_grown)
+    assert grown.is_subset(c) == ref_grown.is_subset(ref_c)
+
+
+@given(raw_pairs)
+@settings(max_examples=300, deadline=None)
+def test_symmetric_difference_matches_reference(raw):
+    (a, ref_a), (b, ref_b) = _both(raw[0]), _both(raw[1])
+    got = symmetric_difference_size(a, b)
+    want = reference_timeset.symmetric_difference_size(ref_a, ref_b)
+    assert got == want
+    assert type(got[0]) is type(want[0]) and type(got[1]) is int
