@@ -32,13 +32,7 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .measures import ExtendedRate, MeasureAssignment, Relation
-from .model import (
-    Information,
-    ReflectionElement,
-    SerialChain,
-    StateElement,
-    _checked,
-)
+from .model import Element, Information, SerialChain, _checked
 from .timeset import TimeSet
 from .values import EntityId, Realm, Value
 
@@ -261,14 +255,15 @@ def _entity_list(obj: dict, key: str, table, where) -> frozenset[EntityId]:
     return frozenset(out)
 
 
-def _element_from_json(obj: Any, table, where, reflection: bool):
-    part_key = "carrier_part" if reflection else "subject"
-    part = _entity_list(_typed(obj, dict, where), part_key, table, where)
-    if not part:
-        _fail((where, ".", part_key), "must name at least one entity")
+def _element_from_json(obj: Any, table, where, key: str) -> Element:
+    """An element whose entities are listed under ``key``: "subject" for a
+    state, "carrier_part" for a reflection."""
+    entities = _entity_list(_typed(obj, dict, where), key, table, where)
+    if not entities:
+        _fail((where, ".", key), "must name at least one entity")
     at = _timeset_from_json(obj, "at", where)
     value = _value_from_json(_field(obj, "value", dict, where), (where, ".value"))
-    return (ReflectionElement if reflection else StateElement)(part, at, value)
+    return Element(entities, at, value)
 
 
 def _information_from_json(obj: Any, table, where) -> Information:
@@ -276,11 +271,11 @@ def _information_from_json(obj: Any, table, where) -> Information:
     if not name:
         _fail(where, "name must be nonempty")
     states = [
-        _element_from_json(e, table, (where, ".states", i), reflection=False)
+        _element_from_json(e, table, (where, ".states", i), "subject")
         for i, e in enumerate(_field(obj, "states", list, where))
     ]
     reflections = [
-        _element_from_json(e, table, (where, ".reflections", i), reflection=True)
+        _element_from_json(e, table, (where, ".reflections", i), "carrier_part")
         for i, e in enumerate(_field(obj, "reflections", list, where))
     ]
     try:
@@ -438,17 +433,15 @@ def load_document(path: str) -> ModelDocument:
 # -- emission -----------------------------------------------------------------
 
 
-def _element_to_json(e, reflection: bool) -> dict:
-    part = e.carrier_part if reflection else e.subject
-    key = "carrier_part" if reflection else "subject"
+def _element_to_json(e: Element, key: str) -> dict:
     return {
-        key: sorted(x.id for x in part),
+        key: sorted(x.id for x in e.entities),
         "at": _timeset_to_json(e.at),
         "value": _value_to_json(e.value),
     }
 
 
-def _information_to_json(info: Information, s_index: dict[StateElement, int]) -> dict:
+def _information_to_json(info: Information, s_index: dict[Element, int]) -> dict:
     reflections = info.sorted_reflections()
     r_index = {r: i for i, r in enumerate(reflections)}
     mapping = sorted([s_index[s], r_index[r]] for s, r in info.mapping)
@@ -456,10 +449,10 @@ def _information_to_json(info: Information, s_index: dict[StateElement, int]) ->
         "name": info.name,
         "ontology": sorted(e.id for e in info.ontology),
         "occurrence": _timeset_to_json(info.occurrence),
-        "states": [_element_to_json(s, reflection=False) for s in s_index],
+        "states": [_element_to_json(s, "subject") for s in s_index],
         "carrier": sorted(e.id for e in info.carrier),
         "reflection_time": _timeset_to_json(info.reflection_time),
-        "reflections": [_element_to_json(r, reflection=True) for r in reflections],
+        "reflections": [_element_to_json(r, "carrier_part") for r in reflections],
         "mapping": mapping,
     }
 
@@ -469,11 +462,8 @@ def _document_entity_table(doc: ModelDocument) -> list[EntityId]:
     for info in doc.informations:
         for e in info.ontology | info.carrier:
             seen.setdefault(e.id, e)
-        for s in info.states:
-            for e in s.subject:
-                seen.setdefault(e.id, e)
-        for r in info.reflections:
-            for e in r.carrier_part:
+        for element in (*info.states, *info.reflections):
+            for e in element.entities:
                 seen.setdefault(e.id, e)
     for m in doc.measures:
         for e in m.weights:

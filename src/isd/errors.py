@@ -65,7 +65,8 @@ class InsufficientSamplesError(ISDError):
 
 
 class NumericalSingularityError(ISDError):
-    """A matrix needed by the filter recursion is too ill-conditioned."""
+    """A matrix needed by the filter recursion is too ill-conditioned, or
+    a filter or tracking input is not finite."""
 
 
 class EmptyLibraryError(ISDError):

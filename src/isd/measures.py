@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyInformationError,
@@ -27,8 +27,7 @@ from .errors import (
 from .model import (
     Information,
     InformationLike,
-    ReflectionElement,
-    StateElement,
+    Element,
     atoms,
     is_copy,
     is_reducible,
@@ -190,9 +189,6 @@ class AtomWeighting:
             raise ValueError(f"no weight for atom index {index}") from None
 
 
-Element = Union[StateElement, ReflectionElement]
-
-
 @dataclass(frozen=True)
 class Relation:
     """A named binary relation over concrete elements, stored as ordered
@@ -303,7 +299,7 @@ def granularity(
     for i, atom in enumerate(ats):
         w = mu.weight(i)
         total_w += w
-        acc += w * sigma.measure_of(atom.state.subject)
+        acc += w * sigma.measure_of(atom.state.entities)
     if total_w == 0:
         raise EmptyInformationError("atom weights sum to zero")
     return acc / total_w
@@ -487,7 +483,7 @@ def _timeset_distance(a: TimeSet, b: TimeSet):
 
 def distortion(
     info: InformationLike,
-    reflection_map: Mapping[ReflectionElement, StateElement],
+    reflection_map: Mapping[Element, Element],
     metric: Metric,
 ) -> Fraction | float:
     """Distance between the true states and the states estimated from the
@@ -497,7 +493,7 @@ def distortion(
     require_valid(info)
     missing = [r for r in info.reflections if r not in reflection_map]
     if missing:
-        first = min(missing, key=ReflectionElement.sort_key)
+        first = min(missing, key=Element.sort_key)
         raise IncompleteReflectionError(f"no estimate for reflection {first}")
     if metric.kind in ("symmetric_difference_count", "jaccard_distance"):
         estimated = frozenset(reflection_map[r] for r in info.reflections)

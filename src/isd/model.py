@@ -26,39 +26,38 @@ from .values import EntityId, Value
 
 
 @dataclass(frozen=True, slots=True)
-class StateElement:
-    """One state: some subjects, the times it holds, and its value."""
+class Element:
+    """One state or reflection: the entities holding it, when, and its value.
 
-    subject: frozenset[EntityId]
+    A state's entities are its subjects and a reflection's are its carrier
+    parts.  One type serves both sides, so a link's reflections are the
+    next link's states by plain equality, and inverting a mapping swaps
+    each pair as it stands.
+    """
+
+    entities: frozenset[EntityId]
     at: TimeSet
     value: Value
 
     def __post_init__(self):
-        object.__setattr__(self, "subject", frozenset(self.subject))
-        if not self.subject:
-            raise ValueError("a state needs at least one subject")
+        object.__setattr__(self, "entities", frozenset(self.entities))
+        if not self.entities:
+            raise ValueError("an element needs at least one entity")
+
+    @property
+    def subject(self) -> frozenset[EntityId]:
+        return self.entities
+
+    @property
+    def carrier_part(self) -> frozenset[EntityId]:
+        return self.entities
 
     def sort_key(self):
-        ids = tuple(sorted(e.sort_key() for e in self.subject))
+        ids = tuple(sorted(e.sort_key() for e in self.entities))
         return (ids, self.at.sort_key(), self.value.sort_key())
 
 
-@dataclass(frozen=True, slots=True)
-class ReflectionElement:
-    """One reflection: the carrier parts holding it, when, and its value."""
-
-    carrier_part: frozenset[EntityId]
-    at: TimeSet
-    value: Value
-
-    def __post_init__(self):
-        object.__setattr__(self, "carrier_part", frozenset(self.carrier_part))
-        if not self.carrier_part:
-            raise ValueError("a reflection needs at least one carrier part")
-
-    def sort_key(self):
-        ids = tuple(sorted(e.sort_key() for e in self.carrier_part))
-        return (ids, self.at.sort_key(), self.value.sort_key())
+StateElement = ReflectionElement = Element
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,8 @@ class Violation:
 
 
 MappingLike = Union[
-    Mapping[StateElement, ReflectionElement],
-    Iterable[tuple[StateElement, ReflectionElement]],
+    Mapping[Element, Element],
+    Iterable[tuple[Element, Element]],
 ]
 
 
@@ -83,7 +82,7 @@ def _normalize_pairs(mapping: MappingLike):
         if s in seen and seen[s] != r:
             raise ValueError(f"mapping assigns two reflections to one state: {s}")
         seen[s] = r
-    # states are unique here and StateElement.sort_key is injective, so the
+    # states are unique here and Element.sort_key is injective, so the
     # state key alone gives the full (state, reflection) order
     return tuple(sorted(seen.items(), key=lambda p: p[0].sort_key()))
 
@@ -95,11 +94,11 @@ class _Sextuple:
     name: str = field(compare=False)
     ontology: frozenset[EntityId]
     occurrence: TimeSet
-    states: frozenset[StateElement]
+    states: frozenset[Element]
     carrier: frozenset[EntityId]
     reflection_time: TimeSet
-    reflections: frozenset[ReflectionElement]
-    mapping: tuple[tuple[StateElement, ReflectionElement], ...]
+    reflections: frozenset[Element]
+    mapping: tuple[tuple[Element, Element], ...]
     _map: dict = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -111,7 +110,7 @@ class _Sextuple:
         object.__setattr__(self, "_map", dict(self.mapping))
 
     @property
-    def map(self) -> Mapping[StateElement, ReflectionElement]:
+    def map(self) -> Mapping[Element, Element]:
         return self._map
 
 
@@ -129,7 +128,7 @@ class Information(_Sextuple):
 
     @classmethod
     def from_pairs(
-        cls, name: str, pairs: Iterable[tuple[StateElement, ReflectionElement]]
+        cls, name: str, pairs: Iterable[tuple[Element, Element]]
     ) -> Information:
         """The tightest information holding ``pairs``: ontology, occurrence,
         carrier and reflection time are the unions of the subjects, state
@@ -145,10 +144,10 @@ class Information(_Sextuple):
         reflections = frozenset(r for _, r in pairs)
         out = cls(
             name,
-            frozenset().union(*(s.subject for s in states)),
+            frozenset().union(*(s.entities for s in states)),
             TimeSet.union(*(s.at for s in states)),
             states,
-            frozenset().union(*(r.carrier_part for r in reflections)),
+            frozenset().union(*(r.entities for r in reflections)),
             TimeSet.union(*(r.at for r in reflections)),
             reflections,
             pairs,
@@ -157,11 +156,11 @@ class Information(_Sextuple):
             object.__setattr__(out, "_known_valid", True)
         return out
 
-    def sorted_states(self) -> list[StateElement]:
-        return sorted(self.states, key=StateElement.sort_key)
+    def sorted_states(self) -> list[Element]:
+        return sorted(self.states, key=Element.sort_key)
 
-    def sorted_reflections(self) -> list[ReflectionElement]:
-        return sorted(self.reflections, key=ReflectionElement.sort_key)
+    def sorted_reflections(self) -> list[Element]:
+        return sorted(self.reflections, key=Element.sort_key)
 
     def components(self):
         """The six components as a tuple, in canonical order."""
@@ -213,6 +212,22 @@ InformationLike = Union[Information, RawMapping]
 
 # -- validation ------------------------------------------------------------
 
+# The (code, wording) of each rule an element of one side can break: its
+# entities outside the side's entity set, its time outside the side's time
+# set, the mapping missing it, and the mapping naming it without holding it.
+_STATE_RULES = (
+    ("state-subject-outside-ontology", "state subject outside ontology: {}"),
+    ("state-time-outside-occurrence", "state time {} outside occurrence {}"),
+    ("mapping-not-total", "mapping not total: no reflection for {}"),
+    ("mapping-key-unknown", "mapping key is not a state: {}"),
+)
+_REFLECTION_RULES = (
+    ("reflection-part-outside-carrier", "reflection carrier part outside carrier: {}"),
+    ("reflection-time-outside", "reflection time {} outside reflection time {}"),
+    ("mapping-not-surjective", "mapping not surjective: {} never reached"),
+    ("mapping-value-unknown", "mapping value is not a reflection: {}"),
+)
+
 
 def validate(info: InformationLike) -> list[Violation]:
     """Check every semantic invariant; returns an empty list when clean.
@@ -237,70 +252,27 @@ def validate(info: InformationLike) -> list[Violation]:
             Violation("carrier-not-objective", f"carrier not objective: {e.id}")
         )
 
-    bad_states = (
-        s
-        for s in info.states
-        if not (s.subject <= info.ontology and s.at.is_subset(info.occurrence))
-    )
-    for s in sorted(bad_states, key=StateElement.sort_key):
-        if not s.subject <= info.ontology:
-            extra = ", ".join(sorted(e.id for e in s.subject - info.ontology))
-            out.append(
-                Violation(
-                    "state-subject-outside-ontology",
-                    f"state subject outside ontology: {extra}",
-                )
-            )
-        if not s.at.is_subset(info.occurrence):
-            out.append(
-                Violation(
-                    "state-time-outside-occurrence",
-                    f"state time {s.at} outside occurrence {info.occurrence}",
-                )
-            )
-
-    bad_reflections = (
-        r
-        for r in info.reflections
-        if not (r.carrier_part <= info.carrier and r.at.is_subset(info.reflection_time))
-    )
-    for r in sorted(bad_reflections, key=ReflectionElement.sort_key):
-        if not r.carrier_part <= info.carrier:
-            extra = ", ".join(sorted(e.id for e in r.carrier_part - info.carrier))
-            out.append(
-                Violation(
-                    "reflection-part-outside-carrier",
-                    f"reflection carrier part outside carrier: {extra}",
-                )
-            )
-        if not r.at.is_subset(info.reflection_time):
-            out.append(
-                Violation(
-                    "reflection-time-outside",
-                    f"reflection time {r.at} outside reflection time {info.reflection_time}",
-                )
-            )
-
     mapped = {s for s, _ in info.mapping}
-    for s in sorted(info.states - mapped, key=StateElement.sort_key):
-        out.append(
-            Violation("mapping-not-total", f"mapping not total: no reflection for {s}")
-        )
-    for s in sorted(mapped - info.states, key=StateElement.sort_key):
-        out.append(
-            Violation("mapping-key-unknown", f"mapping key is not a state: {s}")
-        )
     images = {r for _, r in info.mapping}
-    for r in sorted(info.reflections - images, key=ReflectionElement.sort_key):
-        out.append(
-            Violation(
-                "mapping-not-surjective", f"mapping not surjective: {r} never reached"
-            )
+    sides = (
+        (info.states, info.ontology, info.occurrence, mapped, _STATE_RULES),
+        (info.reflections, info.carrier, info.reflection_time, images, _REFLECTION_RULES),
+    )
+    for elements, entities, times, _, (part_rule, time_rule, _, _) in sides:
+        bad = (
+            e for e in elements if not (e.entities <= entities and e.at.is_subset(times))
         )
-    for r in sorted(images - info.reflections, key=ReflectionElement.sort_key):
-        out.append(
-            Violation("mapping-value-unknown", f"mapping value is not a reflection: {r}")
-        )
+        for e in sorted(bad, key=Element.sort_key):
+            if not e.entities <= entities:
+                extra = ", ".join(sorted(x.id for x in e.entities - entities))
+                out.append(Violation(part_rule[0], part_rule[1].format(extra)))
+            if not e.at.is_subset(times):
+                out.append(Violation(time_rule[0], time_rule[1].format(e.at, times)))
+    for elements, _, _, reached, (_, _, missing_rule, unknown_rule) in sides:
+        for e in sorted(elements - reached, key=Element.sort_key):
+            out.append(Violation(missing_rule[0], missing_rule[1].format(e)))
+        for e in sorted(reached - elements, key=Element.sort_key):
+            out.append(Violation(unknown_rule[0], unknown_rule[1].format(e)))
     return out
 
 
@@ -344,20 +316,17 @@ def invert(info: InformationLike) -> InformationLike:
     """
     if not is_reducible(info):
         raise NonInvertibleError("mapping is not injective; no inverse exists")
-    inv_pairs = []
-    for s, r in info.mapping:
-        new_state = StateElement(r.carrier_part, r.at, r.value)
-        new_reflection = ReflectionElement(s.subject, s.at, s.value)
-        inv_pairs.append((new_state, new_reflection))
+    # the sides come from the mapping, not from ``info``: a RawMapping is
+    # never validated, so its sides may differ from its mapping's
     raw = RawMapping(
         info.name,
-        frozenset(info.carrier),
+        info.carrier,
         info.reflection_time,
-        frozenset(s for s, _ in inv_pairs),
-        frozenset(info.ontology),
+        frozenset(r for _, r in info.mapping),
+        info.ontology,
         info.occurrence,
-        frozenset(r for _, r in inv_pairs),
-        inv_pairs,
+        frozenset(s for s, _ in info.mapping),
+        [(r, s) for s, r in info.mapping],
     )
     try:
         return raw.promote()
@@ -365,7 +334,7 @@ def invert(info: InformationLike) -> InformationLike:
         return raw
 
 
-def reduction_map(info: InformationLike) -> Mapping[ReflectionElement, StateElement]:
+def reduction_map(info: InformationLike) -> Mapping[Element, Element]:
     """The inverse mapping reflection -> original state, as a dict."""
     if not is_reducible(info):
         raise NonInvertibleError("mapping is not injective; no inverse exists")
@@ -394,12 +363,8 @@ def check_link(first: InformationLike, second: InformationLike) -> list[Violatio
                 f"reflection time of {first.name!r} differs from occurrence of {second.name!r}",
             )
         )
-    unmatched = [
-        r
-        for r in first.reflections
-        if StateElement(r.carrier_part, r.at, r.value) not in second.states
-    ]
-    for r in sorted(unmatched, key=ReflectionElement.sort_key):
+    unmatched = [r for r in first.reflections if r not in second.states]
+    for r in sorted(unmatched, key=Element.sort_key):
         out.append(
             Violation(
                 "handoff-element",
@@ -435,10 +400,7 @@ def _join(first: Information, second: Information) -> Information:
     and the second's clean reflection side, and the hand-off is one-to-one,
     so the mapping is total and onto.  RawMapping links are exempt from
     checks, so a composite of one is not marked."""
-    pairs = [
-        (s, second.map[StateElement(r.carrier_part, r.at, r.value)])
-        for s, r in first.mapping
-    ]
+    pairs = [(s, second.map[r]) for s, r in first.mapping]
     out = Information(
         f"{first.name}*{second.name}",
         first.ontology,
@@ -546,8 +508,8 @@ class Atom:
     tightest components that still contain it and nothing smaller is a
     well-formed information."""
 
-    state: StateElement
-    reflection: ReflectionElement
+    state: Element
+    reflection: Element
 
     def lift(self, name: str = "atom") -> Information:
         return Information.from_pairs(name, [(self.state, self.reflection)])

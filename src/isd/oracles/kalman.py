@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import NumericalSingularityError
-from ..model import Information, ReflectionElement, StateElement
+from ..model import Element, Information
 from ..timeset import TimeSet
 from ..values import EntityId, Value, objective
 
@@ -109,11 +109,16 @@ def kalman_filter(model: KalmanModel) -> KalmanResult:
     Raises
     ------
     NumericalSingularityError
-        If the innovation covariance H P H' + R has a non-finite entry or
+        If ``x0``, ``B``, ``us`` or ``zs`` has a non-finite entry, or the
+        innovation covariance H P H' + R has a non-finite entry or
         condition number above 1e12 at any step.  A nonzero scalar has
         condition number 1, so a 1x1 covariance fails only at zero, and
-        its SVD is skipped.
+        its SVD is skipped.  The other matrices all reach the innovation
+        covariance, so their non-finite entries fail there.
     """
+    for name in ("x0", "B", "us", "zs"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise NumericalSingularityError(f"{name} has a non-finite entry")
     A, B, H, Q, R = model.A, model.B, model.H, model.Q, model.R
     n = A.shape[0]
     eye = np.eye(n)
@@ -203,14 +208,23 @@ def tracking_information(
     sensor: EntityId | None = None,
 ) -> Information:
     """Package a tracking run as an information: true positions at sample
-    instants as states, raw measurements on the sensor as reflections."""
+    instants as states, raw measurements on the sensor as reflections.
+    Raises NumericalSingularityError when a time, position or
+    measurement is not finite, since it has no exact rational value."""
+    for what, values in (
+        ("time", run.times),
+        ("position", run.true_positions),
+        ("measurement", run.model.zs),
+    ):
+        if not np.isfinite(values).all():
+            raise NumericalSingularityError(f"tracking run has a non-finite {what}")
     target = target or objective("target")
     sensor = sensor or objective("sensor")
     pairs = []
     for t, pos, z in zip(run.times, run.true_positions, run.model.zs[:, 0]):
         at = TimeSet.point(Fraction(float(t)))
-        s = StateElement(frozenset([target]), at, Value.scalar(Fraction(float(pos))))
-        r = ReflectionElement(frozenset([sensor]), at, Value.scalar(Fraction(float(z))))
+        s = Element(frozenset([target]), at, Value.scalar(Fraction(float(pos))))
+        r = Element(frozenset([sensor]), at, Value.scalar(Fraction(float(z))))
         pairs.append((s, r))
     return Information.from_pairs("tracking", pairs)
 
@@ -226,7 +240,7 @@ def kalman_reflection(run: TrackingRun, info: Information) -> dict:
     estimates = result.states[:, 0]
     out = {}
     for (s, r), est in zip(info.mapping, estimates):
-        out[r] = StateElement(s.subject, s.at, Value.scalar(Fraction(float(est))))
+        out[r] = Element(s.entities, s.at, Value.scalar(Fraction(float(est))))
     return out
 
 
@@ -235,5 +249,5 @@ def measurement_reflection(info: Information) -> dict:
     (identity decode); the baseline the filter has to beat."""
     out = {}
     for s, r in info.mapping:
-        out[r] = StateElement(s.subject, s.at, r.value)
+        out[r] = Element(s.entities, s.at, r.value)
     return out

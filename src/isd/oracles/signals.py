@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import InsufficientSamplesError
-from ..model import Information, ReflectionElement, StateElement
+from ..model import Element, Information
 from ..timeset import Rational, TimeSet, as_fraction
 from ..values import EntityId, Value, objective
 
@@ -97,8 +97,8 @@ def sample_signal(
     pairs = []
     for t in points:
         v = Value.scalar(Fraction(signal.value(float(t))))
-        s = StateElement(frozenset([source]), TimeSet.point(t), v)
-        r = ReflectionElement(frozenset([sensor]), TimeSet.point(t), v)
+        s = Element(frozenset([source]), TimeSet.point(t), v)
+        r = Element(frozenset([sensor]), TimeSet.point(t), v)
         pairs.append((s, r))
     return Information.from_pairs("samples", pairs)
 

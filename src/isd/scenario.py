@@ -30,10 +30,9 @@ from .measures import (
     volume,
 )
 from .model import (
+    Element,
     Information,
-    ReflectionElement,
     SerialChain,
-    StateElement,
     check_chain,
     collapse_chain,
 )
@@ -93,8 +92,8 @@ def _build_links() -> list[Information]:
             # single shared carrier.
             part = frozenset({carriers[i] if len(carriers) == 3 else carriers[0]})
             out_text = _transform(vt, item, text)
-            s = StateElement(subj, TimeSet.point(t), Value.symbol(text))
-            r = ReflectionElement(part, TimeSet.point(t + d), Value.symbol(out_text))
+            s = Element(subj, TimeSet.point(t), Value.symbol(text))
+            r = Element(part, TimeSet.point(t + d), Value.symbol(out_text))
             pairs.append((s, r))
             next_heads[item] = (part, t + d, out_text)
         links.append(Information.from_pairs(name, pairs))
@@ -125,7 +124,7 @@ def build_news_pipeline() -> ModelDocument:
     ordered = capture.sorted_states()
     by_item = {}
     for s in ordered:
-        (subject,) = s.subject
+        (subject,) = s.entities
         by_item[subject.id] = s
     # Alice's portrait and Alice's opinion trace back to the same person.
     a, m, b = by_item["alice"], by_item["alice_mind"], by_item["bob"]

@@ -29,10 +29,9 @@ from .measures import (
     variety,
 )
 from .model import (
+    Element,
     Information,
-    ReflectionElement,
     SerialChain,
-    StateElement,
     atoms,
     check_chain,
     collapse_chain,
@@ -101,14 +100,14 @@ class CheckOutcome:
 # -- random model builders ----------------------------------------------------
 
 
-def _random_states(rng: random.Random, n: int) -> list[StateElement]:
+def _random_states(rng: random.Random, n: int) -> list[Element]:
     pool = [objective(f"s{i}") for i in range(5)]
     out = []
     for k in range(n):
         subject = frozenset(rng.sample(pool, rng.randint(1, 2)))
         t = Fraction(rng.randint(0, 48), rng.choice([1, 2, 3]))
         out.append(
-            StateElement(subject, TimeSet.point(t), Value.scalar(Fraction(10 * k + rng.randint(0, 9))))
+            Element(subject, TimeSet.point(t), Value.scalar(Fraction(10 * k + rng.randint(0, 9))))
         )
     return out
 
@@ -116,10 +115,10 @@ def _random_states(rng: random.Random, n: int) -> list[StateElement]:
 def _link_from_states(rng: random.Random, name: str, states) -> Information:
     pool = [objective(f"{name}.c{i}") for i in range(3)]
     pairs = []
-    for k, s in enumerate(sorted(states, key=StateElement.sort_key)):
+    for k, s in enumerate(sorted(states, key=Element.sort_key)):
         part = frozenset(rng.sample(pool, rng.randint(1, 2)))
         d = Fraction(rng.randint(0, 12), rng.choice([1, 2, 3]))
-        r = ReflectionElement(
+        r = Element(
             part, s.at.shift(d), Value.scalar(Fraction(1000 * k + rng.randint(0, 99)))
         )
         pairs.append((s, r))
@@ -134,10 +133,7 @@ def random_chain(rng: random.Random, n_links: int | None = None) -> SerialChain:
     links = [random_information(rng, name="link0")]
     for i in range(1, n_links or rng.randint(2, 4)):
         prev = links[-1]
-        states = [
-            StateElement(r.carrier_part, r.at, r.value) for r in prev.reflections
-        ]
-        links.append(_link_from_states(rng, f"link{i}", states))
+        links.append(_link_from_states(rng, f"link{i}", list(prev.reflections)))
     return SerialChain(tuple(links))
 
 

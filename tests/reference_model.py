@@ -1,9 +1,11 @@
-"""The package's original ``validate``, ``check_link``, mapping
-normalization and tight-information assembly, kept verbatim as
+"""The package's original ``validate``, ``check_link``, ``invert``,
+mapping normalization and tight-information assembly, kept verbatim as
 references.
 
 ``isd.model.validate`` and ``isd.model.check_link`` sort only the
 elements that break a rule; these copies sort every component first.
+``isd.model.invert`` swaps each pair as it stands; ``invert`` here
+rebuilds each element from the other side's fields.
 ``isd.model`` orders a mapping by state key alone; ``normalize_pairs``
 orders it by state and reflection keys.  ``Information.from_pairs``
 unions each time component in one normalization; ``from_pairs`` here
@@ -17,12 +19,15 @@ from __future__ import annotations
 from functools import reduce
 from typing import Mapping
 
+from isd.errors import InvalidInformationError, NonInvertibleError
 from isd.model import (
     Information,
     InformationLike,
+    RawMapping,
     ReflectionElement,
     StateElement,
     Violation,
+    is_reducible,
 )
 from isd.timeset import TimeSet
 from isd.values import EntityId
@@ -143,6 +148,38 @@ def check_link(first: InformationLike, second: InformationLike) -> list[Violatio
             )
         )
     return out
+
+
+def invert(info: InformationLike) -> InformationLike:
+    """Swap the state and reflection sides of a reducible information.
+
+    The result has the reflections as states and recovers the original
+    states as reflections.  It is returned as a RawMapping unless it
+    happens to satisfy every Information invariant (in particular an
+    all-objective carrier), in which case it is promoted.  Inverting
+    twice returns to the original value.
+    """
+    if not is_reducible(info):
+        raise NonInvertibleError("mapping is not injective; no inverse exists")
+    inv_pairs = []
+    for s, r in info.mapping:
+        new_state = StateElement(r.carrier_part, r.at, r.value)
+        new_reflection = ReflectionElement(s.subject, s.at, s.value)
+        inv_pairs.append((new_state, new_reflection))
+    raw = RawMapping(
+        info.name,
+        frozenset(info.carrier),
+        info.reflection_time,
+        frozenset(s for s, _ in inv_pairs),
+        frozenset(info.ontology),
+        info.occurrence,
+        frozenset(r for _, r in inv_pairs),
+        inv_pairs,
+    )
+    try:
+        return raw.promote()
+    except InvalidInformationError:
+        return raw
 
 
 def normalize_pairs(mapping):

@@ -273,6 +273,25 @@ def test_kalman_scalar_innovation_failures_are_typed(r, p0):
         kalman_filter(_static_model(3, r, p0, [0.0, 1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name, index", [("x0", 0), ("B", (0, 0)), ("us", 5), ("zs", 5)])
+def test_kalman_non_finite_input_is_typed(name, index, bad):
+    model = simulate_tracking(steps=20, seed=0).model
+    getattr(model, name)[index] = bad
+    with pytest.raises(NumericalSingularityError, match=f"{name} has a non-finite entry"):
+        kalman_filter(model)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("what", ["time", "position", "measurement"])
+def test_tracking_information_non_finite_is_typed(what, bad):
+    run = simulate_tracking(steps=20, seed=0)
+    array = {"time": run.times, "position": run.true_positions, "measurement": run.model.zs}
+    array[what][5] = bad
+    with pytest.raises(NumericalSingularityError, match=f"non-finite {what}"):
+        tracking_information(run)
+
+
 def test_tracking_information_round():
     run = simulate_tracking(steps=40, seed=5)
     info = tracking_information(run)

@@ -25,7 +25,9 @@ from isd.measures import (
 )
 from functools import reduce
 
+from isd.errors import NonInvertibleError
 from isd.model import (
+    Element,
     Information,
     ReflectionElement,
     StateElement,
@@ -378,6 +380,63 @@ def test_from_pairs_matches_reference(pairs, duplicates):
         assert report == []
     else:
         assert report and {v.code for v in report} == {"carrier-not-objective"}
+
+
+@given(small_parts, small_times, small_values)
+@settings(max_examples=100, deadline=None)
+def test_states_and_reflections_are_one_element_type(entities, at, value):
+    assert StateElement is ReflectionElement is Element
+    e = StateElement(entities, at, value)
+    assert e == ReflectionElement(entities, at, value)
+    assert hash(e) == hash((e.entities, e.at, e.value))
+    assert e.subject == e.carrier_part == e.entities == frozenset(entities)
+
+
+def _invert_outcome(invert_fn, info):
+    try:
+        return invert_fn(info)
+    except NonInvertibleError as e:
+        return str(e)
+
+
+# Informations over subjective and objective subjects, with an objective
+# carrier so that they are valid; several states may share one reflection,
+# so many are lossy.
+@given(
+    st.lists(
+        st.tuples(
+            st.builds(StateElement, small_parts, small_times, small_values),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.lists(
+        st.builds(
+            ReflectionElement,
+            st.sets(st.sampled_from([objective("c"), objective("d")]), min_size=1),
+            small_times,
+            small_values,
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_invert_matches_reference(states, reflections):
+    info = Information.from_pairs("x", {s: reflections[k] for s, k in states}.items())
+    got = _invert_outcome(invert, info)
+    want = _invert_outcome(reference_model.invert, info)
+    assert type(got) is type(want)
+    assert got == want
+    if not isinstance(got, str):
+        # the inverse, a RawMapping when the ontology had subjective
+        # entities, inverts back on both sides
+        assert got.name == want.name
+        assert got.mapping == want.mapping
+        back = invert(got)
+        assert type(back) is type(reference_model.invert(want)) is Information
+        assert back == reference_model.invert(want) == info
 
 
 @given(seeds, st.integers(min_value=2, max_value=8))
