@@ -23,7 +23,6 @@ from .dynamics import (
     config_efficacies,
     propagate,
     stage_efficacies,
-    validate_config,
 )
 from .document import atomic_write_text, load_document
 from .errors import ISDError
@@ -157,7 +156,6 @@ def cmd_analyze(args) -> int:
         names = ", ".join(s.name for s in doc.systems) or "none declared"
         raise ISDError(f"pick a system with --system ({names})")
 
-    warnings = validate_config(system)
     retained = config_efficacies(system)
 
     report = Report(f"analysis: {system.name}")
@@ -185,7 +183,7 @@ def cmd_analyze(args) -> int:
     result = propagate(system, MeasureProfile({}))
     for m in ALL_MEASURES:
         prop.add(m.value, result.end[m])
-    for w in warnings + list(result.warnings):
+    for w in result.warnings:
         prop.say(f"warning: {w}")
 
     _deliver(report, args)

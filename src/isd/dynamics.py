@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .errors import ConfigShapeError, NegativeMeasureError
+from .errors import ConfigShapeError, MeasureRangeError, NegativeMeasureError
 from .measures import ExtendedRate
-from .timeset import Rational, as_fraction
+from .timeset import Rational
 
 
 class StageKind(Enum):
@@ -109,38 +108,34 @@ def classify_config(kinds: Sequence[StageKind]) -> Shape:
 
 @dataclass(frozen=True)
 class MeasureTransform:
-    """How one stage moves one measure: add a delta, clamp to a cap,
-    scale by a nonnegative factor, set outright, or leave alone."""
+    """How one stage moves one measure: add a rational delta, clamp to a
+    nonnegative cap, scale by a nonnegative rational factor, set outright,
+    or leave alone.  Every amount but identity's is an ExtendedRate."""
 
     kind: str
-    amount: Union[Fraction, ExtendedRate, None] = None
+    amount: Union[Rational, ExtendedRate, None] = None
 
     _KINDS = ("add", "clamp_max", "scale", "set_to", "identity")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown transform kind: {self.kind!r}")
-        amount = self.amount
         if self.kind == "identity":
-            if amount is not None:
+            if self.amount is not None:
                 raise ValueError("identity takes no amount")
-        else:
-            if amount is None:
-                raise ValueError(f"{self.kind} needs an amount")
-            if isinstance(amount, ExtendedRate):
-                if self.kind in ("add", "scale"):
-                    raise ValueError(f"{self.kind} amount must be a rational")
-            elif self.kind == "clamp_max":
-                amount = ExtendedRate.finite(amount)  # a negative cap fails here
-            else:
-                amount = as_fraction(amount)
-            if self.kind == "scale" and amount < 0:
-                raise ValueError("scale factor must be a nonnegative rational")
-            object.__setattr__(self, "amount", amount)
+            return
+        if self.amount is None:
+            raise ValueError(f"{self.kind} needs an amount")
+        amount = ExtendedRate.of(self.amount)
+        if amount.is_infinite and self.kind in ("add", "scale"):
+            raise ValueError(f"{self.kind} amount must be a rational")
+        if amount < 0 and self.kind in ("clamp_max", "scale"):
+            raise ValueError(f"{self.kind} amount must be nonnegative")
+        object.__setattr__(self, "amount", amount)
 
     @classmethod
     def add(cls, delta: Rational) -> "MeasureTransform":
-        return cls("add", as_fraction(delta))
+        return cls("add", delta)
 
     @classmethod
     def clamp_max(cls, cap: Union[Rational, ExtendedRate]) -> "MeasureTransform":
@@ -148,7 +143,7 @@ class MeasureTransform:
 
     @classmethod
     def scale(cls, factor: Rational) -> "MeasureTransform":
-        return cls("scale", as_fraction(factor))
+        return cls("scale", factor)
 
     @classmethod
     def set_to(cls, value: Union[Rational, ExtendedRate]) -> "MeasureTransform":
@@ -159,24 +154,15 @@ class MeasureTransform:
         return cls("identity")
 
 
-ProfileValue = Union[Fraction, ExtendedRate]
-
-
-def _apply_transform(t: MeasureTransform, v: ProfileValue) -> ProfileValue:
-    if t.kind == "identity":
-        return v
+def _apply_transform(t: MeasureTransform, v: ExtendedRate) -> ExtendedRate:
     if t.kind == "add":
-        if isinstance(v, ExtendedRate):
-            return v.plus(t.amount)
-        return v + t.amount
+        return v.plus(t.amount.value)
     if t.kind == "scale":
-        if isinstance(v, ExtendedRate):
-            return v.scaled(t.amount)
-        return v * t.amount
+        return v.scaled(t.amount.value)
+    if t.kind == "clamp_max":
+        return v.clamped(t.amount)
     if t.kind == "set_to":
         return t.amount
-    if t.kind == "clamp_max":
-        return _clamp_value(v, t.amount)
     raise AssertionError(t.kind)
 
 
@@ -248,47 +234,59 @@ def validate_config(config: SystemConfig) -> list[str]:
     return warnings
 
 
-DEFAULT_PROFILE: dict[MeasureKind, ProfileValue] = {
-    MeasureKind.VOLUME: Fraction(0),
-    MeasureKind.DELAY: Fraction(0),
-    MeasureKind.SCOPE: Fraction(0),
-    MeasureKind.GRANULARITY: Fraction(0),
-    MeasureKind.VARIETY: Fraction(0),
-    MeasureKind.DURATION: Fraction(0),
-    MeasureKind.SAMPLING_RATE: ExtendedRate.infinite(),
-    MeasureKind.AGGREGATION: Fraction(0),
-    MeasureKind.COVERAGE: Fraction(0),
-    MeasureKind.DISTORTION: Fraction(0),
-    MeasureKind.MISMATCH: Fraction(0),
+# Every measure but sampling rate starts at zero; sampling rate starts
+# infinite, as nothing has been sampled away yet.
+DEFAULT_PROFILE: dict[MeasureKind, ExtendedRate] = {
+    m: ExtendedRate.infinite() if m is MeasureKind.SAMPLING_RATE else ExtendedRate.finite(0)
+    for m in ALL_MEASURES
 }
+
+# Only delay may be negative (a prediction), and only sampling rate and
+# duration may be infinite (a gap-free or an unbounded occurrence).
+_MAY_BE_INFINITE = frozenset({MeasureKind.SAMPLING_RATE, MeasureKind.DURATION})
+
+
+def _in_range(k: MeasureKind, v: ExtendedRate) -> ExtendedRate:
+    """``v``, if measure ``k`` may take it."""
+    if not isinstance(k, MeasureKind):
+        raise TypeError(f"profile keys must be MeasureKind, got {k!r}")
+    if v.value is None:
+        if k not in _MAY_BE_INFINITE:
+            raise MeasureRangeError(f"{k.value} must be {MeasureRangeError.bound}")
+    elif v.value < 0 and k is not MeasureKind.DELAY:
+        raise NegativeMeasureError(f"{k.value} must be {NegativeMeasureError.bound}")
+    return v
 
 
 @dataclass(frozen=True)
 class MeasureProfile:
-    """A value for each of the eleven measures.  Delay may be negative
-    (prediction); sampling rate and duration may be infinite."""
+    """A value for each of the eleven measures, every one an ExtendedRate;
+    a measure left out takes its ``DEFAULT_PROFILE`` value.
 
-    values: Mapping[MeasureKind, ProfileValue]
+    Each measure has one range: only Delay may be negative (a prediction),
+    and only SamplingRate and Duration may be infinite.  A value outside
+    its range raises ``MeasureRangeError`` (``NegativeMeasureError`` below
+    zero).
+    """
+
+    values: Mapping[MeasureKind, Union[Rational, ExtendedRate]]
 
     def __post_init__(self):
-        filled: dict[MeasureKind, ProfileValue] = dict(DEFAULT_PROFILE)
+        filled = dict(DEFAULT_PROFILE)
         for k, v in dict(self.values).items():
-            if not isinstance(k, MeasureKind):
-                raise TypeError(f"profile keys must be MeasureKind, got {k!r}")
-            if not isinstance(v, ExtendedRate):
-                v = as_fraction(v)
-                if k is not MeasureKind.DELAY and v < 0:
-                    raise ValueError(f"{k.value} must be nonnegative")
-            filled[k] = v
+            filled[k] = _in_range(k, ExtendedRate.of(v))
         object.__setattr__(self, "values", filled)
 
-    def __getitem__(self, k: MeasureKind) -> ProfileValue:
+    def __getitem__(self, k: MeasureKind) -> ExtendedRate:
         return self.values[k]
 
-    def replace(self, k: MeasureKind, v: ProfileValue) -> "MeasureProfile":
-        out = dict(self.values)
-        out[k] = v
-        return MeasureProfile(out)
+    def replace(self, k: MeasureKind, v: Union[Rational, ExtendedRate]) -> "MeasureProfile":
+        """This profile with measure ``k`` set to ``v``; only ``v`` is checked."""
+        values = dict(self.values)
+        values[k] = _in_range(k, ExtendedRate.of(v))
+        out = object.__new__(type(self))
+        object.__setattr__(out, "values", values)
+        return out
 
 
 # Measures whose propagated value must never exceed a cap once some
@@ -317,12 +315,14 @@ def propagate(config: SystemConfig, source: MeasureProfile) -> PropagationResult
 
     A transform only acts when its stage kind has the efficacy and the
     configuration as a whole retains the measure; otherwise it is forced
-    to identity and a warning is recorded.  Delay adds exactly; capped
-    measures never exceed the smallest upstream clamp.
+    to identity.  The warnings are those of ``validate_config`` followed by
+    one per transform the configuration as a whole cannot apply.  Delay
+    adds exactly; capped measures never exceed the smallest upstream
+    clamp.  A value outside its measure's range raises the profile's
+    ``MeasureRangeError``, reworded to name the stage.
     """
-    validate_config(config)
+    warnings = validate_config(config)
     retained = config_efficacies(config)
-    warnings: list[str] = []
     caps: dict[MeasureKind, ExtendedRate] = {}
     profile = source
     per_stage = []
@@ -330,46 +330,28 @@ def propagate(config: SystemConfig, source: MeasureProfile) -> PropagationResult
         allowed = stage_efficacies(stage.kind)
         for measure in ALL_MEASURES:
             t = stage.transforms.get(measure)
-            if t is None or t.kind == "identity":
-                continue
-            if measure not in allowed:
-                warnings.append(
-                    f"stage {stage.name!r}: {stage.kind.value} lacks "
-                    f"{measure.value} efficacy; transform suppressed"
-                )
-                continue
+            if t is None or t.kind == "identity" or measure not in allowed:
+                continue  # validate_config warned of a matrix violation
             if measure not in retained:
                 warnings.append(
                     f"stage {stage.name!r}: configuration cannot move "
                     f"{measure.value}; transform suppressed"
                 )
                 continue
-            old = profile[measure]
-            try:
-                v = _apply_transform(t, old)
-            except ValueError:  # ExtendedRate.plus refuses a sum below zero
-                v = old.value + t.amount
+            v = _apply_transform(t, profile[measure])
             if measure in _CAPPED:
                 if t.kind == "clamp_max":
                     caps[measure] = min(caps.get(measure, t.amount), t.amount)
                 if measure in caps:
-                    v = _clamp_value(v, caps[measure])
+                    v = v.clamped(caps[measure])
             try:
                 profile = profile.replace(measure, v)
-            except ValueError as e:
-                raise NegativeMeasureError(
+            except MeasureRangeError as e:
+                raise type(e)(
                     f"stage {stage.name!r} drives {measure.value} to {v}; "
-                    "it must be nonnegative"
+                    f"it must be {e.bound}"
                 ) from e
         per_stage.append(profile)
     return PropagationResult(
         stage_profiles=tuple(per_stage), end=profile, warnings=tuple(warnings)
     )
-
-
-def _clamp_value(v: ProfileValue, cap: ExtendedRate) -> ProfileValue:
-    if isinstance(v, ExtendedRate):
-        return v.clamped(cap)
-    if cap.is_infinite:
-        return v
-    return min(v, cap.value)

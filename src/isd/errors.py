@@ -81,9 +81,17 @@ class ConfigShapeError(ISDError):
     """A system configuration's declared shape does not match its stages."""
 
 
-class NegativeMeasureError(ISDError, ValueError):
-    """Propagation through a stage drove a nonnegative measure below zero;
-    the message names the stage and the measure."""
+class MeasureRangeError(ISDError, ValueError):
+    """A measure profile value outside its measure's range, which ``bound``
+    names; from propagation the message names the stage and the measure."""
+
+    bound = "finite"
+
+
+class NegativeMeasureError(MeasureRangeError):
+    """A measure other than Delay went below zero."""
+
+    bound = "nonnegative"
 
 
 class UnknownScenarioError(ISDError):

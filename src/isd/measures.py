@@ -40,11 +40,13 @@ from .values import EntityId
 
 @functools.total_ordering
 class ExtendedRate:
-    """A nonnegative rational extended with +infinity.
+    """A rational extended with +infinity.
 
-    Used where a measure can be genuinely infinite: the sampling rate of
-    a gap-free occurrence and the duration of an unbounded one.  Finite
-    instances compare and test equal against plain rationals.
+    The one number type of measure profiles, and the type of the sampling
+    rate of a gap-free occurrence and the duration of an unbounded one.
+    The arithmetic does not check signs: which values a measure may take
+    is the profile's rule (see ``isd.dynamics.MeasureProfile``).  Finite
+    instances compare, test equal, hash and print like their rationals.
     """
 
     __slots__ = ("value",)
@@ -57,14 +59,16 @@ class ExtendedRate:
 
     @classmethod
     def finite(cls, q: Rational) -> "ExtendedRate":
-        q = as_fraction(q)
-        if q < 0:
-            raise ValueError("rate must be nonnegative")
-        return cls(q)
+        return cls(as_fraction(q))
 
     @classmethod
     def infinite(cls) -> "ExtendedRate":
         return cls(None)
+
+    @classmethod
+    def of(cls, x: "Rational | ExtendedRate") -> "ExtendedRate":
+        """``x`` itself if it is an ExtendedRate, else its finite rate."""
+        return x if isinstance(x, ExtendedRate) else cls.finite(x)
 
     @property
     def is_infinite(self) -> bool:
@@ -98,15 +102,14 @@ class ExtendedRate:
         return hash(self.value)
 
     def plus(self, q: Rational) -> "ExtendedRate":
-        """Add a rational; a sum below zero raises ValueError."""
+        """Add a rational; infinity absorbs it."""
         if self.value is None:
             return self
-        return ExtendedRate.finite(self.value + as_fraction(q))
+        return ExtendedRate(self.value + as_fraction(q))
 
     def scaled(self, k: Rational) -> "ExtendedRate":
+        """Multiply by a factor ``k >= 0``; 0 * inf = 0 by convention."""
         k = as_fraction(k)
-        if k < 0:
-            raise ValueError("scale factor must be nonnegative")
         if self.value is None:
             return self if k != 0 else ExtendedRate.finite(0)
         return ExtendedRate(self.value * k)

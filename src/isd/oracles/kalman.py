@@ -48,6 +48,8 @@ class KalmanModel:
         Control inputs, one row per step.
     zs : (k, p) array
         Measurements, one row per step.
+
+    The model keeps float copies, not the caller's arrays.
     """
 
     A: np.ndarray
@@ -62,7 +64,7 @@ class KalmanModel:
 
     def __post_init__(self):
         for name in ("A", "B", "H", "Q", "R", "x0", "P0", "us", "zs"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         n = self.A.shape[0]
         p = self.H.shape[0]
         if n > MAX_DIM or p > MAX_DIM:

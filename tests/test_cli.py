@@ -126,6 +126,21 @@ def test_analyze_grid(capsys):
     assert "Delay         30" in out
 
 
+def test_analyze_reports_matrix_violation_once(tmp_path, capsys):
+    doc = json.loads(Path(BUNDLED).read_text(encoding="utf-8"))
+    doc["systems"][0]["stages"][1]["transforms"]["Scope"] = {"kind": "add", "amount": "1"}
+    path = tmp_path / "violation.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    warnings = [line.strip() for line in out.splitlines() if "warning:" in line]
+    assert warnings == [
+        "warning: matrix violation: Transmission lacks Scope (stage 'uplink'); "
+        "transform will be ignored"
+    ]
+    assert "Scope         3" in out  # the add on uplink is still skipped
+
+
 def test_verify_filtered(capsys):
     code, out, _ = run(
         capsys, "verify", "--seed", "3", "--trials", "25",
@@ -217,8 +232,15 @@ def test_malformed_document_is_clean_error(tmp_path):
             ],
             "stage 'uplink' drives SamplingRate to -5",
         ),
+        (
+            [{"Delay": {"kind": "set_to", "amount": "inf"}}],
+            "stage 'capture' drives Delay to inf; it must be finite",
+        ),
     ],
-    ids=["negative-clamp", "add-below-zero", "set-below-zero", "add-inf", "clamp-then-add"],
+    ids=[
+        "negative-clamp", "add-below-zero", "set-below-zero", "add-inf", "clamp-then-add",
+        "set-inf",
+    ],
 )
 def test_negative_transform_is_clean_error(tmp_path, stages, named):
     """``stages`` holds transforms to set on the bundled system's first stages."""

@@ -19,7 +19,7 @@ from isd.dynamics import (
     stage_efficacies,
     validate_config,
 )
-from isd.errors import ConfigShapeError, ISDError, NegativeMeasureError
+from isd.errors import ConfigShapeError, ISDError, MeasureRangeError, NegativeMeasureError
 from isd.measures import ExtendedRate
 
 M = MeasureKind
@@ -133,6 +133,12 @@ def test_profile_defaults_and_validation():
     assert q[M.DELAY] == -3
     with pytest.raises(ValueError):
         MeasureProfile({M.VOLUME: Fraction(-1)})
+    r = MeasureProfile({M.DURATION: ExtendedRate.infinite(), M.SAMPLING_RATE: 2})
+    assert r[M.DURATION].is_infinite and r[M.SAMPLING_RATE] == 2
+    assert all(type(v) is ExtendedRate for v in r.values.values())
+    for measure in (M.VOLUME, M.DELAY):
+        with pytest.raises(MeasureRangeError, match=f"{measure.value} must be finite"):
+            MeasureProfile({measure: ExtendedRate.infinite()})
     with pytest.raises(TypeError):
         MeasureProfile({"Volume": Fraction(1)})
 
@@ -290,6 +296,22 @@ def test_propagate_below_zero_is_typed(transform):
     assert isinstance(e.value, ISDError) and isinstance(e.value, ValueError)
 
 
+@pytest.mark.parametrize("measure", [M.DELAY, M.VOLUME])
+def test_propagate_infinite_outside_range_is_typed(measure):
+    # sampling rate and duration may go infinite; no other measure may
+    inf = MeasureTransform.set_to(ExtendedRate.infinite())
+    allowed = {M.SAMPLING_RATE: inf, M.DURATION: inf}
+    out = propagate(
+        SystemConfig("rig", (StageSpec("c", K.COLLECTION, allowed),)), MeasureProfile({})
+    )
+    assert out.end[M.SAMPLING_RATE].is_infinite and out.end[M.DURATION].is_infinite
+    config = SystemConfig("rig", (StageSpec("c", K.COLLECTION, {**allowed, measure: inf}),))
+    driven = f"^stage 'c' drives {measure.value} to inf; it must be finite$"
+    with pytest.raises(MeasureRangeError, match=driven) as e:
+        propagate(config, MeasureProfile({}))
+    assert isinstance(e.value, ISDError) and not isinstance(e.value, NegativeMeasureError)
+
+
 def test_propagate_uncapped_measures_can_grow():
     config = SystemConfig(
         "rig",
@@ -310,8 +332,7 @@ def test_extended_rate_arithmetic():
     assert inf.plus(Fraction(3)).is_infinite
     assert five.plus(Fraction(3)).value == 8
     assert five.plus(Fraction(-5)).value == 0
-    with pytest.raises(ValueError):
-        five.plus(Fraction(-6))
+    assert five.plus(Fraction(-6)).value == -1  # the profile refuses it, not plus
     assert inf.scaled(Fraction(0)).value == 0  # 0 * inf = 0 by convention
     assert inf.scaled(Fraction(2)).is_infinite
     assert five.clamped(inf).value == 5

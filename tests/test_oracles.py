@@ -282,6 +282,14 @@ def test_kalman_non_finite_input_is_typed(name, index, bad):
         kalman_filter(model)
 
 
+def test_kalman_model_copies_its_inputs():
+    zs = np.array([[0.0], [1.0], [2.0]])
+    model = _static_model(3, 1.0, 1.0, zs)
+    zs[1, 0] = math.nan
+    assert model.zs.tolist() == [[0.0], [1.0], [2.0]]
+    kalman_filter(model)  # the caller's NaN is not the model's
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("what", ["time", "position", "measurement"])
 def test_tracking_information_non_finite_is_typed(what, bad):

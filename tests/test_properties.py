@@ -6,11 +6,26 @@ import dataclasses
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import isd.dynamics
 from isd.document import loads_document, emit_document
+from isd.dynamics import (
+    ALL_MEASURES,
+    MeasureKind,
+    MeasureProfile,
+    MeasureTransform,
+    Shape,
+    StageKind,
+    StageSpec,
+    SystemConfig,
+    validate_config,
+)
+from isd.errors import MeasureRangeError, NegativeMeasureError
 from isd.measures import (
+    ExtendedRate,
     MeasureAssignment,
     Metric,
     aggregation,
@@ -50,6 +65,7 @@ from isd.verify import (
     random_partition_relation,
 )
 
+import reference_dynamics
 import reference_model
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -557,3 +573,146 @@ def test_sampling_rate_inverse_gap(gap, count):
         {cam}, times, {r for _, r in pairs}, pairs,
     )
     assert sampling_rate(info) == 1 / gap
+
+
+# -- measure profiles ---------------------------------------------------------
+
+M = MeasureKind
+K = StageKind
+_MAY_BE_INFINITE = (M.SAMPLING_RATE, M.DURATION)
+
+# An amount is a rational, ("rate", q) for a finite ExtendedRate q >= 0, or
+# "inf"; each fold builds it with its own ExtendedRate.
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+_amounts = st.one_of(
+    _small,
+    st.fractions(min_value=0, max_value=6, max_denominator=3).map(lambda q: ("rate", q)),
+    st.just("inf"),
+)
+# the four measures with a special range or a sticky cap come up more often
+_measures = st.one_of(
+    st.sampled_from((M.DELAY, M.VOLUME, M.SAMPLING_RATE, M.DURATION)),
+    st.sampled_from(ALL_MEASURES),
+)
+_transforms = st.tuples(
+    st.sampled_from(("add", "clamp_max", "scale", "set_to", "identity")), _amounts
+)
+_stages = st.lists(
+    st.tuples(
+        st.sampled_from(StageKind),
+        st.dictionaries(_measures, _transforms, max_size=4),
+    ),
+    min_size=1,
+    max_size=5,
+)
+_sources = st.dictionaries(_measures, _amounts, max_size=2)
+
+
+def _amount(rate, a):
+    if a == "inf":
+        return rate.infinite()
+    return rate.finite(a[1]) if isinstance(a, tuple) else a
+
+
+def _fold_outcome(module, config, source):
+    """The fold's result or error, and each (measure, value) it stored."""
+    log = []
+    stored = module.MeasureProfile.replace
+
+    def logging_replace(profile, k, v):
+        log.append((k, str(v)))
+        return stored(profile, k, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module.MeasureProfile, "replace", logging_replace)
+        try:
+            return module.propagate(config, source), log
+        except ValueError as e:
+            return e, log
+
+
+def _plain(profile):
+    return {m: str(profile[m]) for m in ALL_MEASURES}
+
+
+@given(_stages, _sources)
+@settings(max_examples=400, deadline=None)
+@example([(K.PROCESSING, {M.DELAY: ("add", Fraction(-2))}),  # negative delays
+          (K.EXERTION, {M.DELAY: ("scale", Fraction(2))})], {M.DELAY: Fraction(-3)})
+@example([(K.COLLECTION, {M.SAMPLING_RATE: ("clamp_max", "inf"),  # inf caps, set_to inf
+                          M.DURATION: ("set_to", "inf")}),
+          (K.PROCESSING, {M.SAMPLING_RATE: ("set_to", "inf"),
+                          M.DURATION: ("clamp_max", Fraction(3))})], {})
+@example([(K.COLLECTION, {M.SAMPLING_RATE: ("scale", Fraction(0))})], {})  # 0 * inf
+@example([(K.COLLECTION, {M.VOLUME: ("add", Fraction(-1))})], {})  # add below zero
+@example([(K.COLLECTION, {M.SAMPLING_RATE: ("clamp_max", Fraction(5))}),  # clamp, add
+          (K.PROCESSING, {M.SAMPLING_RATE: ("add", Fraction(-10))})], {})
+@example([(K.COLLECTION, {M.VOLUME: ("set_to", Fraction(10))}),
+          (K.PROCESSING, {M.VOLUME: ("clamp_max", Fraction(4))}),
+          (K.EXERTION, {M.VOLUME: ("add", Fraction(100))})], {})
+@example([(K.COLLECTION, {M.VOLUME: ("clamp_max", Fraction(2))}),  # the tightest cap sticks
+          (K.PROCESSING, {M.VOLUME: ("clamp_max", Fraction(5))}),
+          (K.EXERTION, {M.VOLUME: ("set_to", Fraction(10))})], {})
+@example([(K.COLLECTION, {M.DELAY: ("set_to", "inf")})], {M.SCOPE: ("rate", Fraction(1))})
+@example([(K.COLLECTION, {})], {M.VOLUME: "inf"})
+def test_propagate_matches_reference(stages, source):
+    specs, ref_specs = [], []
+    for i, (kind, transforms) in enumerate(stages):
+        mine, theirs = {}, {}
+        for measure, (tkind, a) in transforms.items():
+            if tkind == "identity":
+                mine[measure] = MeasureTransform.identity()
+                theirs[measure] = reference_dynamics.MeasureTransform.identity()
+                continue
+            # the reference takes a finite add or scale amount only as a rational
+            ref_a = a[1] if isinstance(a, tuple) and tkind in ("add", "scale") else a
+            try:
+                theirs[measure] = reference_dynamics.MeasureTransform(
+                    tkind, _amount(reference_dynamics.ExtendedRate, ref_a)
+                )
+            except ValueError:
+                with pytest.raises(ValueError):
+                    MeasureTransform(tkind, _amount(ExtendedRate, a))
+                continue
+            mine[measure] = MeasureTransform(tkind, _amount(ExtendedRate, a))
+        specs.append(StageSpec(f"s{i}", kind, mine))
+        ref_specs.append(StageSpec(f"s{i}", kind, theirs))
+    config = SystemConfig("rig", tuple(specs), Shape.CUSTOM)
+    ref_config = SystemConfig("rig", tuple(ref_specs), Shape.CUSTOM)
+
+    bad_inf = [m for m, a in source.items() if a == "inf" and m not in _MAY_BE_INFINITE]
+    try:
+        ref_source = reference_dynamics.MeasureProfile(
+            {m: _amount(reference_dynamics.ExtendedRate, a) for m, a in source.items()}
+        )
+    except ValueError:
+        ref_source = None
+    try:
+        mine_source = MeasureProfile({m: _amount(ExtendedRate, a) for m, a in source.items()})
+    except MeasureRangeError as e:
+        assert bad_inf or (ref_source is None and type(e) is NegativeMeasureError)
+        return
+    assert not bad_inf and ref_source is not None
+
+    want, ref_log = _fold_outcome(reference_dynamics, ref_config, ref_source)
+    got, log = _fold_outcome(isd.dynamics, config, mine_source)
+    stored_inf = [
+        i for i, (m, v) in enumerate(ref_log) if v == "inf" and m not in _MAY_BE_INFINITE
+    ]
+    if stored_inf:
+        # the reference stores an infinite value the profile's range refuses
+        i = stored_inf[0]
+        assert type(got) is MeasureRangeError
+        assert str(got).endswith(f"drives {ref_log[i][0].value} to inf; it must be finite")
+        assert log == ref_log[: i + 1]
+        return
+    assert log == ref_log
+    if isinstance(want, Exception):
+        assert type(want) is type(got) is NegativeMeasureError
+        assert str(got) == str(want)
+        return
+    assert [_plain(p) for p in got.stage_profiles] == [_plain(p) for p in want.stage_profiles]
+    assert _plain(got.end) == _plain(want.end)
+    assert all(type(v) is ExtendedRate for p in got.stage_profiles for v in p.values.values())
+    lost = [w for w in want.warnings if "configuration cannot move" in w]
+    assert list(got.warnings) == validate_config(config) + lost
