@@ -62,6 +62,16 @@ def _parse_mu(args) -> AtomWeighting:
     return AtomWeighting.explicit(weights)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return n
+
+
 def _split(text: str | None) -> list[str]:
     return [p for p in (text or "").split(",") if p]
 
@@ -260,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the named verification checks")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trials", type=int, default=200)
+    v.add_argument("--trials", type=_positive_int, default=200)
     v.add_argument("--filter", help="comma-separated check names to run")
     _common_output(v)
     v.set_defaults(fn=cmd_verify)

@@ -81,6 +81,12 @@ class ConfigShapeError(ISDError):
     """A system configuration's declared shape does not match its stages."""
 
 
+class MeasureInputError(ISDError, ValueError):
+    """An input a measure cannot use: a non-positive or missing atom
+    weight, a carrier reaching outside the coverage target, or a symbolic
+    value or values of different shapes under a numeric metric."""
+
+
 class MeasureRangeError(ISDError, ValueError):
     """A measure profile value outside its measure's range, which ``bound``
     names; from propagation the message names the stage and the measure."""

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     EmptyInformationError,
     IncompleteReflectionError,
+    MeasureInputError,
     NonInvertibleError,
     NotACopyError,
     NotEquivalenceError,
@@ -171,7 +172,7 @@ class AtomWeighting:
         for i, w in dict(self.weights).items():
             w = as_fraction(w)
             if w <= 0:
-                raise ValueError("explicit atom weights must be positive")
+                raise MeasureInputError("explicit atom weights must be positive")
             clean[int(i)] = w
         object.__setattr__(self, "weights", clean)
 
@@ -189,7 +190,7 @@ class AtomWeighting:
         try:
             return self.weights[index]
         except KeyError:
-            raise ValueError(f"no weight for atom index {index}") from None
+            raise MeasureInputError(f"no weight for atom index {index}") from None
 
 
 @dataclass(frozen=True)
@@ -413,7 +414,7 @@ def coverage(
             )
     for m in members:
         if not m.carrier <= target:
-            raise ValueError(f"carrier of {m.name!r} reaches outside the target")
+            raise MeasureInputError(f"carrier of {m.name!r} reaches outside the target")
     total = sum((sigma.measure_of(m.carrier) for m in members), Fraction(0))
     return total / denom
 
@@ -507,7 +508,7 @@ def distortion(
             truth = s.value.numeric_components()
             est = reflection_map[r].value.numeric_components()
             if len(truth) != len(est):
-                raise ValueError(
+                raise MeasureInputError(
                     "state and estimate values have different numeric shapes"
                 )
             for x, y in zip(truth, est):

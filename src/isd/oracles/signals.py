@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import InsufficientSamplesError
+from ..measures import sampling_rate
 from ..model import Element, Information
 from ..timeset import Rational, TimeSet, as_fraction
 from ..values import EntityId, Value, objective
@@ -169,8 +170,6 @@ def reconstruct_signal(
         guess = coef[0] + coef[1] * np.cos(w * dense) + coef[2] * np.sin(w * dense)
         scale = max(float(np.linalg.norm(truth)), 1e-30)
         residual = float(np.linalg.norm(truth - guess)) / scale
-
-    from ..measures import sampling_rate  # local import to avoid a cycle
 
     rate = sampling_rate(samples)
     threshold = 2 / period

@@ -103,10 +103,7 @@ class Report:
         return "\n".join(out) + "\n"
 
 
-def use_color(stream=None) -> bool:
-    if os.environ.get("ISD_COLOR", "") == "0":
-        return False
+def use_color() -> bool:
     if os.environ.get("NO_COLOR"):
         return False
-    stream = stream if stream is not None else sys.stdout
-    return bool(getattr(stream, "isatty", lambda: False)())
+    return bool(getattr(sys.stdout, "isatty", lambda: False)())

@@ -7,6 +7,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .errors import MeasureInputError
 from .timeset import Rational, as_fraction
 
 
@@ -101,7 +102,7 @@ class Value:
             for _, v in self.body:
                 out.extend(v.numeric_components())
             return tuple(out)
-        raise ValueError(f"symbol value {self.body!r} has no numeric components")
+        raise MeasureInputError(f"symbol value {self.body!r} has no numeric components")
 
     def sort_key(self):
         if self.tag == "symbol":

@@ -1,6 +1,7 @@
 """Command-line surface, driven in-process through main() and, where the
 interpreter's own error output matters, as a subprocess."""
 
+import io
 import json
 import os
 import subprocess
@@ -113,6 +114,37 @@ def test_measure_explicit_mu_weights(capsys):
     assert "Delay         1" in out
 
 
+@pytest.mark.parametrize(
+    "inputs, named",
+    [
+        (["--mu", "explicit", "--mu-weights", "0=0"], "atom weights must be positive"),
+        (["--mu", "explicit", "--mu-weights", "0=-1"], "atom weights must be positive"),
+        (["--mu", "explicit", "--mu-weights", "0=1"], "no weight for atom index 1"),
+        (["--coverage-target", "camera"], "reaches outside the target"),
+        (["--metric", "euclidean_on_values"], "has no numeric components"),
+    ],
+    ids=["zero-weight", "negative-weight", "missing-weight", "narrow-target", "symbol-values"],
+)
+def test_measure_unusable_input_is_clean_error(capsys, inputs, named):
+    code, out, err = run(capsys, "measure", BUNDLED, "--info", "capture", *inputs)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and named in err
+
+
+def test_measure_mismatched_value_shapes_is_clean_error(capsys, tmp_path):
+    doc = json.loads(Path(BUNDLED).read_text(encoding="utf-8"))
+    info = next(i for i in doc["informations"] if i["name"] == "archive")
+    for k, (s, r) in enumerate(zip(info["states"], info["reflections"])):
+        s["value"], r["value"] = {"scalar": str(k)}, {"vector": [str(k), "1"]}
+    path = tmp_path / "shapes.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(
+        capsys, "measure", str(path), "--info", "archive", "--metric", "euclidean_on_values"
+    )
+    assert code == 2
+    assert err.startswith("error:") and "different numeric shapes" in err
+
+
 def test_analyze_grid(capsys):
     code, out, _ = run(capsys, "analyze", BUNDLED)
     assert code == 0
@@ -157,6 +189,28 @@ def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--filter", "astrology")
     assert code == 2
     assert "astrology" in err
+
+
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_verify_refuses_trials_below_one(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", trials])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_no_color_on_a_terminal(monkeypatch):
+    argv = ["verify", "--trials", "1", "--filter", "network_value_bounds"]
+    for no_color, escapes in (("", True), ("1", False)):
+        monkeypatch.setenv("NO_COLOR", no_color)
+        monkeypatch.setattr(sys, "stdout", _Terminal())
+        assert main(argv) == 0
+        assert ("\x1b[" in sys.stdout.getvalue()) is escapes
 
 
 def test_scenario_runs(capsys):
