@@ -25,7 +25,7 @@ from .dynamics import (
     stage_efficacies,
 )
 from .document import atomic_write_text, load_document
-from .errors import ISDError
+from .errors import ISDError, MeasureInputError
 from .measures import (
     AtomWeighting,
     MeasureAssignment,
@@ -42,6 +42,7 @@ from .measures import (
     variety,
     volume,
 )
+from .model import atoms
 from .report import Report
 
 _NOT_COMPUTED = "not computed: missing {}"
@@ -56,9 +57,12 @@ def _parse_mu(args) -> AtomWeighting:
     for part in args.mu_weights.split(","):
         try:
             idx, w = part.split("=", 1)
-            weights[int(idx)] = Fraction(w)
+            idx, w = int(idx), Fraction(w)
         except (ValueError, ZeroDivisionError):
             raise ISDError(f"bad --mu-weights entry {part!r}") from None
+        if idx in weights:
+            raise MeasureInputError(f"--mu-weights gives atom index {idx} twice")
+        weights[idx] = w
     return AtomWeighting.explicit(weights)
 
 
@@ -90,6 +94,13 @@ def cmd_measure(args) -> int:
 
     sigma = doc.measure(args.sigma) if args.sigma else MeasureAssignment.counting()
     mu = _parse_mu(args)
+    n_atoms = len(atoms(info))
+    for idx in mu.weights:
+        if not 0 <= idx < n_atoms:
+            raise MeasureInputError(
+                f"--mu-weights names atom index {idx}, but {info.name!r} has "
+                f"atoms 0 to {n_atoms - 1}"
+            )
     bound = [doc.bound_relation(n) for n in _split(args.relations)]
     for b in bound:
         if b.info != info.name:

@@ -5,7 +5,8 @@ A document declares entities, informations, entity measures, relations
 serial chains.  Rationals are exact "p/q" strings; times are interval
 lists where a null upper endpoint marks a right-unbounded tail.  Emission
 is canonical (sorted, stable), so load -> emit -> load is idempotent and
-canonical files round-trip byte for byte.
+canonical files round-trip byte for byte.  ``document_to_json`` owns the
+schema; ``emit_document`` writes its tree as indent-2 JSON directly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import Any, NoReturn
 
@@ -114,17 +116,23 @@ def _index_pairs(obj: dict, key: str, left: list, right: list, where) -> list:
 # -- primitive codecs --------------------------------------------------------
 
 
-def _frac_from_json(s: Any, where) -> Fraction:
-    try:
-        return Fraction(_typed(s, str, where))
-    except (ValueError, ZeroDivisionError) as e:
-        _fail(where, f"bad rational {s!r} ({e})")
+def _frac_from_json(s: Any, where, fracs: dict[str, Fraction]) -> Fraction:
+    """The rational string ``s``.  ``fracs`` holds the strings this load has
+    already parsed; it belongs to one ``loads_document`` call."""
+    q = fracs.get(s) if type(s) is str else None
+    if q is None:
+        try:
+            q = Fraction(_typed(s, str, where))
+        except (ValueError, ZeroDivisionError) as e:
+            _fail(where, f"bad rational {s!r} ({e})")
+        fracs[s] = q
+    return q
 
 
-def _rate_from_json(s: Any, where):
+def _rate_from_json(s: Any, where, fracs):
     if s == "inf":
         return ExtendedRate.infinite()
-    return _frac_from_json(s, where)
+    return _frac_from_json(s, where, fracs)
 
 
 def _timeset_to_json(ts: TimeSet) -> dict:
@@ -134,7 +142,7 @@ def _timeset_to_json(ts: TimeSet) -> dict:
     return {"intervals": intervals}
 
 
-def _timeset_from_json(obj: dict, key: str, where) -> TimeSet:
+def _timeset_from_json(obj: dict, key: str, where, fracs) -> TimeSet:
     """The time set ``obj[key]``: intervals, the last of which may be a ray."""
     at = (where, ".", key)
     entries = _field(_field(obj, key, dict, where), "intervals", list, at)
@@ -145,9 +153,9 @@ def _timeset_from_json(obj: dict, key: str, where) -> TimeSet:
     for i, entry in enumerate(entries):
         if type(entry) is not list or len(entry) != 2:
             _fail(at, f"interval {i} must be a [lo, hi] pair")
-        lo = _frac_from_json(entry[0], (at, ".intervals", i, 0))
+        lo = _frac_from_json(entry[0], (at, ".intervals", i, 0), fracs)
         if entry[1] is not None:
-            pairs.append((lo, _frac_from_json(entry[1], (at, ".intervals", i, 1))))
+            pairs.append((lo, _frac_from_json(entry[1], (at, ".intervals", i, 1), fracs)))
         elif i != len(entries) - 1:
             _fail(at, "only the last interval may be unbounded")
         else:
@@ -168,7 +176,7 @@ def _value_to_json(v: Value) -> dict:
     return {"record": {k: _value_to_json(inner) for k, inner in v.body}}
 
 
-def _value_from_json(obj: Any, where) -> Value:
+def _value_from_json(obj: Any, where, fracs) -> Value:
     if type(obj) is not dict or len(obj) != 1:
         _fail(where, "value must be a single-key object")
     (tag, body), = obj.items()
@@ -177,13 +185,15 @@ def _value_from_json(obj: Any, where) -> Value:
             _fail(where, "symbol must be a nonempty string")
         return Value.symbol(body)
     if tag == "scalar":
-        return Value.scalar(_frac_from_json(body, where))
+        return Value.scalar(_frac_from_json(body, where, fracs))
     if tag == "vector":
-        return Value.vector([_frac_from_json(q, where) for q in _typed(body, list, where)])
+        return Value.vector(
+            [_frac_from_json(q, where, fracs) for q in _typed(body, list, where)]
+        )
     if tag == "record":
         return Value.record(
             {
-                k: _value_from_json(inner, (where, ".", k))
+                k: _value_from_json(inner, (where, ".", k), fracs)
                 for k, inner in _typed(body, dict, where).items()
             }
         )
@@ -255,37 +265,37 @@ def _entity_list(obj: dict, key: str, table, where) -> frozenset[EntityId]:
     return frozenset(out)
 
 
-def _element_from_json(obj: Any, table, where, key: str) -> Element:
+def _element_from_json(obj: Any, table, where, key: str, fracs) -> Element:
     """An element whose entities are listed under ``key``: "subject" for a
     state, "carrier_part" for a reflection."""
     entities = _entity_list(_typed(obj, dict, where), key, table, where)
     if not entities:
         _fail((where, ".", key), "must name at least one entity")
-    at = _timeset_from_json(obj, "at", where)
-    value = _value_from_json(_field(obj, "value", dict, where), (where, ".value"))
+    at = _timeset_from_json(obj, "at", where, fracs)
+    value = _value_from_json(_field(obj, "value", dict, where), (where, ".value"), fracs)
     return Element(entities, at, value)
 
 
-def _information_from_json(obj: Any, table, where) -> Information:
+def _information_from_json(obj: Any, table, where, fracs) -> Information:
     name = _field(_typed(obj, dict, where), "name", str, where)
     if not name:
         _fail(where, "name must be nonempty")
     states = [
-        _element_from_json(e, table, (where, ".states", i), "subject")
+        _element_from_json(e, table, (where, ".states", i), "subject", fracs)
         for i, e in enumerate(_field(obj, "states", list, where))
     ]
     reflections = [
-        _element_from_json(e, table, (where, ".reflections", i), "carrier_part")
+        _element_from_json(e, table, (where, ".reflections", i), "carrier_part", fracs)
         for i, e in enumerate(_field(obj, "reflections", list, where))
     ]
     try:
         return Information(
             name,
             _entity_list(obj, "ontology", table, where),
-            _timeset_from_json(obj, "occurrence", where),
+            _timeset_from_json(obj, "occurrence", where, fracs),
             frozenset(states),
             _entity_list(obj, "carrier", table, where),
-            _timeset_from_json(obj, "reflection_time", where),
+            _timeset_from_json(obj, "reflection_time", where, fracs),
             frozenset(reflections),
             _index_pairs(obj, "mapping", states, reflections, where),
         )
@@ -299,18 +309,18 @@ def _information_named(by_name, name: Any, where) -> Information:
     return by_name[name]
 
 
-def _transform_from_json(obj: Any, where) -> MeasureTransform:
+def _transform_from_json(obj: Any, where, fracs) -> MeasureTransform:
     kind = _field(_typed(obj, dict, where), "kind", str, where)
     if kind == "identity":
         return MeasureTransform.identity()
-    amount = _rate_from_json(_field(obj, "amount", str, where), (where, ".amount"))
+    amount = _rate_from_json(_field(obj, "amount", str, where), (where, ".amount"), fracs)
     try:
         return MeasureTransform(kind, amount)
     except ValueError as e:
         _fail(where, str(e))
 
 
-def _system_from_json(obj: Any, where) -> SystemConfig:
+def _system_from_json(obj: Any, where, fracs) -> SystemConfig:
     name = _field(_typed(obj, dict, where), "name", str, where)
     shape = _enum(Shape, _field(obj, "shape", str, where), where, "shape")
     stages = []
@@ -319,7 +329,7 @@ def _system_from_json(obj: Any, where) -> SystemConfig:
         kind = _enum(StageKind, _field(_typed(st, dict, w), "kind", str, w), w, "stage kind")
         transforms = {
             _enum(MeasureKind, mname, w, "measure"): _transform_from_json(
-                tobj, (w, ".transforms.", mname)
+                tobj, (w, ".transforms.", mname), fracs
             )
             for mname, tobj in sorted(_field(st, "transforms", dict, w, {}).items())
         }
@@ -341,9 +351,10 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
         realm = _enum(Realm, _field(ent, "realm", str, w, "objective"), w, "realm")
         table[eid] = EntityId(eid, realm)
 
+    fracs: dict[str, Fraction] = {}
     by_name: dict[str, Information] = {}
     for i, obj in enumerate(_field(raw, "informations", list, source, [])):
-        info = _information_from_json(obj, table, (source, ": informations", i))
+        info = _information_from_json(obj, table, (source, ": informations", i), fracs)
         if info.name in by_name:
             _fail(source, f"duplicate information name {info.name!r}")
         by_name[info.name] = info
@@ -360,9 +371,9 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
         for eid, wt in _field(obj, "weights", dict, w, {}).items():
             if eid not in table:
                 _fail(w, f"undeclared entity {eid!r}", UnresolvedReferenceError)
-            weights[table[eid]] = _frac_from_json(wt, (w, ".weights.", eid))
+            weights[table[eid]] = _frac_from_json(wt, (w, ".weights.", eid), fracs)
         default = _frac_from_json(
-            _field(obj, "default_weight", str, w, "1"), (w, ".default_weight")
+            _field(obj, "default_weight", str, w, "1"), (w, ".default_weight"), fracs
         )
         try:
             measures.append(MeasureAssignment(name, weights, default))
@@ -380,7 +391,7 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
         relations.append(BoundRelation(info_name, Relation(name, pairs, equivalence)))
 
     systems = tuple(
-        _system_from_json(obj, (source, ": systems", i))
+        _system_from_json(obj, (source, ": systems", i), fracs)
         for i, obj in enumerate(_field(raw, "systems", list, source, []))
     )
 
@@ -531,8 +542,60 @@ def document_to_json(doc: ModelDocument) -> dict:
     return out
 
 
+def _write_json(node, indent: str, out: list[str]) -> None:
+    """Append ``node`` to ``out`` as ``json.dumps(node, indent=2,
+    ensure_ascii=False)`` writes it; ``indent`` is the newline and the
+    indentation of the line ``node`` starts on.  Only the node types of a
+    ``document_to_json`` tree are accepted: anything else is a TypeError."""
+    kind = type(node)
+    if kind is str:
+        out.append(encode_basestring(node))
+    elif kind is dict:
+        if not node:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in node.items():
+            if type(key) is not str:
+                raise TypeError(f"document JSON keys must be strings, not {key!r}")
+            out.append(sep + encode_basestring(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif kind is list:
+        if not node:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in node:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif kind is int:
+        out.append(repr(node))
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif node is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} {node!r} as document JSON")
+
+
+def _json_text(tree) -> str:
+    """``json.dumps(tree, indent=2, ensure_ascii=False)``, written directly:
+    the standard encoder falls back to pure Python whenever it indents."""
+    out: list[str] = []
+    _write_json(tree, "\n", out)
+    return "".join(out)
+
+
 def emit_document(doc: ModelDocument) -> str:
-    return json.dumps(document_to_json(doc), indent=2, ensure_ascii=False) + "\n"
+    return _json_text(document_to_json(doc)) + "\n"
 
 
 def save_document(doc: ModelDocument, path: str) -> None:
@@ -541,12 +604,18 @@ def save_document(doc: ModelDocument, path: str) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to a sibling temporary file, then rename it to
+    ``path``.  A failed rename raises an OSError naming ``path`` alone:
+    the temporary file is removed and was never the caller's."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isd-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as e:
+            raise OSError(e.errno, e.strerror, path) from None
     except BaseException:
         try:
             os.unlink(tmp)

@@ -32,17 +32,23 @@ class Element:
     A state's entities are its subjects and a reflection's are its carrier
     parts.  One type serves both sides, so a link's reflections are the
     next link's states by plain equality, and inverting a mapping swaps
-    each pair as it stands.
+    each pair as it stands.  The hash is computed once, on construction.
     """
 
     entities: frozenset[EntityId]
     at: TimeSet
     value: Value
+    _h: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entities", frozenset(self.entities))
-        if not self.entities:
+        entities = frozenset(self.entities)
+        if not entities:
             raise ValueError("an element needs at least one entity")
+        object.__setattr__(self, "entities", entities)
+        object.__setattr__(self, "_h", hash((entities, self.at, self.value)))
+
+    def __hash__(self):
+        return self._h
 
     @property
     def subject(self) -> frozenset[EntityId]:

@@ -11,7 +11,7 @@ intervals [t, t] represent isolated instants.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import merge
 from math import inf, isqrt, lcm
@@ -40,11 +40,12 @@ class TimeSet:
     ``ray_from`` is the start of a closed right-unbounded tail [ray_from, oo)
     or None.  The constructor normalizes arbitrary input: it sorts, merges
     overlapping or touching intervals, and absorbs intervals into the ray.
-    A TimeSet is never empty.
+    A TimeSet is never empty.  Its hash is computed once, on construction.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
     ray_from: Fraction | None = None
+    _h: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pairs = []
@@ -71,8 +72,17 @@ class TimeSet:
             merged = kept
         if not merged and ray is None:
             raise ValueError("a TimeSet must be nonempty")
-        object.__setattr__(self, "intervals", tuple(merged))
+        merged = tuple(merged)
+        object.__setattr__(self, "intervals", merged)
         object.__setattr__(self, "ray_from", ray)
+        object.__setattr__(self, "_h", hash((merged, ray)))
+
+    def __hash__(self):
+        return self._h
+
+    def __reduce__(self):
+        # rebuild rather than restore: hash(None) differs between processes
+        return TimeSet, (self.intervals, self.ray_from)
 
     # -- constructors -------------------------------------------------
 

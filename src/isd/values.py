@@ -53,16 +53,17 @@ class Value:
 
     Scalars and vector entries are exact rationals; records map string
     keys to nested Values and are stored as sorted pairs so equality and
-    hashing are structural.
+    hashing are structural.  The hash is computed once, on construction.
     """
 
-    __slots__ = ("tag", "body")
+    __slots__ = ("tag", "body", "_h")
 
     def __init__(self, tag: str, body):
         if tag not in _TAG_ORDER:
             raise ValueError(f"unknown value tag: {tag!r}")
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "body", body)
+        object.__setattr__(self, "_h", hash((tag, body)))
 
     def __setattr__(self, *_):
         raise AttributeError("Value is immutable")
@@ -121,7 +122,7 @@ class Value:
         )
 
     def __hash__(self):
-        return hash((self.tag, self.body))
+        return self._h
 
     def __repr__(self):
         if self.tag == "record":

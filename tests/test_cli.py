@@ -131,6 +131,24 @@ def test_measure_unusable_input_is_clean_error(capsys, inputs, named):
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize(
+    "weights, named",
+    [
+        ("0=1,1=1,2=1,9=1", "names atom index 9, but 'capture' has atoms 0 to 2"),
+        ("-1=1,0=1,1=1,2=1", "names atom index -1"),
+        ("0=1,1=1,2=1,0=2", "gives atom index 0 twice"),
+    ],
+    ids=["past-the-last-atom", "negative-index", "repeated-index"],
+)
+def test_measure_atom_weights_name_each_atom_once(capsys, weights, named):
+    code, out, err = run(
+        capsys, "measure", BUNDLED, "--info", "capture", "--mu", "explicit",
+        f"--mu-weights={weights}",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --mu-weights") and named in err
+
+
 def test_measure_mismatched_value_shapes_is_clean_error(capsys, tmp_path):
     doc = json.loads(Path(BUNDLED).read_text(encoding="utf-8"))
     info = next(i for i in doc["informations"] if i["name"] == "archive")
@@ -244,6 +262,19 @@ def test_output_file_written(tmp_path, capsys):
     payload = json.loads(dest.read_text(encoding="utf-8"))
     assert payload["ok"] is True
     assert payload["provenance"]["trials"] == "10"
+
+
+def test_output_directory_is_clean_error(capsys, tmp_path):
+    target = tmp_path / "reports"
+    target.mkdir()
+    code, out, err = run(
+        capsys, "verify", "--trials", "1", "--filter", "network_value_bounds",
+        "--output", str(target),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reports"]
+    assert list(target.iterdir()) == []
 
 
 def test_missing_document_is_clean_error(capsys, tmp_path):

@@ -2,13 +2,18 @@
 
 import copy
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import isd
 from isd.document import (
     ModelDocument,
+    _json_text,
+    document_to_json,
     emit_document,
     load_document,
     loads_document,
@@ -347,3 +352,113 @@ def test_emission_collects_undeclared_entities():
     ids = [e["id"] for e in json.loads(text)["entities"]]
     assert ids == sorted(ids)
     assert "ghost" in ids and "vault" in ids
+
+
+# -- the indent-2 writer ---------------------------------------------------------
+#
+# ``emit_document`` writes the ``document_to_json`` tree itself;
+# ``json.dumps(tree, indent=2, ensure_ascii=False)`` is its oracle.
+
+json_text = st.text(
+    st.characters() | st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u00e9\U0001f600'),
+    max_size=8,
+)
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def _nested(depth: int):
+    tree = {"leaf": ["x", 1, None, {}, []]}
+    for k in range(depth):
+        tree = [tree] if k % 2 else {"k": tree}
+    return tree
+
+
+@given(json_trees)
+@settings(max_examples=200, deadline=None)
+@example([True, 1, False, 0, {"true": True, "1": 1, "false": False, "0": 0}])
+@example({"": {}, "[]": [], "quote\"back\\slash": ["\x00\t\n\u00e9\U0001f600"]})
+@example(_nested(120))
+def test_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2, ensure_ascii=False)
+
+
+def test_writer_matches_json_dumps_on_documents():
+    for text in (BUNDLED.read_text(encoding="utf-8"), SYNTHETIC):
+        doc = loads_document(text)
+        tree = document_to_json(doc)
+        assert emit_document(doc) == json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [1.5, [0, 2.0], {"a": {"b": float("nan")}}, {1: "x"}, [{None: 1}], (1, 2), Fraction(1, 2)],
+    ids=["float", "nested-float", "nan", "int-key", "none-key", "tuple", "fraction"],
+)
+def test_writer_refuses_what_a_document_tree_never_holds(tree):
+    with pytest.raises(TypeError):
+        _json_text(tree)
+
+
+# -- the per-load rational memo -------------------------------------------------
+
+
+def _fractions(doc):
+    """Every rational of the document's time sets and values."""
+    def of_value(v):
+        if v.tag == "scalar":
+            yield v.body
+        elif v.tag == "vector":
+            yield from v.body
+        elif v.tag == "record":
+            for _, inner in v.body:
+                yield from of_value(inner)
+
+    for info in doc.informations:
+        times = [info.occurrence, info.reflection_time]
+        for element in (*info.states, *info.reflections):
+            times.append(element.at)
+            yield from of_value(element.value)
+        for ts in times:
+            for lo, hi in ts.intervals:
+                yield lo
+                yield hi
+            if ts.ray_from is not None:
+                yield ts.ray_from
+
+
+def test_rational_memo_lives_for_one_load():
+    text = BUNDLED.read_text(encoding="utf-8")
+    first, second = loads_document(text), loads_document(text)
+    qs = list(_fractions(first))
+    # within one load, each rational string was parsed once ...
+    one_each = {}
+    for q in qs:
+        assert one_each.setdefault(q, q) is q
+    assert len(one_each) < len(qs)
+    # ... and no parsed rational outlives the load that made it
+    assert not {id(q) for q in qs} & {id(q) for q in _fractions(second)}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("3/0", "bad rational '3/0' (Fraction(3, 0))"),
+        ("1/2x", "bad rational '1/2x' (Invalid literal for Fraction: '1/2x')"),
+    ],
+)
+def test_bad_rational_deep_inside_keeps_its_location(bad, message):
+    raw = json.loads(BUNDLED.read_text(encoding="utf-8"))
+    # the lower endpoint "7/2" was parsed earlier in the document
+    interval = raw["informations"][6]["reflections"][2]["at"]["intervals"][0]
+    assert interval == ["7/2", "7/2"]
+    interval[1] = bad
+    raw["measures"][0]["default_weight"] = bad  # the same string again, later
+    with pytest.raises(DocumentParseError) as exc:
+        loads_document(json.dumps(raw), source="doc.json")
+    assert str(exc.value) == (
+        f"doc.json: informations[6].reflections[2].at.intervals[0][1]: {message}"
+    )

@@ -3,11 +3,12 @@ builders, driven through hypothesis-chosen seeds so shrinking still
 produces a small reproducible counterexample (the seed)."""
 
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import isd.dynamics
@@ -138,6 +139,99 @@ def test_timeset_shift_preserves_structure(ts, d):
     if not ts.is_unbounded:
         assert moved.lebesgue_measure() == ts.lebesgue_measure()
     assert moved.shift(-d) == ts
+
+
+# -- hashes -------------------------------------------------------------------
+#
+# Values and time sets compute their hash once, on construction.  It must be
+# the hash of the same field tuple the frozen dataclass used to hash, so set
+# and frozenset order, and every output that shows it, stay as they were.
+
+values = st.recursive(
+    st.one_of(
+        st.text(min_size=1, max_size=3).map(Value.symbol),
+        rationals.map(Value.scalar),
+        st.lists(rationals, max_size=3).map(Value.vector),
+    ),
+    lambda inner: st.dictionaries(st.text(max_size=2), inner, max_size=3).map(
+        Value.record
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def touching_timesets(draw):
+    """Intervals that share endpoints, isolated points, and maybe a ray
+    that swallows some of them."""
+    cuts = sorted(draw(st.lists(rationals, min_size=2, max_size=7)))
+    pairs = list(zip(cuts, cuts[1:])) + [(t, t) for t in draw(st.lists(rationals, max_size=3))]
+    ray = draw(st.none() | rationals)
+    return TimeSet.from_intervals(draw(st.permutations(pairs)), ray)
+
+
+def _fresh(q: Fraction) -> Fraction:
+    return Fraction(q.numerator, q.denominator)
+
+
+def _rebuilt(v: Value) -> Value:
+    """An equal value that shares no object with ``v`` but its strings."""
+    if v.tag == "symbol":
+        return Value.symbol(v.body)
+    if v.tag == "scalar":
+        return Value.scalar(_fresh(v.body))
+    if v.tag == "vector":
+        return Value.vector(_fresh(q) for q in v.body)
+    return Value.record({k: _rebuilt(inner) for k, inner in v.body})
+
+
+def _with_parts(v: Value):
+    yield v
+    if v.tag == "record":
+        for _, inner in v.body:
+            yield from _with_parts(inner)
+
+
+@given(values)
+@settings(max_examples=200, deadline=None)
+def test_value_hash_is_the_field_tuple_hash(v):
+    # by induction over the nesting, each record hashes as it always did
+    for part in _with_parts(v):
+        assert hash(part) == hash((part.tag, part.body))
+    twin = _rebuilt(v)
+    assert twin == v and hash(twin) == hash(v)
+
+
+@given(st.one_of(timesets(), touching_timesets()), st.none() | rationals)
+@settings(max_examples=200, deadline=None)
+def test_timeset_hash_is_the_field_tuple_hash(ts, ray):
+    assert hash(ts) == hash((ts.intervals, ts.ray_from))
+    twin = TimeSet(
+        tuple((_fresh(lo), _fresh(hi)) for lo, hi in ts.intervals),
+        None if ts.ray_from is None else _fresh(ts.ray_from),
+    )
+    assert twin == ts and hash(twin) == hash(ts)
+    assert hash(dataclasses.replace(ts)) == hash(ts)
+    assume(ts.intervals or ray is not None)  # a TimeSet is never empty
+    moved = dataclasses.replace(ts, ray_from=ray)
+    assert moved == TimeSet(ts.intervals, ray)
+    assert hash(moved) == hash(TimeSet(ts.intervals, ray))
+    assert hash(moved) == hash((moved.intervals, moved.ray_from))
+
+
+def test_cached_hashes_stay_in_their_process():
+    """Symbols and entity ids hash by string, which differs from one
+    process to the next, so values and elements still refuse to unpickle.
+    A time set unpickles by construction, and hashes afresh."""
+    v = Value.record({"k": Value.symbol("s")})
+    e = Element({objective("p")}, TimeSet.point(0), v)
+    for x in (v, e):
+        with pytest.raises(AttributeError):
+            pickle.loads(pickle.dumps(x))
+    ts = TimeSet.from_intervals([(0, 1)])
+    assert TimeSet.__reduce__(ts) == (TimeSet, (ts.intervals, None))
+    back = pickle.loads(pickle.dumps(ts))
+    assert back == ts and hash(back) == hash((back.intervals, back.ray_from))
 
 
 # -- structural round trips ---------------------------------------------------
