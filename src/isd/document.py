@@ -359,9 +359,7 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
             _fail(source, f"duplicate information name {info.name!r}")
         by_name[info.name] = info
 
-    bad = {name: report for name, info in by_name.items() if (report := _checked(info))}
-    if bad:
-        raise DocumentInvariantError(bad)
+    _require_valid_informations(by_name.values())
 
     measures = []
     for i, obj in enumerate(_field(raw, "measures", list, source, [])):
@@ -418,6 +416,13 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
     )
 
 
+def _require_valid_informations(infos) -> None:
+    """Raise one DocumentInvariantError listing every violation, by name."""
+    bad = {info.name: report for info in infos if (report := _checked(info))}
+    if bad:
+        raise DocumentInvariantError(bad)
+
+
 def loads_document(text: str, source: str = "<string>") -> ModelDocument:
     """Parse and fully check a document: syntax, declared-before-used
     references, and every information invariant (violations aggregated).
@@ -455,7 +460,8 @@ def _element_to_json(e: Element, key: str) -> dict:
 def _information_to_json(info: Information, s_index: dict[Element, int]) -> dict:
     reflections = info.sorted_reflections()
     r_index = {r: i for i, r in enumerate(reflections)}
-    mapping = sorted([s_index[s], r_index[r]] for s, r in info.mapping)
+    # a valid mapping lists the states in s_index order, once each
+    mapping = [[i, r_index[r]] for i, (_, r) in enumerate(info.mapping)]
     return {
         "name": info.name,
         "ontology": sorted(e.id for e in info.ontology),
@@ -470,12 +476,9 @@ def _information_to_json(info: Information, s_index: dict[Element, int]) -> dict
 
 def _document_entity_table(doc: ModelDocument) -> list[EntityId]:
     seen = {e.id: e for e in doc.entities}
-    for info in doc.informations:
+    for info in doc.informations:  # valid, so its elements hold no other entities
         for e in info.ontology | info.carrier:
             seen.setdefault(e.id, e)
-        for element in (*info.states, *info.reflections):
-            for e in element.entities:
-                seen.setdefault(e.id, e)
     for m in doc.measures:
         for e in m.weights:
             seen.setdefault(e.id, e)
@@ -483,6 +486,8 @@ def _document_entity_table(doc: ModelDocument) -> list[EntityId]:
 
 
 def document_to_json(doc: ModelDocument) -> dict:
+    """The canonical tree; an invalid information raises as loading does."""
+    _require_valid_informations(doc.informations)
     out: dict[str, Any] = {"format_version": doc.format_version}
     out["entities"] = [
         {"id": e.id, "realm": e.realm.value} for e in _document_entity_table(doc)

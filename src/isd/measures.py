@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyInformationError,
@@ -26,6 +26,7 @@ from .errors import (
     ZeroTargetMeasureError,
 )
 from .model import (
+    Atom,
     Information,
     InformationLike,
     Element,
@@ -34,7 +35,7 @@ from .model import (
     is_reducible,
     require_valid,
 )
-from .timeset import Rational, TimeSet, as_fraction, exact_or_float_sqrt
+from .timeset import Rational, TimeSet, as_fraction, exact_or_float_sqrt, exact_sum
 from .timeset import symmetric_difference_size
 from .values import EntityId
 
@@ -151,10 +152,7 @@ class MeasureAssignment:
         return cls(name)
 
     def measure_of(self, entities: Iterable[EntityId]) -> Fraction:
-        total = Fraction(0)
-        for e in entities:
-            total += self.weights.get(e, self.default_weight)
-        return total
+        return exact_sum([self.weights.get(e, self.default_weight) for e in entities])
 
 
 @dataclass(frozen=True)
@@ -254,31 +252,40 @@ def volume(info: InformationLike, sigma: MeasureAssignment) -> Fraction:
     return sigma.measure_of(info.carrier)
 
 
+def _atom_mean(
+    info: InformationLike, mu: AtomWeighting | None, what: str, term: Callable[[Atom], Rational]
+) -> Fraction:
+    """The mu-weighted mean of ``term(atom)`` over the atoms of ``info``.
+    Each atom's weight is read before its term, atom by atom, so the
+    first failure in atom order is the one raised.  The total weight is
+    positive: counting weighs 1 and explicit weights are positive."""
+    mu = mu or AtomWeighting.counting()
+    ats = atoms(info)
+    if not ats:
+        raise EmptyInformationError(f"{what} needs at least one atom")
+    weights, terms = [], []
+    for i, atom in enumerate(ats):
+        w = mu.weight(i)
+        weights.append(w)
+        terms.append(w * term(atom))
+    return exact_sum(terms) / exact_sum(weights)
+
+
+def _lag(atom: Atom) -> Rational:
+    if atom.state.at.is_unbounded:
+        return 0
+    if atom.reflection.at.is_unbounded:
+        raise UnboundedTimeError("reflection time is unbounded over a bounded occurrence")
+    return atom.reflection.at.sup - atom.state.at.sup
+
+
 def delay(info: InformationLike, mu: AtomWeighting | None = None) -> Fraction:
     """Weighted mean, over atoms, of reflection-time sup minus
     occurrence-time sup.  Negative values mean the reflection runs ahead
     of the fact (a prediction).  An atom whose occurrence is unbounded
     contributes zero; an unbounded reflection time over a bounded
     occurrence has no finite convention and is an error."""
-    mu = mu or AtomWeighting.counting()
-    ats = atoms(info)
-    if not ats:
-        raise EmptyInformationError("delay needs at least one atom")
-    total_w = Fraction(0)
-    acc = Fraction(0)
-    for i, atom in enumerate(ats):
-        w = mu.weight(i)
-        total_w += w
-        if atom.state.at.is_unbounded:
-            continue
-        if atom.reflection.at.is_unbounded:
-            raise UnboundedTimeError(
-                "reflection time is unbounded over a bounded occurrence"
-            )
-        acc += w * (atom.reflection.at.sup - atom.state.at.sup)
-    if total_w == 0:
-        raise EmptyInformationError("atom weights sum to zero")
-    return acc / total_w
+    return _atom_mean(info, mu, "delay", _lag)
 
 
 def scope(info: InformationLike, sigma: MeasureAssignment) -> Fraction:
@@ -294,19 +301,9 @@ def granularity(
 ) -> Fraction:
     """Weighted mean, over atoms, of the sigma-measure of each atom's
     subject: how coarse the average described unit is."""
-    mu = mu or AtomWeighting.counting()
-    ats = atoms(info)
-    if not ats:
-        raise EmptyInformationError("granularity needs at least one atom")
-    total_w = Fraction(0)
-    acc = Fraction(0)
-    for i, atom in enumerate(ats):
-        w = mu.weight(i)
-        total_w += w
-        acc += w * sigma.measure_of(atom.state.entities)
-    if total_w == 0:
-        raise EmptyInformationError("atom weights sum to zero")
-    return acc / total_w
+    return _atom_mean(
+        info, mu, "granularity", lambda atom: sigma.measure_of(atom.state.entities)
+    )
 
 
 def variety(info: InformationLike, relation: Relation) -> int:
@@ -358,13 +355,10 @@ def sampling_rate(info: InformationLike) -> ExtendedRate:
     measures infinite.
     """
     require_valid(info)
-    gaps = info.occurrence.hull_gaps()
+    gaps = info.occurrence.hull_gaps()  # in normal form, every gap is wider than 0
     if not gaps:
         return ExtendedRate.infinite()
-    total = sum((hi - lo for lo, hi in gaps), Fraction(0))
-    if total == 0:
-        return ExtendedRate.infinite()
-    return ExtendedRate.finite(Fraction(len(gaps)) / total)
+    return ExtendedRate.finite(Fraction(len(gaps)) / exact_sum([hi - lo for lo, hi in gaps]))
 
 
 def aggregation(
@@ -415,8 +409,7 @@ def coverage(
     for m in members:
         if not m.carrier <= target:
             raise MeasureInputError(f"carrier of {m.name!r} reaches outside the target")
-    total = sum((sigma.measure_of(m.carrier) for m in members), Fraction(0))
-    return total / denom
+    return exact_sum([sigma.measure_of(m.carrier) for m in members]) / denom
 
 
 # -- metrics -----------------------------------------------------------------
@@ -468,23 +461,6 @@ class Metric:
         return self.component_weights.get(component, Fraction(1))
 
 
-def _set_distance(kind: str, a: frozenset, b: frozenset):
-    sym = len(a ^ b)
-    if kind == "symmetric_difference_count":
-        return Fraction(sym)
-    if kind == "jaccard_distance":
-        union = len(a | b)
-        return Fraction(sym, union) if union else Fraction(0)
-    raise ValueError(f"metric kind {kind!r} does not apply to element sets")
-
-
-def _timeset_distance(a: TimeSet, b: TimeSet):
-    length, isolated = symmetric_difference_size(a, b)
-    if length is inf:
-        return inf
-    return length + isolated
-
-
 def distortion(
     info: InformationLike,
     reflection_map: Mapping[Element, Element],
@@ -501,9 +477,13 @@ def distortion(
         raise IncompleteReflectionError(f"no estimate for reflection {first}")
     if metric.kind in ("symmetric_difference_count", "jaccard_distance"):
         estimated = frozenset(reflection_map[r] for r in info.reflections)
-        return _set_distance(metric.kind, frozenset(info.states), estimated)
+        sym = len(info.states ^ estimated)
+        if metric.kind == "symmetric_difference_count":
+            return Fraction(sym)
+        union = len(info.states | estimated)
+        return Fraction(sym, union) if union else Fraction(0)
     if metric.kind == "euclidean_on_values":
-        total = Fraction(0)
+        squares = []
         for s, r in info.mapping:
             truth = s.value.numeric_components()
             est = reflection_map[r].value.numeric_components()
@@ -511,9 +491,8 @@ def distortion(
                 raise MeasureInputError(
                     "state and estimate values have different numeric shapes"
                 )
-            for x, y in zip(truth, est):
-                total += (x - y) ** 2
-        return exact_or_float_sqrt(total)
+            squares.extend((x - y) ** 2 for x, y in zip(truth, est))
+        return exact_or_float_sqrt(exact_sum(squares))
     raise ValueError(f"metric kind {metric.kind!r} does not apply to distortion")
 
 
@@ -526,17 +505,18 @@ def mismatch(info: InformationLike, target: InformationLike, metric: Metric) -> 
         raise ValueError("mismatch requires a weighted_product metric")
     require_valid(info)
     require_valid(target)
-    total = Fraction(0)
+    terms = []
     for name in MISMATCH_COMPONENTS:
         w = metric.weight(name)
         if w == 0:
             continue
         a, b = getattr(info, name), getattr(target, name)
         if isinstance(a, TimeSet):
-            dist = _timeset_distance(a, b)
-            if isinstance(dist, float):  # only inf escapes the rationals here
+            length, isolated = symmetric_difference_size(a, b)
+            if length is inf:
                 return inf
+            dist = length + isolated
         else:
             dist = len(a ^ b)
-        total += w * dist
-    return total
+        terms.append(w * dist)
+    return exact_sum(terms)

@@ -163,7 +163,9 @@ class Information(_Sextuple):
         return out
 
     def sorted_states(self) -> list[Element]:
-        return sorted(self.states, key=Element.sort_key)
+        """The states in canonical order: the state column of the valid mapping."""
+        require_valid(self)
+        return [s for s, _ in self.mapping]
 
     def sorted_reflections(self) -> list[Element]:
         return sorted(self.reflections, key=Element.sort_key)
@@ -284,8 +286,9 @@ def validate(info: InformationLike) -> list[Violation]:
 
 def _checked(info: InformationLike) -> list[Violation]:
     """``validate`` at most once per value: frozen objects cannot become
-    invalid, so a clean result is remembered as ``_known_valid``."""
-    if getattr(info, "_known_valid", False):
+    invalid, so a clean result is remembered as ``_known_valid``.  A
+    RawMapping is exempt by construction and reports nothing."""
+    if isinstance(info, RawMapping) or getattr(info, "_known_valid", False):
         return []
     report = validate(info)
     if not report:
@@ -294,8 +297,6 @@ def _checked(info: InformationLike) -> list[Violation]:
 
 
 def require_valid(info: InformationLike) -> None:
-    if isinstance(info, RawMapping):
-        return  # exempt by construction
     report = _checked(info)
     if report:
         raise InvalidInformationError(report)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from heapq import merge
 from math import inf, isqrt, lcm
 from operator import itemgetter
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[Fraction, int, str]
 
@@ -133,7 +133,7 @@ class TimeSet:
         """Total length; math.inf when unbounded."""
         if self.ray_from is not None:
             return inf
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+        return exact_sum([hi - lo for lo, hi in self.intervals])
 
     def connected_components(self) -> int:
         return len(self.intervals) + (1 if self.ray_from is not None else 0)
@@ -260,6 +260,14 @@ def symmetric_difference_size(a: TimeSet, b: TimeSet) -> tuple:
     if before:  # the tail past the last cut
         return inf, isolated
     return Fraction(length, den), isolated
+
+
+def exact_sum(terms: Sequence[Fraction | int]) -> Fraction:
+    """The exact sum of ``terms``, normalized once: the numerators are
+    scaled to the least common denominator, added as integers and made
+    into one Fraction.  An empty sequence sums to Fraction(0)."""
+    den = lcm(*(t.denominator for t in terms))
+    return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
 
 
 def exact_or_float_sqrt(q: Fraction):

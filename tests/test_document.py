@@ -1,6 +1,7 @@
 """Document format: parsing, validation, canonical emission."""
 
 import copy
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -352,6 +353,30 @@ def test_emission_collects_undeclared_entities():
     ids = [e["id"] for e in json.loads(text)["entities"]]
     assert ids == sorted(ids)
     assert "ghost" in ids and "vault" in ids
+
+
+def _mis_mapped_probe(shape):
+    """The synthetic "probe" with a mapping that names a state outside its
+    states, or that leaves one of its states out."""
+    info = loads_document(SYNTHETIC).information("probe")
+    (s, r), *rest = info.mapping
+    if shape == "unknown-state":
+        rest.append((dataclasses.replace(s, value=isd.Value.symbol("stray")), r))
+    return dataclasses.replace(info, mapping=rest)
+
+
+@pytest.mark.parametrize(
+    "shape, code",
+    [("unknown-state", "mapping-key-unknown"), ("unmapped-state", "mapping-not-total")],
+)
+def test_emission_refuses_invalid_information(shape, code, tmp_path):
+    doc = ModelDocument(informations=(_mis_mapped_probe(shape),))
+    with pytest.raises(DocumentInvariantError) as exc:
+        emit_document(doc)
+    assert code in {v.code for v in exc.value.per_info["probe"]}
+    with pytest.raises(DocumentInvariantError):
+        save_document(doc, str(tmp_path / "doc.json"))
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- the indent-2 writer ---------------------------------------------------------

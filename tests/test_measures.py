@@ -6,6 +6,7 @@ from math import inf
 import pytest
 
 from isd.errors import (
+    EmptyInformationError,
     NotACopyError,
     NotEquivalenceError,
     UnboundedTimeError,
@@ -32,6 +33,7 @@ from isd.measures import (
 )
 from isd.model import (
     Information,
+    RawMapping,
     ReflectionElement,
     StateElement,
     atoms,
@@ -176,6 +178,40 @@ def test_delay_unbounded_reflection_rejected():
     )
     with pytest.raises(UnboundedTimeError):
         delay(info)
+
+
+def test_delay_reads_each_weight_then_its_term():
+    # atom 0's reflection is a ray over a bounded occurrence and atom 1 has
+    # no weight: atom 0 is met first, so its error is the one raised
+    a, b, cam = objective("a"), objective("b"), objective("cam")
+    info = Information.from_pairs(
+        "rayed",
+        [
+            (
+                StateElement({a}, TimeSet.point(0), Value.scalar(1)),
+                ReflectionElement({cam}, TimeSet.ray(1), Value.scalar(1)),
+            ),
+            (
+                StateElement({b}, TimeSet.point(1), Value.scalar(2)),
+                ReflectionElement({cam}, TimeSet.point(2), Value.scalar(2)),
+            ),
+        ],
+    )
+    with pytest.raises(UnboundedTimeError):
+        delay(info, AtomWeighting.explicit({0: 1}))
+
+
+def test_atom_means_need_an_atom():
+    # a RawMapping is never validated, so it can be empty
+    empty = RawMapping(
+        "empty", set(), TimeSet.point(0), set(), set(), TimeSet.point(0), set(), []
+    )
+    with pytest.raises(EmptyInformationError, match="^delay needs at least one atom$"):
+        delay(empty)
+    with pytest.raises(
+        EmptyInformationError, match="^granularity needs at least one atom$"
+    ):
+        granularity(empty, MeasureAssignment.counting())
 
 
 def test_delay_explicit_weights(pair_info):

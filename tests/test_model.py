@@ -149,6 +149,23 @@ def test_invert_into_subjective_ontology_stays_raw():
     assert invert(inv) == info
 
 
+def test_raw_link_is_exempt_in_chains_as_in_compose():
+    mind, cam = subjective("mind"), objective("cam")
+    s = StateElement({mind}, TimeSet.point(0), Value.symbol("idea"))
+    r = ReflectionElement({cam}, TimeSet.point(1), Value.symbol("note"))
+    memoir = Information(
+        "memoir", {mind}, TimeSet.point(0), {s}, {cam}, TimeSet.point(1), {r}, [(s, r)]
+    )
+    inv = invert(memoir)
+    assert isinstance(inv, RawMapping)
+    nxt = _follow_on(inv)
+    chain = SerialChain((inv, nxt))
+    assert check_chain(chain) == []
+    whole = collapse_chain(chain)
+    assert whole == compose(inv, nxt)
+    assert not getattr(whole, "_known_valid", False)
+
+
 def test_invert_requires_injectivity():
     with pytest.raises(NonInvertibleError):
         invert(lossy_info())

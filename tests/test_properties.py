@@ -26,12 +26,16 @@ from isd.dynamics import (
 )
 from isd.errors import MeasureRangeError, NegativeMeasureError
 from isd.measures import (
+    MISMATCH_COMPONENTS,
+    AtomWeighting,
     ExtendedRate,
     MeasureAssignment,
     Metric,
     aggregation,
+    coverage,
     delay,
     distortion,
+    granularity,
     induce_relation,
     mismatch,
     sampling_rate,
@@ -45,6 +49,7 @@ from isd.errors import NonInvertibleError
 from isd.model import (
     Element,
     Information,
+    RawMapping,
     ReflectionElement,
     StateElement,
     atoms,
@@ -67,6 +72,7 @@ from isd.verify import (
 )
 
 import reference_dynamics
+import reference_measures
 import reference_model
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -571,6 +577,15 @@ def test_collapsed_chain_validates_from_scratch(seed, n_links):
 # -- chains -------------------------------------------------------------------
 
 
+@given(seeds, st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_sorted_states_is_the_canonical_order(seed, n_links):
+    chain = random_chain(random.Random(seed), n_links=n_links)
+    whole = collapse_chain(chain)
+    for info in (*chain.links, whole, Information.from_pairs("p", whole.mapping)):
+        assert info.sorted_states() == sorted(info.states, key=Element.sort_key)
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_chain_delay_additive(seed):
@@ -667,6 +682,149 @@ def test_sampling_rate_inverse_gap(gap, count):
         {cam}, times, {r for _, r in pairs}, pairs,
     )
     assert sampling_rate(info) == 1 / gap
+
+
+# -- exact sums and atom means against the reference -------------------------
+#
+# Every measure that adds rationals must give the reference's value, of the
+# reference's type, or its error with its message.  The inputs mix
+# denominators, put reflections before their states (negative delays),
+# make occurrences and reflection times rays, weigh atoms by partial
+# explicit weights, give entities and components zero weights, and include
+# an empty RawMapping.
+
+_denominators = st.sampled_from([1, 2, 3, 4, 12])
+_q = st.builds(Fraction, st.integers(-60, 60), _denominators)
+_width = st.builds(Fraction, st.integers(1, 24), _denominators)
+_weight = st.one_of(_width, _width, _width, st.just(Fraction(0)))
+_subjects = [objective("p"), objective("q"), subjective("m")]
+_carriers = [objective("c"), objective("d")]
+
+
+@st.composite
+def _times(draw):
+    lo = draw(_q)
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return TimeSet.point(lo)
+    if kind == 1:
+        return TimeSet.interval(lo, lo + draw(_width))
+    if kind == 2:  # two components with a gap between them
+        return TimeSet.from_intervals([(lo, lo + draw(_width)), (lo + 7, lo + 7 + draw(_width))])
+    return TimeSet.ray(lo)
+
+
+@st.composite
+def _numbers(draw):
+    """Mostly scalars, some vectors of one or two coordinates, now and then
+    a symbol, which has no numeric components."""
+    k = draw(st.integers(0, 7))
+    if k == 0:
+        return Value.symbol("blur")
+    if k < 3:
+        return Value.vector(draw(st.lists(_q, min_size=1, max_size=2)))
+    return Value.scalar(draw(_q))
+
+
+def _elements(parts):
+    return st.builds(Element, st.sets(st.sampled_from(parts), min_size=1), _times(), _numbers())
+
+
+_EMPTY = RawMapping("empty", set(), TimeSet.point(0), set(), set(), TimeSet.point(0), set(), [])
+_pairs = st.lists(st.tuples(_elements(_subjects), _elements(_carriers)), min_size=1, max_size=6)
+
+
+@st.composite
+def _measured(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return _EMPTY
+    return Information.from_pairs("x", dict(draw(_pairs)).items())
+
+
+_mus = st.one_of(
+    st.none(),
+    st.just(AtomWeighting.counting()),
+    # weights for the first few atoms, or for any few
+    st.lists(_width, max_size=7).map(lambda ws: AtomWeighting.explicit(dict(enumerate(ws)))),
+    st.dictionaries(st.integers(0, 6), _width, max_size=7).map(AtomWeighting.explicit),
+)
+_sigmas = st.builds(
+    MeasureAssignment,
+    st.just("w"),
+    st.dictionaries(st.sampled_from(_subjects + _carriers), _weight),
+    _weight,
+)
+# atom 0's reflection is a ray over a bounded occurrence, and only atom 0
+# has an explicit weight: reading the weights first would raise the wrong error
+_RAYED = Information.from_pairs(
+    "rayed",
+    [
+        (
+            Element({objective("p")}, TimeSet.point(k), Value.scalar(k)),
+            Element({objective("c")}, TimeSet.ray(k + 1), Value.scalar(k)),
+        )
+        for k in (0, 1)
+    ],
+)
+
+
+def _outcome(f, *args, **kwargs):
+    """The value with its type, or the error's type and message."""
+    try:
+        got = f(*args, **kwargs)
+    except Exception as e:  # the error is the outcome under comparison
+        return type(e), str(e)
+    if isinstance(got, ExtendedRate):
+        return ExtendedRate, type(got.value), got.value
+    return type(got), got
+
+
+@given(
+    _measured(),
+    _measured(),
+    _mus,
+    _sigmas,
+    st.dictionaries(st.sampled_from(MISMATCH_COMPONENTS), _weight),
+    st.lists(st.none() | _elements(_subjects), max_size=6),
+    st.integers(0, 9),
+    st.just(_subjects + _carriers) | st.sets(st.sampled_from(_subjects + _carriers)),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+@example(_RAYED, _RAYED, AtomWeighting.explicit({0: 1}), MeasureAssignment("w"), {}, [], 1,
+         set(_subjects + _carriers), False)
+@example(_EMPTY, _EMPTY, None, MeasureAssignment("w"), {}, [], 1, set(), True)
+def test_measure_sums_match_reference(
+    info, other, mu, sigma, component_weights, estimates, drop, target, allow
+):
+    ref = reference_measures
+    entities = info.ontology | info.carrier
+    assert _outcome(sigma.measure_of, entities) == _outcome(ref.measure_of, sigma, entities)
+    assert _outcome(sigma.measure_of, []) == _outcome(ref.measure_of, sigma, [])
+    for ts in (info.occurrence, info.reflection_time):
+        assert _outcome(ts.lebesgue_measure) == _outcome(ref.lebesgue_measure, ts)
+    assert _outcome(delay, info, mu) == _outcome(ref.delay, info, mu)
+    assert _outcome(granularity, info, sigma, mu) == _outcome(ref.granularity, info, sigma, mu)
+    assert _outcome(sampling_rate, info) == _outcome(ref.sampling_rate, info)
+    for copies in ([], [other], [info, other]):
+        assert _outcome(coverage, info, copies, sigma, target, allow_non_copies=allow) == (
+            _outcome(ref.coverage, info, copies, sigma, target, allow_non_copies=allow)
+        )
+    # each reflection's estimate is a drawn element or, failing one, its state
+    guesses = {r: s for s, r in info.mapping}
+    for (s, r), e in zip(info.mapping, estimates):
+        guesses[r] = e or s
+    if drop == 1 and guesses:
+        del guesses[min(guesses, key=Element.sort_key)]
+    for kind in Metric._KINDS:
+        metric = Metric(kind)
+        assert _outcome(distortion, info, guesses, metric) == (
+            _outcome(ref.distortion, info, guesses, metric)
+        )
+    for metric in (Metric("weighted_product", component_weights), Metric("jaccard_distance")):
+        assert _outcome(mismatch, info, other, metric) == (
+            _outcome(ref.mismatch, info, other, metric)
+        )
 
 
 # -- measure profiles ---------------------------------------------------------
