@@ -34,7 +34,7 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .measures import ExtendedRate, MeasureAssignment, Relation
-from .model import Element, Information, SerialChain, _checked
+from .model import Element, Information, SerialChain, Violation, _checked
 from .timeset import TimeSet
 from .values import EntityId, Realm, Value
 
@@ -417,8 +417,17 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
 
 
 def _require_valid_informations(infos) -> None:
-    """Raise one DocumentInvariantError listing every violation, by name."""
-    bad = {info.name: report for info in infos if (report := _checked(info))}
+    """Raise one DocumentInvariantError listing every violation, by name.
+    A name that two informations share is a violation of its own, and the
+    reports of both are listed under it."""
+    reports: dict[str, list[Violation]] = {}
+    for info in infos:
+        if info.name in reports:
+            reports[info.name].append(
+                Violation("duplicate-name", f"another information is named {info.name!r}")
+            )
+        reports.setdefault(info.name, []).extend(_checked(info))
+    bad = {name: report for name, report in reports.items() if report}
     if bad:
         raise DocumentInvariantError(bad)
 
@@ -486,7 +495,10 @@ def _document_entity_table(doc: ModelDocument) -> list[EntityId]:
 
 
 def document_to_json(doc: ModelDocument) -> dict:
-    """The canonical tree; an invalid information raises as loading does."""
+    """The canonical tree.  What loading would refuse raises
+    DocumentInvariantError: an invalid information, two informations of
+    one name, or a relation pairing elements that are not states of its
+    information."""
     _require_valid_informations(doc.informations)
     out: dict[str, Any] = {"format_version": doc.format_version}
     out["entities"] = [
@@ -516,7 +528,14 @@ def document_to_json(doc: ModelDocument) -> dict:
     rel_out = []
     for bound in sorted(doc.relations, key=lambda b: b.relation.name):
         index = state_index[id(doc.information(bound.info))]
-        pairs = sorted([index[a], index[b]] for a, b in bound.relation.pairs)
+        try:
+            pairs = sorted([index[a], index[b]] for a, b in bound.relation.pairs)
+        except KeyError:
+            problem = Violation(
+                "relation-element-unknown",
+                f"relation {bound.relation.name!r} pairs an element that is not a state",
+            )
+            raise DocumentInvariantError({bound.info: [problem]}) from None
         rel_out.append(
             {
                 "name": bound.relation.name,

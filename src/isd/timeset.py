@@ -6,21 +6,33 @@ form means the bounded intervals are sorted, pairwise disjoint, and
 non-adjacent (touching intervals are merged on construction), so structural
 equality of TimeSets is equality of the underlying point sets.  Degenerate
 intervals [t, t] represent isolated instants.
+
+The endpoints are public as Fractions, and each set also keeps them as
+integer keys: its least common denominator d, and every endpoint times d.
+Fractions are stored in lowest terms and the normal form is unique, so
+equal sets have equal keys.  Equality compares the keys, containment
+bisects over them, and the symmetric-difference sweep rescales them to
+the two sides' common denominator, so none of these runs Fraction
+arithmetic or comparison.  The constructor scales its input once and
+checks it for normal form in one linear pass over the integers; only input
+that fails (unsorted, overlapping or touching intervals, or intervals the
+ray reaches) is sorted and merged, on the integers, and scaled again.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import merge
 from math import inf, isqrt, lcm
-from operator import itemgetter
+from operator import le, lt
 from typing import Iterable, Sequence, Union
 
 Rational = Union[Fraction, int, str]
 
-_LO = itemgetter(0)
+_P = sys.hash_info.modulus
 
 
 def as_fraction(x: Rational) -> Fraction:
@@ -32,7 +44,65 @@ def as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"not a rational value: {x!r}")
 
 
-@dataclass(frozen=True)
+def _scaled(pairs, ray):
+    """The Fraction ``pairs`` and ``ray`` over their least common
+    denominator d: (d, lower ends, upper ends, ray), each endpoint now the
+    integer it is times d, and the ray still None if it was."""
+    dens = [t.denominator for pair in pairs for t in pair]
+    d = lcm(*dens) if ray is None else lcm(ray.denominator, *dens)
+    if d == 1:
+        ends = tuple([t.numerator for pair in pairs for t in pair])
+    else:
+        ends = tuple([t.numerator * (d // t.denominator) for pair in pairs for t in pair])
+    r = None if ray is None else ray.numerator * (d // ray.denominator)
+    return d, ends[0::2], ends[1::2], r
+
+
+def _normalized(pairs, ray, los, his, r):
+    """The normal form (pairs, ray) of ``pairs`` and ``ray``, whose scaled
+    endpoints are ``los``, ``his`` and ``r``: sort on the lower endpoints,
+    merge the intervals that overlap or touch, and let the ray absorb every
+    one that reaches it."""
+    merged, starts, tops = [], [], []
+    for k in sorted(range(len(los)), key=los.__getitem__):
+        if tops and los[k] <= tops[-1]:
+            if his[k] > tops[-1]:
+                tops[-1] = his[k]
+                merged[-1] = (merged[-1][0], pairs[k][1])
+        else:
+            merged.append(pairs[k])
+            starts.append(los[k])
+            tops.append(his[k])
+    if r is not None:
+        # the merged upper endpoints increase, so the intervals that reach
+        # the ray are a tail, and the ray starts at the first one if earlier
+        k = bisect_left(tops, r)
+        if k < len(tops):
+            if starts[k] < r:
+                ray = merged[k][0]
+            del merged[k:]
+    return merged, ray
+
+
+def _hash(pairs, ray, d, los, his, r) -> int:
+    """``hash((pairs, ray))``, from the endpoints ``los``, ``his`` and
+    ``r`` scaled by ``d``.  Python hashes a rational m/n as the integer
+    m * pow(n, -1, P) for the prime P = sys.hash_info.modulus (see
+    "Hashing of numeric types" in the standard library documentation),
+    whatever the terms, so every endpoint k/d hashes as k times the inverse
+    of d, and the tuple of those integers hashes as the tuple of Fractions.
+    Only a d that P divides has no inverse; it hashes the Fractions."""
+    if d != 1:
+        try:
+            inv = pow(d, -1, _P)
+        except ValueError:
+            return hash((pairs, ray))
+        los, his = map(inv.__mul__, los), map(inv.__mul__, his)
+        r = None if r is None else r * inv
+    return hash((tuple(zip(los, his)), r))
+
+
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class TimeSet:
     """Normal-form union of closed rational intervals, plus optional ray.
 
@@ -40,42 +110,59 @@ class TimeSet:
     ``ray_from`` is the start of a closed right-unbounded tail [ray_from, oo)
     or None.  The constructor normalizes arbitrary input: it sorts, merges
     overlapping or touching intervals, and absorbs intervals into the ray.
-    A TimeSet is never empty.  Its hash is computed once, on construction.
+    A TimeSet is never empty.  Its hash is computed once, on construction,
+    and so are the integer keys: the common denominator ``_d`` and the
+    endpoints times ``_d`` (``_los``, ``_his``, ``_ray``).
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
     ray_from: Fraction | None = None
-    _h: int = field(init=False, compare=False, repr=False)
+    _h: int = field(init=False, repr=False)
+    _d: int = field(init=False, repr=False)
+    _los: tuple[int, ...] = field(init=False, repr=False)
+    _his: tuple[int, ...] = field(init=False, repr=False)
+    _ray: int | None = field(init=False, repr=False)
 
-    def __post_init__(self):
-        pairs = []
-        for lo, hi in self.intervals:
-            lo, hi = as_fraction(lo), as_fraction(hi)
-            if lo > hi:
-                raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-            pairs.append((lo, hi))
-        ray = None if self.ray_from is None else as_fraction(self.ray_from)
-        pairs.sort(key=_LO)  # equal lower endpoints merge in any order
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in pairs:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        if ray is not None:
-            kept = []
-            for lo, hi in merged:
-                if hi >= ray:
-                    ray = min(ray, lo)
-                else:
-                    kept.append((lo, hi))
-            merged = kept
-        if not merged and ray is None:
+    def __init__(
+        self, intervals: Iterable[tuple[Rational, Rational]], ray_from: Rational | None = None
+    ):
+        pairs = [(as_fraction(lo), as_fraction(hi)) for lo, hi in intervals]
+        ray = None if ray_from is None else as_fraction(ray_from)
+        d, los, his, r = _scaled(pairs, ray)
+        if not (
+            all(map(le, los, his))
+            and all(map(lt, his, los[1:]))
+            and (r is None or not his or his[-1] < r)
+        ):
+            for (lo, hi), a, b in zip(pairs, los, his):
+                if a > b:
+                    raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+            pairs, ray = _normalized(pairs, ray, los, his, r)
+            d, los, his, r = _scaled(pairs, ray)
+        if not pairs and ray is None:
             raise ValueError("a TimeSet must be nonempty")
-        merged = tuple(merged)
-        object.__setattr__(self, "intervals", merged)
-        object.__setattr__(self, "ray_from", ray)
-        object.__setattr__(self, "_h", hash((merged, ray)))
+        pairs = tuple(pairs)
+        setattr_ = object.__setattr__
+        setattr_(self, "intervals", pairs)
+        setattr_(self, "ray_from", ray)
+        setattr_(self, "_h", _hash(pairs, ray, d, los, his, r))
+        setattr_(self, "_d", d)
+        setattr_(self, "_los", los)
+        setattr_(self, "_his", his)
+        setattr_(self, "_ray", r)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not TimeSet:
+            return NotImplemented
+        return (
+            self._h == other._h
+            and self._d == other._d
+            and self._los == other._los
+            and self._his == other._his
+            and self._ray == other._ray
+        )
 
     def __hash__(self):
         return self._h
@@ -133,7 +220,7 @@ class TimeSet:
         """Total length; math.inf when unbounded."""
         if self.ray_from is not None:
             return inf
-        return exact_sum([hi - lo for lo, hi in self.intervals])
+        return Fraction(sum(self._his) - sum(self._los), self._d)
 
     def connected_components(self) -> int:
         return len(self.intervals) + (1 if self.ray_from is not None else 0)
@@ -152,30 +239,31 @@ class TimeSet:
             gaps.append((hi, lo))
         return tuple(gaps)
 
-    def _last_starting_by(self, t: Fraction):
-        """The last bounded interval with lo <= t, or None.  In normal form
-        it is the only one that can contain t."""
-        k = bisect_right(self.intervals, t, key=_LO)
-        return self.intervals[k - 1] if k else None
-
     def contains_point(self, t: Rational) -> bool:
         t = as_fraction(t)
-        if self.ray_from is not None and t >= self.ray_from:
+        n, d = t.numerator * self._d, t.denominator  # t is n / (d * self._d)
+        if self._ray is not None and n >= self._ray * d:
             return True
-        iv = self._last_starting_by(t)
-        return iv is not None and t <= iv[1]
+        # the last bounded interval starting at or before t is the only one
+        # that can contain t; an integer lo is <= n / d exactly when lo <= n // d
+        k = bisect_right(self._los, n // d)
+        return k > 0 and n <= self._his[k - 1] * d
 
     def is_subset(self, other: TimeSet) -> bool:
         """Point-set containment.  Because both sides are in normal form,
-        each component must fit inside a single component of ``other``."""
-        if self.ray_from is not None:
-            if other.ray_from is None or other.ray_from > self.ray_from:
+        each component must fit inside a single component of ``other``,
+        the last one that starts at or before it.  Both sides' integers
+        are compared by cross-multiplying with the other's denominator."""
+        da, db, ray = self._d, other._d, other._ray
+        if self._ray is not None:
+            if ray is None or ray * da > self._ray * db:
                 return False
-        for lo, hi in self.intervals:
-            if other.ray_from is not None and lo >= other.ray_from:
+        los, his = other._los, other._his
+        for lo, hi in zip(self._los, self._his):
+            if ray is not None and lo * db >= ray * da:
                 break  # this and every later component lie in the ray
-            iv = other._last_starting_by(lo)
-            if iv is None or hi > iv[1]:
+            k = bisect_right(los, lo * db // da)
+            if not k or hi * db > his[k - 1] * da:
                 return False
         return True
 
@@ -203,8 +291,9 @@ class TimeSet:
         return " u ".join(parts)
 
 
-def _edges(ts: TimeSet) -> list[Fraction]:
-    """The endpoints lo0, hi0, lo1, hi1, ..., ray_from in order.
+def _edges(ts: TimeSet, scale: int) -> list[int]:
+    """The endpoints lo0, hi0, lo1, hi1, ..., ray_from in order, as the
+    integers they are times ``ts._d * scale``.
 
     In normal form they never decrease, and only a degenerate interval
     repeats one.  So after a cursor has passed every endpoint up to t, t
@@ -212,9 +301,9 @@ def _edges(ts: TimeSet) -> list[Fraction]:
     odd, and the open gap just after t lies in ``ts`` exactly when that
     count is odd.
     """
-    edges = [t for iv in ts.intervals for t in iv]
-    if ts.ray_from is not None:
-        edges.append(ts.ray_from)
+    edges = [t * scale for iv in zip(ts._los, ts._his) for t in iv]
+    if ts._ray is not None:
+        edges.append(ts._ray * scale)
     return edges
 
 
@@ -235,15 +324,13 @@ def symmetric_difference_size(a: TimeSet, b: TimeSet) -> tuple:
     unbounded past every breakpoint.
 
     One sweep over the merged endpoints of both sides, with one cursor
-    per side (see ``_edges``).  The endpoints are first scaled to integers
-    over their least common denominator, so the sweep compares and
-    subtracts ints and builds a single Fraction at the end.  No point
-    other than an endpoint is ever probed.
+    per side (see ``_edges``).  Each side's stored integers are rescaled
+    to the least common multiple of the two denominators, so the sweep
+    compares and subtracts ints and builds a single Fraction at the end.
+    No point other than an endpoint is ever probed.
     """
-    ea, eb = _edges(a), _edges(b)
-    den = lcm(*(t.denominator for t in ea), *(t.denominator for t in eb))
-    ea = [t.numerator * (den // t.denominator) for t in ea]
-    eb = [t.numerator * (den // t.denominator) for t in eb]
+    den = lcm(a._d, b._d)
+    ea, eb = _edges(a, den // a._d), _edges(b, den // b._d)
     length = isolated = i = j = prev = 0
     before = False  # the open segment ending at the current cut is in a ^ b
     # A value both sides share comes out of the merge twice; the cursors have

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import isd
 from isd.document import (
+    BoundRelation,
     ModelDocument,
     _json_text,
     document_to_json,
@@ -26,6 +27,8 @@ from isd.errors import (
     DocumentParseError,
     UnresolvedReferenceError,
 )
+from isd.measures import Relation
+from isd.model import validate
 
 BUNDLED = Path(isd.__file__).parent / "data" / "news_pipeline.json"
 
@@ -377,6 +380,46 @@ def test_emission_refuses_invalid_information(shape, code, tmp_path):
     with pytest.raises(DocumentInvariantError):
         save_document(doc, str(tmp_path / "doc.json"))
     assert list(tmp_path.iterdir()) == []
+
+
+def _refused_on_emission(doc, tmp_path) -> DocumentInvariantError:
+    """The error that emitting ``doc`` raises; saving it writes nothing."""
+    with pytest.raises(DocumentInvariantError) as exc:
+        emit_document(doc)
+    with pytest.raises(DocumentInvariantError):
+        save_document(doc, str(tmp_path / "doc.json"))
+    assert list(tmp_path.iterdir()) == []
+    return exc.value
+
+
+def test_emission_refuses_a_relation_on_foreign_elements(tmp_path):
+    # loading binds a relation's pairs to its information's states by index,
+    # so a pair holding another information's state cannot be written
+    doc = load_document(str(BUNDLED))
+    capture, uplink = doc.information("capture"), doc.information("uplink")
+    foreign = next(s for s in uplink.sorted_states() if s not in capture.states)
+    cross = Relation("cross", frozenset({(capture.sorted_states()[0], foreign)}))
+    bad = dataclasses.replace(doc, relations=(*doc.relations, BoundRelation("capture", cross)))
+    error = _refused_on_emission(bad, tmp_path)
+    assert [v.code for v in error.per_info["capture"]] == ["relation-element-unknown"]
+    assert "'cross'" in str(error)
+
+
+def test_emission_refuses_two_informations_of_one_name(tmp_path):
+    doc = load_document(str(BUNDLED))
+    twin = dataclasses.replace(doc.information("uplink"), name="capture")
+    error = _refused_on_emission(
+        dataclasses.replace(doc, informations=(*doc.informations, twin)), tmp_path
+    )
+    assert [v.code for v in error.per_info["capture"]] == ["duplicate-name"]
+
+
+def test_informations_of_one_name_keep_both_reports(tmp_path):
+    twins = (_mis_mapped_probe("unknown-state"), _mis_mapped_probe("unmapped-state"))
+    error = _refused_on_emission(ModelDocument(informations=twins), tmp_path)
+    first, second = ([v.code for v in validate(info)] for info in twins)
+    assert "mapping-key-unknown" in first and "mapping-not-total" in second
+    assert [v.code for v in error.per_info["probe"]] == [*first, "duplicate-name", *second]
 
 
 # -- the indent-2 writer ---------------------------------------------------------

@@ -3,8 +3,10 @@ builders, driven through hypothesis-chosen seeds so shrinking still
 produces a small reproducible counterexample (the seed)."""
 
 import dataclasses
+import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,7 @@ from isd.verify import (
 import reference_dynamics
 import reference_measures
 import reference_model
+import reference_timeset
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -238,6 +241,153 @@ def test_cached_hashes_stay_in_their_process():
     assert TimeSet.__reduce__(ts) == (TimeSet, (ts.intervals, None))
     back = pickle.loads(pickle.dumps(ts))
     assert back == ts and hash(back) == hash((back.intervals, back.ray_from))
+
+
+# -- integer keys ---------------------------------------------------------------
+#
+# A time set also keeps its endpoints as integers over the least common
+# denominator of its normal form, and compares, bisects and sweeps those.
+# Denominators here are coprime or powers of two, so two sets seldom share
+# one, yet their endpoints meet often enough to touch, nest and be equal.
+# Every set is built from fresh Fraction objects, equal to but distinct
+# from any other side's.
+
+coprime_edges = st.builds(
+    Fraction, st.integers(-24, 24), st.sampled_from((1, 2, 3, 7, 8, 21, 64))
+)
+coprime_raw = st.tuples(
+    st.lists(
+        st.one_of(
+            st.tuples(coprime_edges, coprime_edges).map(sorted).map(tuple),
+            coprime_edges.map(lambda t: (t, t)),
+        ),
+        max_size=5,
+    ),
+    st.none() | coprime_edges,
+).filter(lambda raw: raw[0] or raw[1] is not None)
+
+
+def _fresh_raw(raw):
+    pairs, ray = raw
+    return [(_fresh(lo), _fresh(hi)) for lo, hi in pairs], None if ray is None else _fresh(ray)
+
+
+def _rewritten(ts: TimeSet, rnd: random.Random):
+    """Another writing of the point set ``ts``: every interval split at
+    its midpoint into two touching halves, a point inside each, pieces
+    the ray absorbs, all shuffled.  Midpoints and absorbed pieces add
+    denominators that the normal form drops again."""
+    pieces = []
+    for lo, hi in ts.intervals:
+        mid = (lo + hi) / 2
+        pieces += [(lo, mid), (mid, hi), (mid, mid), (lo, hi)]
+    ray = ts.ray_from
+    if ray is not None:
+        pieces += [(ray, ray + Fraction(1, 5)), (ray + Fraction(2, 9), ray + 3)]
+    rnd.shuffle(pieces)
+    return _fresh_raw((pieces, ray))
+
+
+def _assert_exact_keys(ts: TimeSet) -> None:
+    """The integer keys are the normal form over its least common
+    denominator, which makes them a function of the point set."""
+    ends = [t for iv in ts.intervals for t in iv] + [ts.ray_from] * ts.is_unbounded
+    assert ts._d == math.lcm(*(t.denominator for t in ends))
+    scaled = [Fraction(k, ts._d) for iv in zip(ts._los, ts._his) for k in iv]
+    if ts._ray is not None:
+        scaled.append(Fraction(ts._ray, ts._d))
+    assert scaled == ends and (ts._ray is None) == (ts.ray_from is None)
+    assert all(type(k) is int for k in (*ts._los, *ts._his))
+
+
+def _reference(raw) -> reference_timeset.TimeSet:
+    return reference_timeset.TimeSet(*_fresh_raw(raw))
+
+
+def _same_as_reference(ts, ref) -> bool:
+    return ts.intervals == ref.intervals and ts.ray_from == ref.ray_from
+
+
+def _shrunk(ts: TimeSet):
+    """A subset of ``ts`` over other denominators: each interval loses a
+    third of its length on the left and a seventh on the right, and the
+    ray starts a third later."""
+    pairs = [(lo + (hi - lo) / 3, hi - (hi - lo) / 7) for lo, hi in ts.intervals]
+    ray = None if ts.ray_from is None else ts.ray_from + Fraction(1, 3)
+    return _fresh_raw((pairs, ray))
+
+
+@st.composite
+def writings(draw):
+    """Two inputs for time sets: independent, one point set written twice,
+    or a set and a subset of it."""
+    first = draw(coprime_raw)
+    how = draw(st.sampled_from(("independent", "rewritten", "shrunk")))
+    if how == "independent":
+        return first, draw(coprime_raw)
+    ts = TimeSet(*_fresh_raw(first))
+    return first, _rewritten(ts, draw(st.randoms())) if how == "rewritten" else _shrunk(ts)
+
+
+@given(writings(), st.lists(coprime_edges, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_integer_keys_decide_equality_as_the_reference_does(raw, probes):
+    a, b = TimeSet(*_fresh_raw(raw[0])), TimeSet(*_fresh_raw(raw[1]))
+    ref_a, ref_b = _reference(raw[0]), _reference(raw[1])
+    assert _same_as_reference(a, ref_a) and _same_as_reference(b, ref_b)
+    for ts in (a, b):
+        _assert_exact_keys(ts)
+        assert hash(ts) == hash((ts.intervals, ts.ray_from))
+    equal = ref_a.intervals == ref_b.intervals and ref_a.ray_from == ref_b.ray_from
+    assert (a == b) is equal and (b == a) is equal and (a != b) is not equal
+    if equal:
+        assert hash(a) == hash(b)
+    assert a.is_subset(b) == ref_a.is_subset(ref_b)
+    assert b.is_subset(a) == ref_b.is_subset(ref_a)
+    ends = [t for iv in a.intervals + b.intervals for t in iv]
+    near = [t + Fraction(s, 97) for t in ends for s in (-1, 1)]
+    for t in [*probes, *ends, *near]:
+        assert a.contains_point(t) == ref_a.contains_point(t)
+        assert b.contains_point(_fresh(t)) == ref_b.contains_point(t)
+
+
+def test_integer_keys_past_the_hash_modulus():
+    # P = sys.hash_info.modulus is prime, so a denominator it divides has no
+    # inverse modulo P, and the hash falls back to the Fractions themselves
+    big = Fraction(1, sys.hash_info.modulus)
+    for ts in (TimeSet.point(big), TimeSet.from_intervals([(big, 1)], 2), TimeSet.ray(-big)):
+        assert hash(ts) == hash((ts.intervals, ts.ray_from))
+        _assert_exact_keys(ts)
+        assert ts.is_subset(TimeSet.ray(-1)) and not TimeSet.ray(-1).is_subset(ts)
+
+
+@given(coprime_raw, coprime_edges, st.randoms())
+@settings(max_examples=200, deadline=None)
+def test_integer_keys_survive_every_rebuild(raw, delta, rnd):
+    ts, ref = TimeSet(*_fresh_raw(raw)), _reference(raw)
+    moved_ref = reference_timeset.TimeSet(
+        tuple((lo + delta, hi + delta) for lo, hi in ref.intervals),
+        None if ref.ray_from is None else ref.ray_from + delta,
+    )
+    rebuilt = {
+        "replace": (dataclasses.replace(ts), ref),
+        "pickle": (pickle.loads(pickle.dumps(ts)), ref),
+        "shift": (ts.shift(delta), moved_ref),
+        "union": (ts.union(ts.shift(delta)), ref.union(moved_ref)),
+    }
+    for how, (got, want) in rebuilt.items():
+        assert _same_as_reference(got, want), how
+        _assert_exact_keys(got)
+        assert hash(got) == hash((got.intervals, got.ray_from)), how
+        assert got.is_subset(ts) == want.is_subset(ref), how
+        assert ts.is_subset(got) == ref.is_subset(want), how
+        assert got.is_subset(got.union(ts)) and ts.is_subset(got.union(ts)), how
+    assert rebuilt["replace"][0] == ts and rebuilt["pickle"][0] == ts
+    # an input already in normal form and a shuffled, overlapping writing
+    # of it give one set, with one set of integer keys
+    twin = TimeSet(*_rewritten(ts, rnd))
+    assert twin == ts and hash(twin) == hash(ts)
+    assert (twin._d, twin._los, twin._his, twin._ray) == (ts._d, ts._los, ts._his, ts._ray)
 
 
 # -- structural round trips ---------------------------------------------------
