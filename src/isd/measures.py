@@ -26,17 +26,15 @@ from .errors import (
     ZeroTargetMeasureError,
 )
 from .model import (
-    Atom,
     Information,
     InformationLike,
     Element,
-    atoms,
     is_copy,
     is_reducible,
     require_valid,
 )
 from .timeset import Rational, TimeSet, as_fraction, exact_or_float_sqrt, exact_sum
-from .timeset import symmetric_difference_size
+from .timeset import exact_pair_sum, symmetric_difference_size
 from .values import EntityId
 
 
@@ -168,10 +166,13 @@ class AtomWeighting:
             raise ValueError(f"unknown atom weighting mode: {self.mode!r}")
         clean = {}
         for i, w in dict(self.weights).items():
+            # int(i) would let 0.5 overwrite 0, and move 1.7 and True to 1
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise MeasureInputError(f"atom index must be an integer, not {i!r}")
             w = as_fraction(w)
             if w <= 0:
                 raise MeasureInputError("explicit atom weights must be positive")
-            clean[int(i)] = w
+            clean[i] = w
         object.__setattr__(self, "weights", clean)
 
     @classmethod
@@ -253,30 +254,42 @@ def volume(info: InformationLike, sigma: MeasureAssignment) -> Fraction:
 
 
 def _atom_mean(
-    info: InformationLike, mu: AtomWeighting | None, what: str, term: Callable[[Atom], Rational]
+    info: InformationLike,
+    mu: AtomWeighting | None,
+    what: str,
+    term: Callable[[Element, Element], tuple[int, int]],
 ) -> Fraction:
-    """The mu-weighted mean of ``term(atom)`` over the atoms of ``info``.
-    Each atom's weight is read before its term, atom by atom, so the
-    first failure in atom order is the one raised.  The total weight is
-    positive: counting weighs 1 and explicit weights are positive."""
-    mu = mu or AtomWeighting.counting()
-    ats = atoms(info)
-    if not ats:
+    """The mu-weighted mean of ``term(state, reflection)`` over the atoms
+    (mapping pairs) of ``info``.  Each term is an integer pair (n, d), the
+    rational n/d.  Each atom's weight is read before its term, atom by
+    atom, so the first failure in atom order is the one raised.  The
+    weighted terms are added as integers over one common denominator and
+    a single Fraction is built at the end.  The total weight is positive:
+    counting weighs 1 and explicit weights are positive."""
+    require_valid(info)
+    mapping = info.mapping
+    if not mapping:
         raise EmptyInformationError(f"{what} needs at least one atom")
+    if mu is None or mu.mode == "counting":
+        num, den = exact_pair_sum([term(s, r) for s, r in mapping])
+        return Fraction(num, den * len(mapping))
     weights, terms = [], []
-    for i, atom in enumerate(ats):
+    for i, (s, r) in enumerate(mapping):
         w = mu.weight(i)
         weights.append(w)
-        terms.append(w * term(atom))
-    return exact_sum(terms) / exact_sum(weights)
+        n, d = term(s, r)
+        terms.append((w.numerator * n, w.denominator * d))
+    num, den = exact_pair_sum(terms)
+    total = exact_sum(weights)
+    return Fraction(num * total.denominator, den * total.numerator)
 
 
-def _lag(atom: Atom) -> Rational:
-    if atom.state.at.is_unbounded:
-        return 0
-    if atom.reflection.at.is_unbounded:
+def _lag(state: Element, reflection: Element) -> tuple[int, int]:
+    if state.at.is_unbounded:
+        return 0, 1
+    if reflection.at.is_unbounded:
         raise UnboundedTimeError("reflection time is unbounded over a bounded occurrence")
-    return atom.reflection.at.sup - atom.state.at.sup
+    return reflection.at.sup_after(state.at)
 
 
 def delay(info: InformationLike, mu: AtomWeighting | None = None) -> Fraction:
@@ -301,9 +314,11 @@ def granularity(
 ) -> Fraction:
     """Weighted mean, over atoms, of the sigma-measure of each atom's
     subject: how coarse the average described unit is."""
-    return _atom_mean(
-        info, mu, "granularity", lambda atom: sigma.measure_of(atom.state.entities)
-    )
+    def size(state: Element, _) -> tuple[int, int]:
+        m = sigma.measure_of(state.entities)
+        return m.numerator, m.denominator
+
+    return _atom_mean(info, mu, "granularity", size)
 
 
 def variety(info: InformationLike, relation: Relation) -> int:

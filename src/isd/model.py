@@ -12,7 +12,7 @@ copy detection.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -25,14 +25,15 @@ from .timeset import TimeSet
 from .values import EntityId, Value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Element:
     """One state or reflection: the entities holding it, when, and its value.
 
     A state's entities are its subjects and a reflection's are its carrier
     parts.  One type serves both sides, so a link's reflections are the
     next link's states by plain equality, and inverting a mapping swaps
-    each pair as it stands.  The hash is computed once, on construction.
+    each pair as it stands.  The hash is computed once, on construction,
+    and equality compares it before any field.
     """
 
     entities: frozenset[EntityId]
@@ -46,6 +47,18 @@ class Element:
             raise ValueError("an element needs at least one entity")
         object.__setattr__(self, "entities", entities)
         object.__setattr__(self, "_h", hash((entities, self.at, self.value)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._h == other._h
+            and self.at == other.at
+            and self.value == other.value
+            and self.entities == other.entities
+        )
 
     def __hash__(self):
         return self._h
@@ -115,9 +128,25 @@ class _Sextuple:
         object.__setattr__(self, "mapping", _normalize_pairs(self.mapping))
         object.__setattr__(self, "_map", dict(self.mapping))
 
+    @classmethod
+    def _presorted(cls, name, ontology, occurrence, states, carrier, reflection_time,
+                   reflections, mapping):
+        """A value built from frozensets and a mapping tuple that is already
+        in canonical order with one pair per state, which is kept as given:
+        ``__post_init__`` would only convert and sort it again."""
+        out = object.__new__(cls)
+        values = (name, ontology, occurrence, states, carrier, reflection_time,
+                  reflections, mapping, dict(mapping))
+        for f, v in zip(_SEXTUPLE_FIELDS, values):
+            object.__setattr__(out, f, v)
+        return out
+
     @property
     def map(self) -> Mapping[Element, Element]:
         return self._map
+
+
+_SEXTUPLE_FIELDS = tuple(f.name for f in fields(_Sextuple))
 
 
 @dataclass(frozen=True)
@@ -406,9 +435,11 @@ def _join(first: Information, second: Information) -> Information:
     is valid by construction: it keeps the first link's clean state side
     and the second's clean reflection side, and the hand-off is one-to-one,
     so the mapping is total and onto.  RawMapping links are exempt from
-    checks, so a composite of one is not marked."""
-    pairs = [(s, second.map[r]) for s, r in first.mapping]
-    out = Information(
+    checks, so a composite of one is not marked.  The pairs come in the
+    first link's mapping order, which is already canonical for its states,
+    so they are kept as they are rather than sorted again."""
+    pairs = tuple([(s, second.map[r]) for s, r in first.mapping])
+    out = Information._presorted(
         f"{first.name}*{second.name}",
         first.ontology,
         first.occurrence,

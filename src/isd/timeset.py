@@ -216,6 +216,13 @@ class TimeSet:
             return inf
         return self.intervals[-1][1]
 
+    def sup_after(self, earlier: TimeSet) -> tuple[int, int]:
+        """``self.sup - earlier.sup`` as an integer pair (numerator,
+        denominator), not reduced, from the stored keys; both sets must be
+        bounded."""
+        da, db = self._d, earlier._d
+        return self._his[-1] * db - earlier._his[-1] * da, da * db
+
     def lebesgue_measure(self):
         """Total length; math.inf when unbounded."""
         if self.ray_from is not None:
@@ -349,12 +356,20 @@ def symmetric_difference_size(a: TimeSet, b: TimeSet) -> tuple:
     return Fraction(length, den), isolated
 
 
+def exact_pair_sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The exact sum of the rationals n/d given as integer pairs (n, d),
+    d > 0 and in any terms, as the pair (numerator, least common
+    denominator): each n is scaled to that denominator and the results are
+    added as integers.  Nothing is reduced; an empty sequence gives (0, 1)."""
+    den = lcm(*[d for _, d in pairs])
+    return sum([n * (den // d) for n, d in pairs]), den
+
+
 def exact_sum(terms: Sequence[Fraction | int]) -> Fraction:
-    """The exact sum of ``terms``, normalized once: the numerators are
-    scaled to the least common denominator, added as integers and made
-    into one Fraction.  An empty sequence sums to Fraction(0)."""
-    den = lcm(*(t.denominator for t in terms))
-    return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
+    """The exact sum of ``terms``, normalized once: ``exact_pair_sum`` of
+    their terms, made into one Fraction.  An empty sequence sums to
+    Fraction(0)."""
+    return Fraction(*exact_pair_sum([(t.numerator, t.denominator) for t in terms]))
 
 
 def exact_or_float_sqrt(q: Fraction):

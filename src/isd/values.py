@@ -115,11 +115,19 @@ class Value:
         return (3, tuple((k, v.sort_key()) for k, v in self.body))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Value)
-            and self.tag == other.tag
-            and self.body == other.body
-        )
+        if self is other:
+            return True
+        if not isinstance(other, Value) or self._h != other._h or self.tag != other.tag:
+            return False
+        a, b = self.body, other.body
+        if self.tag == "scalar":
+            # Fractions are in lowest terms, so equal ones have equal terms;
+            # this skips Fraction.__eq__ and its isinstance checks
+            try:
+                return a.numerator == b.numerator and a.denominator == b.denominator
+            except AttributeError:  # a body built without Value.scalar
+                return a == b
+        return a == b
 
     def __hash__(self):
         return self._h

@@ -7,7 +7,9 @@ elements that break a rule; these copies sort every component first.
 ``isd.model.invert`` swaps each pair as it stands; ``invert`` here
 rebuilds each element from the other side's fields.
 ``isd.model`` orders a mapping by state key alone; ``normalize_pairs``
-orders it by state and reflection keys.  ``Information.from_pairs``
+orders it by state and reflection keys.  ``isd.model._join`` keeps the
+first link's mapping order for a composite; ``join`` here sorts the
+composite's pairs again through the public ``Information`` constructor.  ``Information.from_pairs``
 unions each time component in one normalization; ``from_pairs`` here
 folds pairwise unions field by field.  The property tests check that
 both sides return the same violations, the same mapping in the same
@@ -209,3 +211,25 @@ def from_pairs(name, pairs) -> Information:
         frozenset(reflections),
         pairs,
     )
+
+
+def join(first: Information, second: Information) -> Information:
+    """``compose`` after both links and their hand-off passed.  The result
+    is valid by construction: it keeps the first link's clean state side
+    and the second's clean reflection side, and the hand-off is one-to-one,
+    so the mapping is total and onto.  RawMapping links are exempt from
+    checks, so a composite of one is not marked."""
+    pairs = [(s, second.map[r]) for s, r in first.mapping]
+    out = Information(
+        f"{first.name}*{second.name}",
+        first.ontology,
+        first.occurrence,
+        first.states,
+        second.carrier,
+        second.reflection_time,
+        second.reflections,
+        pairs,
+    )
+    if isinstance(first, Information) and isinstance(second, Information):
+        object.__setattr__(out, "_known_valid", True)
+    return out

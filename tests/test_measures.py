@@ -7,6 +7,7 @@ import pytest
 
 from isd.errors import (
     EmptyInformationError,
+    MeasureInputError,
     NotACopyError,
     NotEquivalenceError,
     UnboundedTimeError,
@@ -218,6 +219,18 @@ def test_delay_explicit_weights(pair_info):
     # atoms sorted by state: (a, delay 2) then (b, delay 2); reweight anyway
     mu = AtomWeighting.explicit({0: Fraction(3), 1: Fraction(1)})
     assert delay(pair_info, mu) == 2
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{0: 1, 0.5: 2}, {1.7: 1}, {True: 2}, {0: 1, "1": 1}],
+    ids=["fraction-overwrites-zero", "float-moves-to-one", "bool", "string"],
+)
+def test_atom_weight_indices_must_be_integers(weights):
+    # int(i) would keep one weight for 0, or move 1.7 and True to index 1
+    with pytest.raises(MeasureInputError, match="^atom index must be an integer"):
+        AtomWeighting.explicit(weights)
+    assert AtomWeighting.explicit({0: 1, 1: 2}).weights == {0: 1, 1: 2}
 
 
 # -- scope and granularity ----------------------------------------------------

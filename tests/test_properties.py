@@ -53,12 +53,14 @@ from isd.model import (
     Information,
     RawMapping,
     ReflectionElement,
+    SerialChain,
     StateElement,
     atoms,
     check_chain,
     check_link,
     collapse_chain,
     combine,
+    compose,
     invert,
     is_reducible,
     is_sub_information,
@@ -241,6 +243,85 @@ def test_cached_hashes_stay_in_their_process():
     assert TimeSet.__reduce__(ts) == (TimeSet, (ts.intervals, None))
     back = pickle.loads(pickle.dumps(ts))
     assert back == ts and hash(back) == hash((back.intervals, back.ray_from))
+
+
+# -- equality -------------------------------------------------------------------
+#
+# Value and Element equality check identity and the cached hash first, and
+# compare scalar bodies by their terms.  Every answer must still be the
+# one the plain field tuples give, for equal but distinct Fractions, time
+# sets and entity ids, and for unequal values whose hashes collide: in
+# CPython hash(-1) == hash(-2), so Value.scalar(-1) and Value.scalar(-2)
+# share one, and so do vectors and records holding them.
+
+
+def _value_fields(v: Value):
+    """``v`` as nested tuples of its tag and body, so that comparing two
+    never calls Value.__eq__."""
+    if v.tag == "record":
+        return v.tag, tuple((k, _value_fields(inner)) for k, inner in v.body)
+    return v.tag, v.body
+
+
+def _element_fields(e: Element):
+    return e.entities, e.at, _value_fields(e.value)
+
+
+def _twin_timeset(ts: TimeSet) -> TimeSet:
+    return TimeSet(*_fresh_raw((ts.intervals, ts.ray_from)))
+
+
+def _colliding_with(x, other):
+    """A copy of ``x`` that carries ``other``'s cached hash, as if the two
+    collided, so only the fields can tell them apart."""
+    twin = Value(x.tag, x.body) if isinstance(x, Value) else Element(x.entities, x.at, x.value)
+    object.__setattr__(twin, "_h", other._h)
+    return twin
+
+
+_minus_one, _minus_two = Value.scalar(-1), Value.scalar(-2)
+_colliding = [
+    (_minus_one, _minus_two),
+    (Value.vector([-1, 3]), Value.vector([-2, 3])),
+    (Value.record({"k": _minus_one}), Value.record({"k": _minus_two})),
+]
+_value_pairs = st.one_of(
+    st.tuples(values, values),
+    values.map(lambda v: (v, _rebuilt(v))),
+    st.sampled_from(_colliding),
+)
+_entity_sets = st.sets(st.sampled_from(["p", "q", "m"]), min_size=1).map(
+    lambda ids: frozenset(objective(i) for i in ids)
+)
+_element_sides = st.tuples(_entity_sets, st.one_of(timesets(), touching_timesets()))
+
+
+@given(_value_pairs, _element_sides, st.one_of(_element_sides, st.none()))
+@settings(max_examples=200, deadline=None)
+@example(_colliding[0], (frozenset({objective("p")}), TimeSet.point(0)), None)
+@example((Value.scalar("1/2"), Value.scalar("1/3")), (frozenset({objective("p")}), TimeSet.point(0)),
+         None)
+def test_equality_is_field_tuple_equality(pair, side, other_side):
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, a), (a, _colliding_with(b, a))):
+        assert (x == y) is (_value_fields(x) == _value_fields(y))
+        assert (x != y) is (_value_fields(x) != _value_fields(y))
+    for v in (a, b):
+        assert hash(v) == hash((v.tag, v.body))
+        assert (v == v.body) is False and (v == (v.tag, v.body)) is False
+    # the second element's fields are equal but distinct objects, or drawn apart
+    entities, at = side
+    if other_side is None:
+        other_side = frozenset(objective(e.id) for e in entities), _twin_timeset(at)
+    ea, eb = Element(entities, at, a), Element(*other_side, b)
+    for x, y in ((ea, eb), (eb, ea), (ea, _colliding_with(eb, ea))):
+        assert (x == y) is (_element_fields(x) == _element_fields(y))
+        assert (x != y) is (_element_fields(x) != _element_fields(y))
+    for e in (ea, eb):
+        assert hash(e) == hash((e.entities, e.at, e.value))
+        assert (e == (1, 2, 3)) is False and ((1, 2, 3) == e) is False
+        assert e != (e.entities, e.at, e.value)
+    assert _minus_one != _minus_two and hash(_minus_one) == hash(_minus_two)
 
 
 # -- integer keys ---------------------------------------------------------------
@@ -736,6 +817,67 @@ def test_sorted_states_is_the_canonical_order(seed, n_links):
         assert info.sorted_states() == sorted(info.states, key=Element.sort_key)
 
 
+def _as_raw(info) -> RawMapping:
+    return RawMapping(
+        info.name,
+        info.ontology,
+        info.occurrence,
+        info.states,
+        info.carrier,
+        info.reflection_time,
+        info.reflections,
+        info.mapping,
+    )
+
+
+def _same_composite(got, want) -> None:
+    assert type(got.mapping) is tuple and got.mapping == want.mapping
+    assert got.map == want.map and got == want and got.name == want.name
+    assert getattr(got, "_known_valid", False) == getattr(want, "_known_valid", False)
+    assert validate(got) == validate(want)
+    if isinstance(got, Information) and not validate(got):  # one raw link is no composite
+        assert got.sorted_states() == sorted(got.states, key=Element.sort_key)
+
+
+def _subjective_twin(info: Information) -> Information:
+    """``info`` with every subject moved to the subjective realm, so its
+    inverse keeps that ontology as carrier and stays a RawMapping."""
+    return Information.from_pairs(
+        info.name,
+        [
+            (Element({subjective(e.id) for e in s.entities}, s.at, s.value), r)
+            for s, r in info.mapping
+        ],
+    )
+
+
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=5),
+    st.integers(-1, 4),
+    st.sampled_from([None, objective, subjective]),
+)
+@settings(max_examples=60, deadline=None)
+def test_composition_matches_reference(seed, n_links, raw_at, loop):
+    """Composites keep the first link's mapping order; the reference sorts
+    them again.  Hand-built chains swap a link for a RawMapping with the
+    same fields, or run a link, its inverse and the link again; with
+    subjective subjects that inverse is a RawMapping, and the link
+    composed with it is not valid."""
+    links = list(random_chain(random.Random(seed), n_links=n_links).links)
+    if loop is not None:
+        first = links[0] if loop is objective else _subjective_twin(links[0])
+        links = [first, invert(first), first]
+        assert isinstance(links[1], RawMapping) is (loop is subjective)
+    if raw_at < len(links):
+        links[raw_at] = _as_raw(links[raw_at])
+    chain = SerialChain(tuple(links))
+    assert check_chain(chain) == []
+    _same_composite(collapse_chain(chain), reduce(reference_model.join, links))
+    if len(links) > 1:
+        _same_composite(compose(links[0], links[1]), reference_model.join(links[0], links[1]))
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_chain_delay_additive(seed):
@@ -886,8 +1028,11 @@ _pairs = st.lists(st.tuples(_elements(_subjects), _elements(_carriers)), min_siz
 
 @st.composite
 def _measured(draw):
-    if draw(st.integers(0, 9)) == 0:
+    k = draw(st.integers(0, 9))
+    if k == 0:
         return _EMPTY
+    if k == 1:  # a composite, whose mapping keeps its first link's order
+        return collapse_chain(random_chain(random.Random(draw(seeds))))
     return Information.from_pairs("x", dict(draw(_pairs)).items())
 
 
@@ -918,6 +1063,9 @@ _RAYED = Information.from_pairs(
 )
 
 
+_COMPOSITE = collapse_chain(random_chain(random.Random(0), n_links=3))
+
+
 def _outcome(f, *args, **kwargs):
     """The value with its type, or the error's type and message."""
     try:
@@ -944,6 +1092,9 @@ def _outcome(f, *args, **kwargs):
 @example(_RAYED, _RAYED, AtomWeighting.explicit({0: 1}), MeasureAssignment("w"), {}, [], 1,
          set(_subjects + _carriers), False)
 @example(_EMPTY, _EMPTY, None, MeasureAssignment("w"), {}, [], 1, set(), True)
+# a composite with explicit weights that miss atom 1
+@example(_COMPOSITE, _RAYED, AtomWeighting.explicit({0: 2, 2: "1/3"}), MeasureAssignment("w"),
+         {}, [], 0, set(_subjects + _carriers), True)
 def test_measure_sums_match_reference(
     info, other, mu, sigma, component_weights, estimates, drop, target, allow
 ):
