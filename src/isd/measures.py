@@ -34,7 +34,7 @@ from .model import (
     require_valid,
 )
 from .timeset import Rational, TimeSet, as_fraction, exact_or_float_sqrt, exact_sum
-from .timeset import exact_pair_sum, symmetric_difference_size
+from .timeset import exact_pair_sum, symmetric_difference_keys
 from .values import EntityId
 
 
@@ -466,14 +466,16 @@ class Metric:
         for k, w in dict(self.component_weights).items():
             if k not in MISMATCH_COMPONENTS:
                 raise ValueError(f"unknown mismatch component: {k!r}")
-            w = as_fraction(w)
+            if isinstance(w, bool):
+                raise MeasureInputError(f"weight of {k!r} must be a rational, not {w!r}")
+            try:
+                w = as_fraction(w)
+            except (TypeError, ValueError, ZeroDivisionError) as e:
+                raise MeasureInputError(f"bad weight of {k!r}: {w!r} ({e})") from None
             if w < 0:
-                raise ValueError("component weights must be nonnegative")
+                raise MeasureInputError("component weights must be nonnegative")
             clean[k] = w
         object.__setattr__(self, "component_weights", clean)
-
-    def weight(self, component: str) -> Fraction:
-        return self.component_weights.get(component, Fraction(1))
 
 
 def distortion(
@@ -515,23 +517,32 @@ def mismatch(info: InformationLike, target: InformationLike, metric: Metric) -> 
     """Weighted sum of the six per-component distances between two
     informations.  Zero exactly when all six components coincide; set
     components use symmetric-difference counts, time components use
-    symmetric-difference length plus isolated-point count."""
+    symmetric-difference length plus isolated-point count.
+
+    Each weighted distance is an integer pair (numerator, denominator),
+    read from the weight's terms (a missing weight is 1) and, for a time
+    component, from the sweep's integer length over its common
+    denominator; ``exact_pair_sum`` adds them and one Fraction is built."""
     if metric.kind != "weighted_product":
         raise ValueError("mismatch requires a weighted_product metric")
     require_valid(info)
     require_valid(target)
+    weights = metric.component_weights
     terms = []
     for name in MISMATCH_COMPONENTS:
-        w = metric.weight(name)
-        if w == 0:
+        w = weights.get(name)
+        if w is None:
+            wn = wd = 1
+        elif w.numerator:
+            wn, wd = w.numerator, w.denominator
+        else:
             continue
         a, b = getattr(info, name), getattr(target, name)
         if isinstance(a, TimeSet):
-            length, isolated = symmetric_difference_size(a, b)
-            if length is inf:
+            length, den, isolated = symmetric_difference_keys(a, b)
+            if length is None:
                 return inf
-            dist = length + isolated
+            terms.append((wn * (length + isolated * den), wd * den))
         else:
-            dist = len(a ^ b)
-        terms.append(w * dist)
-    return exact_sum(terms)
+            terms.append((wn * len(a ^ b), wd))
+    return Fraction(*exact_pair_sum(terms))

@@ -25,7 +25,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import merge
 from math import inf, isqrt, lcm
 from operator import le, lt
 from typing import Iterable, Sequence, Union
@@ -303,9 +302,9 @@ def _edges(ts: TimeSet, scale: int) -> list[int]:
     integers they are times ``ts._d * scale``.
 
     In normal form they never decrease, and only a degenerate interval
-    repeats one.  So after a cursor has passed every endpoint up to t, t
-    lies in ``ts`` exactly when it was one of them or the count passed is
-    odd, and the open gap just after t lies in ``ts`` exactly when that
+    repeats one, once.  So after a cursor has passed every endpoint up to
+    t, t lies in ``ts`` exactly when it was one of them or the count passed
+    is odd, and the open gap just after t lies in ``ts`` exactly when that
     count is odd.
     """
     edges = [t * scale for iv in zip(ts._los, ts._his) for t in iv]
@@ -314,11 +313,54 @@ def _edges(ts: TimeSet, scale: int) -> list[int]:
     return edges
 
 
-def _past(edges: list[int], i: int, t: int) -> int:
-    """Move a cursor at or before ``t`` past the endpoints equal to it."""
-    while i < len(edges) and edges[i] == t:
-        i += 1
-    return i
+def symmetric_difference_keys(a: TimeSet, b: TimeSet) -> tuple[int | None, int, int]:
+    """Size of the symmetric difference of two TimeSets, in integers.
+
+    Returns (length, den, isolated_points): the Lebesgue measure of the
+    symmetric difference is ``length / den``, where ``den`` is the least
+    common multiple of the two sides' denominators, and ``length`` is
+    None when exactly one side is unbounded past every endpoint.  The
+    result is (0, den, 0) exactly when a == b.  ``measures.mismatch``
+    reads this form directly, so that it adds integer pairs and builds no
+    Fraction per component; ``symmetric_difference_size`` is the same
+    answer as (Fraction or math.inf, isolated_points).
+
+    One pass of two cursors, one per side (see ``_edges``), over both
+    sides' endpoints rescaled to the least common multiple of the two
+    denominators.  Each step takes the smaller head t and moves each
+    cursor past its endpoints equal to t (at most two).  A sentinel past
+    both last endpoints ends the pass without bounds checks.  No point
+    other than an endpoint is ever probed.
+    """
+    den = lcm(a._d, b._d)
+    ea, eb = _edges(a, den // a._d), _edges(b, den // b._d)
+    end = max(ea[-1], eb[-1]) + 1
+    ea.append(end)
+    eb.append(end)
+    length = isolated = i = j = prev = 0
+    before = False  # the open segment ending at the current cut is in a ^ b
+    while True:
+        x, y = ea[i], eb[j]
+        t = x if x < y else y
+        if t == end:
+            break
+        on_a = x == t
+        if on_a:
+            i += 1
+            if ea[i] == t:
+                i += 1
+        on_b = y == t
+        if on_b:
+            j += 1
+            if eb[j] == t:
+                j += 1
+        after = (i ^ j) & 1  # the open segment starting at t is in a ^ b
+        if before:
+            length += t - prev
+        elif not after and (on_a or i & 1) != (on_b or j & 1):
+            isolated += 1
+        before, prev = after, t
+    return (None if before else length), den, isolated
 
 
 def symmetric_difference_size(a: TimeSet, b: TimeSet) -> tuple:
@@ -328,30 +370,11 @@ def symmetric_difference_size(a: TimeSet, b: TimeSet) -> tuple:
     symmetric difference plus the count of its isolated points.  The pair
     is (0, 0) exactly when a == b, which is what makes it usable as a
     component distance; length is math.inf when exactly one side is
-    unbounded past every breakpoint.
-
-    One sweep over the merged endpoints of both sides, with one cursor
-    per side (see ``_edges``).  Each side's stored integers are rescaled
-    to the least common multiple of the two denominators, so the sweep
-    compares and subtracts ints and builds a single Fraction at the end.
-    No point other than an endpoint is ever probed.
+    unbounded past every breakpoint.  ``symmetric_difference_keys`` with
+    its integer length over the common denominator made one Fraction.
     """
-    den = lcm(a._d, b._d)
-    ea, eb = _edges(a, den // a._d), _edges(b, den // b._d)
-    length = isolated = i = j = prev = 0
-    before = False  # the open segment ending at the current cut is in a ^ b
-    # A value both sides share comes out of the merge twice; the cursors have
-    # passed it the first time, so the second pass changes nothing.
-    for t in merge(ea, eb):
-        i0, j0 = i, j
-        i, j = _past(ea, i, t), _past(eb, j, t)
-        after = i % 2 != j % 2  # the open segment starting at t is in a ^ b
-        if before:
-            length += t - prev
-        elif not after and (i > i0 or i % 2 == 1) != (j > j0 or j % 2 == 1):
-            isolated += 1
-        before, prev = after, t
-    if before:  # the tail past the last cut
+    length, den, isolated = symmetric_difference_keys(a, b)
+    if length is None:
         return inf, isolated
     return Fraction(length, den), isolated
 

@@ -192,7 +192,7 @@ def mismatch(info: InformationLike, target: InformationLike, metric: Metric) -> 
     require_valid(target)
     total = Fraction(0)
     for name in MISMATCH_COMPONENTS:
-        w = metric.weight(name)
+        w = metric.component_weights.get(name, Fraction(1))
         if w == 0:
             continue
         a, b = getattr(info, name), getattr(target, name)

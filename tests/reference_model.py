@@ -217,8 +217,9 @@ def join(first: Information, second: Information) -> Information:
     """``compose`` after both links and their hand-off passed.  The result
     is valid by construction: it keeps the first link's clean state side
     and the second's clean reflection side, and the hand-off is one-to-one,
-    so the mapping is total and onto.  RawMapping links are exempt from
-    checks, so a composite of one is not marked."""
+    so the mapping is total and onto.  That holds only for links known to
+    be valid: RawMapping links are exempt from checks, so a composite of
+    one, and every composite built on that one, is not marked."""
     pairs = [(s, second.map[r]) for s, r in first.mapping]
     out = Information(
         f"{first.name}*{second.name}",
@@ -230,6 +231,6 @@ def join(first: Information, second: Information) -> Information:
         second.reflections,
         pairs,
     )
-    if isinstance(first, Information) and isinstance(second, Information):
+    if getattr(first, "_known_valid", False) and getattr(second, "_known_valid", False):
         object.__setattr__(out, "_known_valid", True)
     return out

@@ -1,5 +1,6 @@
 """The eleven measures against hand-checked and brute-force values."""
 
+import re
 from fractions import Fraction
 from math import inf
 
@@ -665,6 +666,27 @@ def test_mismatch_component_weights(pair_info):
     assert mismatch(pair_info, other, heavy) == 7
     ignored = Metric("weighted_product", {"carrier": Fraction(0)})
     assert mismatch(pair_info, other, ignored) == 0
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        (True, "must be a rational, not True"),
+        (0.5, "bad weight of 'carrier': 0.5 (not a rational value: 0.5)"),
+        ("1/0", "bad weight of 'carrier': '1/0'"),
+        ("half", "bad weight of 'carrier': 'half'"),
+        (-1, "must be nonnegative"),
+    ],
+    ids=["bool", "float", "zero-denominator", "not-a-number", "negative"],
+)
+def test_metric_weights_refused_typed(weight, message):
+    # a bool would be read as 1, a float and "1/0" raised untyped errors
+    with pytest.raises(MeasureInputError, match=re.escape(message)):
+        Metric("weighted_product", {"carrier": weight})
+    good = Metric("weighted_product", {"carrier": "7/2", "states": 3, "occurrence": 0})
+    assert good.component_weights == {
+        "carrier": Fraction(7, 2), "states": Fraction(3), "occurrence": Fraction(0)
+    }
 
 
 def test_mismatch_symmetry_and_infinite_times(pair_info):

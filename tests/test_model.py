@@ -256,6 +256,33 @@ def test_composite_of_raw_link_not_marked_valid(pair_info):
     assert not getattr(collapse_chain(SerialChain((raw, nxt))), "_known_valid", False)
 
 
+def test_composite_past_a_raw_link_not_marked_valid(pair_info):
+    """Links A, raw B, C: B's mapping never reaches its third reflection,
+    and C carries that reflection on, so A*B*C is not onto."""
+    store = _follow_on(pair_info)
+    disk = objective("disk")
+    spare = ReflectionElement({disk}, TimeSet.point(9), Value.symbol("spare"))
+    raw = RawMapping(
+        "lossy-store",
+        store.ontology,
+        store.occurrence,
+        store.states,
+        store.carrier,
+        store.reflection_time.union(spare.at),
+        store.reflections | {spare},
+        store.mapping,
+    )
+    assert "mapping-not-surjective" in {v.code for v in validate(raw)}
+    archive = _follow_on(raw)
+    chain = SerialChain((pair_info, raw, archive))
+    assert check_chain(chain) == []
+    whole = collapse_chain(chain)
+    assert not getattr(whole, "_known_valid", False)
+    assert "mapping-not-surjective" in {v.code for v in validate(whole)}
+    with pytest.raises(InvalidInformationError, match="never reached"):
+        whole.sorted_states()
+
+
 def test_raw_mapping_differs_from_information(pair_info):
     raw = _as_raw(pair_info)
     assert raw != pair_info

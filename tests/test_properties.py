@@ -67,6 +67,7 @@ from isd.model import (
     reduction_map,
     validate,
 )
+from isd.oracles.search import SearchLibrary, min_mismatch_search
 from isd.timeset import TimeSet, symmetric_difference_size
 from isd.values import Value, objective, subjective
 from isd.verify import (
@@ -78,6 +79,7 @@ from isd.verify import (
 import reference_dynamics
 import reference_measures
 import reference_model
+import reference_search
 import reference_timeset
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -1126,6 +1128,67 @@ def test_measure_sums_match_reference(
         assert _outcome(mismatch, info, other, metric) == (
             _outcome(ref.mismatch, info, other, metric)
         )
+
+
+# -- the mismatch search against the reference --------------------------------
+#
+# The scan's answer hangs on exact comparisons of the distances, so the
+# search over the package's mismatch must return the reference's index,
+# comparison count and distance, of the reference's type.  The target is
+# always in the pool the entries are drawn from, so zero distances and
+# repeated entries (ties) are common; rays give infinite distances, and
+# the weights mix denominators and zeros.
+
+
+def _tick(name: str, t: Fraction | int, ray: bool = False) -> Information:
+    """One atom at time t, reflected at t + 1, or from t + 1 on."""
+    s = Element({objective("p")}, TimeSet.point(t), Value.scalar(t))
+    at = TimeSet.ray(t + 1) if ray else TimeSet.point(t + 1)
+    return Information.from_pairs(name, [(s, Element({objective("c")}, at, Value.scalar(t)))])
+
+
+def _search_outcome(search, library):
+    try:
+        got = search(library)
+    except Exception as e:  # the error is the outcome under comparison
+        return type(e), str(e)
+    return got.index, got.comparisons, got.distance, type(got.distance)
+
+
+_T0, _T1, _T2 = _tick("t0", 0), _tick("t1", 1), _tick("t2", 2)
+_T0_RAY, _T1_RAY = _tick("t0-ray", 0, ray=True), _tick("t1-ray", 1, ray=True)
+
+
+@given(
+    _measured(),
+    st.lists(_measured(), max_size=3),
+    st.lists(st.integers(0, 3), max_size=6),
+    st.one_of(st.none(), st.just(Fraction(0)), _q),
+    st.dictionaries(st.sampled_from(MISMATCH_COMPONENTS), _weight),
+)
+@settings(max_examples=150, deadline=None)
+# t1 and t2 are both 8 from t0: no entry meets the threshold, and the
+# first of the tied best entries is returned
+@example(_T0, [_T1, _T2], [1, 2], Fraction(1), {})
+@example(_T0, [_T1, _T2], [1, 2, 0], None, {})
+# one-sided rays: an infinite distance before a finite one, and only infinite ones
+@example(_T0, [_T1_RAY, _T1], [1, 2], Fraction(0), {})
+@example(_T0_RAY, [_T1], [1, 1], None, {})
+# a zero weight skips the infinite component; mixed denominators
+@example(_T0, [_T1_RAY], [1], None, {"reflection_time": Fraction(0), "states": Fraction(1, 3)})
+@example(_T0, [_T1, _T2], [2, 1], Fraction(17, 6),
+         {"occurrence": Fraction(5, 4), "carrier": Fraction(0), "reflections": Fraction(7, 12)})
+# isolated points at half-integer times: the count is scaled by the denominator
+@example(_T0, [_tick("t-half", Fraction(1, 2))], [1], None, {})
+# an empty library
+@example(_T0, [], [], None, {})
+def test_min_mismatch_search_matches_reference(target, others, picks, threshold, weights):
+    pool = [target, *others]
+    entries = tuple(pool[k % len(pool)] for k in picks)
+    library = SearchLibrary(target, entries, Metric("weighted_product", weights), threshold)
+    assert _search_outcome(min_mismatch_search, library) == (
+        _search_outcome(reference_search.min_mismatch_search, library)
+    )
 
 
 # -- measure profiles ---------------------------------------------------------

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isd.timeset import TimeSet, exact_or_float_sqrt, symmetric_difference_size
+from isd.timeset import (
+    TimeSet,
+    exact_or_float_sqrt,
+    symmetric_difference_keys,
+    symmetric_difference_size,
+)
 
 import reference_timeset
 
@@ -112,6 +117,17 @@ def test_symmetric_difference_unbounded():
     assert symmetric_difference_size(TimeSet.ray(0), TimeSet.ray(0)) == (Fraction(0), 0)
     # two rays differing in start: bounded difference
     assert symmetric_difference_size(TimeSet.ray(0), TimeSet.ray(2)) == (Fraction(2), 0)
+
+
+def test_symmetric_difference_keys_integer_form():
+    # the length is an integer over the lcm of the two denominators
+    a = TimeSet.interval(0, Fraction(1, 2))
+    b = TimeSet.interval(0, Fraction(1, 3))
+    assert symmetric_difference_keys(a, b) == (1, 6, 0)
+    assert symmetric_difference_keys(TimeSet.point(0), TimeSet.point(Fraction(1, 2))) == (0, 2, 2)
+    assert symmetric_difference_keys(a, a) == (0, 2, 0)
+    # an unbounded difference has no length numerator
+    assert symmetric_difference_keys(TimeSet.ray(0), TimeSet.interval(0, 1)) == (None, 1, 0)
 
 
 def test_exact_or_float_sqrt():
