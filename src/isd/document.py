@@ -483,6 +483,20 @@ def _information_to_json(info: Information, s_index: dict[Element, int]) -> dict
     }
 
 
+def _chain_to_json(c: NamedChain, by_name: dict[str, Information]) -> dict:
+    """``c`` as the names of its links, each of which must load back as the
+    document's information of that name."""
+    names = [link.name for link in c.chain.links]
+    if list(c.link_names) != names:
+        problem = f"names its links {list(c.link_names)} but holds {names}"
+    elif any(by_name.get(n) != link for n, link in zip(names, c.chain.links)):
+        problem = "holds a link other than the document's information of its name"
+    else:
+        return {"name": c.name, "links": names}
+    violation = Violation("chain-link-unknown", f"chain {c.name!r} {problem}")
+    raise DocumentInvariantError({c.name: [violation]})
+
+
 def _document_entity_table(doc: ModelDocument) -> list[EntityId]:
     seen = {e.id: e for e in doc.entities}
     for info in doc.informations:  # valid, so its elements hold no other entities
@@ -497,8 +511,9 @@ def _document_entity_table(doc: ModelDocument) -> list[EntityId]:
 def document_to_json(doc: ModelDocument) -> dict:
     """The canonical tree.  What loading would refuse raises
     DocumentInvariantError: an invalid information, two informations of
-    one name, or a relation pairing elements that are not states of its
-    information."""
+    one name, a relation pairing elements that are not states of its
+    information, or a chain whose links are not the document's
+    informations of the names it lists."""
     _require_valid_informations(doc.informations)
     out: dict[str, Any] = {"format_version": doc.format_version}
     out["entities"] = [
@@ -559,10 +574,8 @@ def document_to_json(doc: ModelDocument) -> dict:
             stages.append({"name": stage.name, "kind": stage.kind.value, "transforms": tr})
         sys_out.append({"name": system.name, "shape": system.shape.value, "stages": stages})
     out["systems"] = sys_out
-    out["chains"] = [
-        {"name": c.name, "links": list(c.link_names)}
-        for c in sorted(doc.chains, key=lambda c: c.name)
-    ]
+    by_name = {info.name: info for info in doc.informations}
+    out["chains"] = [_chain_to_json(c, by_name) for c in sorted(doc.chains, key=lambda c: c.name)]
     return out
 
 

@@ -119,8 +119,8 @@ class UnresolvedReferenceError(DocumentError):
 
 
 class DocumentInvariantError(DocumentError):
-    """One or more informations in a document fail validation; the
-    aggregated violations are listed in the message."""
+    """One or more informations, relations or chains of a document are
+    invalid; the aggregated violations are listed in the message."""
 
     def __init__(self, per_info):
         self.per_info = dict(per_info)

@@ -124,6 +124,19 @@ class ExtendedRate:
         return f"ExtendedRate({self})"
 
 
+def _weight(w, what: str, *key) -> Fraction:
+    """The weight ``w`` as a Fraction.  A bool, a type other than a
+    rational or a string Fraction cannot read is refused with
+    MeasureInputError, naming ``what.format(*key)``: only a refusal
+    formats it."""
+    if isinstance(w, bool):
+        raise MeasureInputError(f"{what.format(*key)} must be a rational, not {w!r}")
+    try:
+        return as_fraction(w)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise MeasureInputError(f"bad {what.format(*key)}: {w!r} ({e})") from None
+
+
 @dataclass(frozen=True)
 class MeasureAssignment:
     """A finite measure on entities: explicit weights with a default for
@@ -136,14 +149,15 @@ class MeasureAssignment:
     def __post_init__(self):
         clean = {}
         for e, w in dict(self.weights).items():
-            w = as_fraction(w)
+            w = _weight(w, "weight for {.id}", e)
             if w < 0:
-                raise ValueError(f"negative weight for {e.id}")
+                raise MeasureInputError(f"negative weight for {e.id}")
             clean[e] = w
         object.__setattr__(self, "weights", clean)
-        object.__setattr__(self, "default_weight", as_fraction(self.default_weight))
-        if self.default_weight < 0:
-            raise ValueError("negative default weight")
+        default = _weight(self.default_weight, "default weight")
+        if default < 0:
+            raise MeasureInputError("negative default weight")
+        object.__setattr__(self, "default_weight", default)
 
     @classmethod
     def counting(cls, name: str = "counting") -> "MeasureAssignment":
@@ -169,7 +183,7 @@ class AtomWeighting:
             # int(i) would let 0.5 overwrite 0, and move 1.7 and True to 1
             if not isinstance(i, int) or isinstance(i, bool):
                 raise MeasureInputError(f"atom index must be an integer, not {i!r}")
-            w = as_fraction(w)
+            w = _weight(w, "weight of atom {}", i)
             if w <= 0:
                 raise MeasureInputError("explicit atom weights must be positive")
             clean[i] = w
@@ -181,7 +195,7 @@ class AtomWeighting:
 
     @classmethod
     def explicit(cls, weights: Mapping[int, Rational]) -> "AtomWeighting":
-        return cls("explicit", {i: as_fraction(w) for i, w in weights.items()})
+        return cls("explicit", dict(weights))
 
     def weight(self, index: int) -> Fraction:
         if self.mode == "counting":
@@ -466,12 +480,7 @@ class Metric:
         for k, w in dict(self.component_weights).items():
             if k not in MISMATCH_COMPONENTS:
                 raise ValueError(f"unknown mismatch component: {k!r}")
-            if isinstance(w, bool):
-                raise MeasureInputError(f"weight of {k!r} must be a rational, not {w!r}")
-            try:
-                w = as_fraction(w)
-            except (TypeError, ValueError, ZeroDivisionError) as e:
-                raise MeasureInputError(f"bad weight of {k!r}: {w!r} ({e})") from None
+            w = _weight(w, "weight of {!r}", k)
             if w < 0:
                 raise MeasureInputError("component weights must be nonnegative")
             clean[k] = w

@@ -10,18 +10,18 @@ intervals [t, t] represent isolated instants.
 The endpoints are public as Fractions, and each set also keeps them as
 integer keys: its least common denominator d, and every endpoint times d.
 Fractions are stored in lowest terms and the normal form is unique, so
-equal sets have equal keys.  Equality compares the keys, containment
-bisects over them, and the symmetric-difference sweep rescales them to
-the two sides' common denominator, so none of these runs Fraction
-arithmetic or comparison.  The constructor scales its input once and
-checks it for normal form in one linear pass over the integers; only input
-that fails (unsorted, overlapping or touching intervals, or intervals the
-ray reaches) is sorted and merged, on the integers, and scaled again.
+equal sets have equal keys.  The hash is the hash of the keys, equality
+compares them, containment bisects over them, and the symmetric-difference
+sweep rescales them to the two sides' common denominator, so none of these
+runs Fraction arithmetic or comparison.  The constructor scales its input
+once and checks it for normal form in one linear pass over the integers;
+only input that fails (unsorted, overlapping or touching intervals, or
+intervals the ray reaches) is sorted and merged, on the integers, and
+scaled again.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,8 +30,6 @@ from operator import le, lt
 from typing import Iterable, Sequence, Union
 
 Rational = Union[Fraction, int, str]
-
-_P = sys.hash_info.modulus
 
 
 def as_fraction(x: Rational) -> Fraction:
@@ -49,10 +47,7 @@ def _scaled(pairs, ray):
     integer it is times d, and the ray still None if it was."""
     dens = [t.denominator for pair in pairs for t in pair]
     d = lcm(*dens) if ray is None else lcm(ray.denominator, *dens)
-    if d == 1:
-        ends = tuple([t.numerator for pair in pairs for t in pair])
-    else:
-        ends = tuple([t.numerator * (d // t.denominator) for pair in pairs for t in pair])
+    ends = tuple([t.numerator * (d // t.denominator) for pair in pairs for t in pair])
     r = None if ray is None else ray.numerator * (d // ray.denominator)
     return d, ends[0::2], ends[1::2], r
 
@@ -83,24 +78,6 @@ def _normalized(pairs, ray, los, his, r):
     return merged, ray
 
 
-def _hash(pairs, ray, d, los, his, r) -> int:
-    """``hash((pairs, ray))``, from the endpoints ``los``, ``his`` and
-    ``r`` scaled by ``d``.  Python hashes a rational m/n as the integer
-    m * pow(n, -1, P) for the prime P = sys.hash_info.modulus (see
-    "Hashing of numeric types" in the standard library documentation),
-    whatever the terms, so every endpoint k/d hashes as k times the inverse
-    of d, and the tuple of those integers hashes as the tuple of Fractions.
-    Only a d that P divides has no inverse; it hashes the Fractions."""
-    if d != 1:
-        try:
-            inv = pow(d, -1, _P)
-        except ValueError:
-            return hash((pairs, ray))
-        los, his = map(inv.__mul__, los), map(inv.__mul__, his)
-        r = None if r is None else r * inv
-    return hash((tuple(zip(los, his)), r))
-
-
 @dataclass(frozen=True, eq=False, slots=True, init=False)
 class TimeSet:
     """Normal-form union of closed rational intervals, plus optional ray.
@@ -109,9 +86,9 @@ class TimeSet:
     ``ray_from`` is the start of a closed right-unbounded tail [ray_from, oo)
     or None.  The constructor normalizes arbitrary input: it sorts, merges
     overlapping or touching intervals, and absorbs intervals into the ray.
-    A TimeSet is never empty.  Its hash is computed once, on construction,
-    and so are the integer keys: the common denominator ``_d`` and the
-    endpoints times ``_d`` (``_los``, ``_his``, ``_ray``).
+    A TimeSet is never empty.  The integer keys, the common denominator
+    ``_d`` and the endpoints times ``_d`` (``_los``, ``_his``, ``_ray``),
+    are computed once, on construction, and so is their hash.
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -144,7 +121,7 @@ class TimeSet:
         setattr_ = object.__setattr__
         setattr_(self, "intervals", pairs)
         setattr_(self, "ray_from", ray)
-        setattr_(self, "_h", _hash(pairs, ray, d, los, his, r))
+        setattr_(self, "_h", hash((d, los, his, r)))
         setattr_(self, "_d", d)
         setattr_(self, "_los", los)
         setattr_(self, "_his", his)
@@ -246,14 +223,7 @@ class TimeSet:
         return tuple(gaps)
 
     def contains_point(self, t: Rational) -> bool:
-        t = as_fraction(t)
-        n, d = t.numerator * self._d, t.denominator  # t is n / (d * self._d)
-        if self._ray is not None and n >= self._ray * d:
-            return True
-        # the last bounded interval starting at or before t is the only one
-        # that can contain t; an integer lo is <= n / d exactly when lo <= n // d
-        k = bisect_right(self._los, n // d)
-        return k > 0 and n <= self._his[k - 1] * d
+        return TimeSet.point(t).is_subset(self)
 
     def is_subset(self, other: TimeSet) -> bool:
         """Point-set containment.  Because both sides are in normal form,

@@ -84,6 +84,8 @@ class Value:
 
     @classmethod
     def record(cls, entries: Mapping[str, "Value"]) -> Value:
+        if not all(isinstance(k, str) for k in entries):
+            raise TypeError("record keys must be strings")
         items = []
         for k in sorted(entries):
             v = entries[k]

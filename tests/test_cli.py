@@ -335,6 +335,36 @@ def test_negative_transform_is_clean_error(tmp_path, stages, named):
     _analyze_fails_cleanly(tmp_path, json.dumps(doc), named)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "0", "--trials", "20", "--format", "json"],
+        ["scenario", "news_pipeline", "--format", "json"],
+        [
+            "measure", BUNDLED, "--info", "capture", "--relations", "same_source",
+            "--target", "uplink", "--format", "json",
+        ],
+    ],
+    ids=["verify", "scenario", "measure"],
+)
+def test_output_does_not_depend_on_hash_values(argv):
+    """Strings hash differently under each PYTHONHASHSEED, and so do the
+    elements and entity sets that hold them; no output may show that."""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(Path(isd.__file__).parents[1]), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "isd.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_measure_validates_each_information_once(monkeypatch, capsys):
     n_infos = len(load_document(BUNDLED).informations)
     calls = []

@@ -14,6 +14,7 @@ import isd
 from isd.document import (
     BoundRelation,
     ModelDocument,
+    NamedChain,
     _json_text,
     document_to_json,
     emit_document,
@@ -28,7 +29,7 @@ from isd.errors import (
     UnresolvedReferenceError,
 )
 from isd.measures import Relation
-from isd.model import validate
+from isd.model import SerialChain, validate
 
 BUNDLED = Path(isd.__file__).parent / "data" / "news_pipeline.json"
 
@@ -412,6 +413,37 @@ def test_emission_refuses_two_informations_of_one_name(tmp_path):
         dataclasses.replace(doc, informations=(*doc.informations, twin)), tmp_path
     )
     assert [v.code for v in error.per_info["capture"]] == ["duplicate-name"]
+
+
+@pytest.mark.parametrize(
+    "names, links",
+    [
+        (("capture", "archive"), None),
+        (("nope",), None),
+        (("ghost",), "ghost"),
+        (("capture",), "capture"),
+    ],
+    ids=["fewer-names", "unknown-name", "absent-link", "unequal-link"],
+)
+def test_emission_refuses_a_chain_other_than_it_names(tmp_path, names, links):
+    """``links`` None keeps the bundled chain; a name makes a one-link chain
+    of uplink renamed to it, which the document does not hold."""
+    doc = load_document(str(BUNDLED))
+    chain = doc.chains[0].chain
+    if links is not None:
+        chain = SerialChain((dataclasses.replace(doc.information("uplink"), name=links),))
+    bad = dataclasses.replace(doc, chains=(NamedChain("x", names, chain),))
+    error = _refused_on_emission(bad, tmp_path)
+    assert [v.code for v in error.per_info["x"]] == ["chain-link-unknown"]
+
+
+def test_emission_writes_a_chain_of_equal_links(tmp_path):
+    doc = load_document(str(BUNDLED))
+    named = doc.chains[0]
+    twins = SerialChain(tuple(dataclasses.replace(link) for link in named.chain.links))
+    assert twins.links == named.chain.links
+    again = dataclasses.replace(doc, chains=(NamedChain(named.name, named.link_names, twins),))
+    assert emit_document(again) == emit_document(doc)
 
 
 def test_informations_of_one_name_keep_both_reports(tmp_path):

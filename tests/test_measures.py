@@ -224,14 +224,47 @@ def test_delay_explicit_weights(pair_info):
 
 @pytest.mark.parametrize(
     "weights",
-    [{0: 1, 0.5: 2}, {1.7: 1}, {True: 2}, {0: 1, "1": 1}],
-    ids=["fraction-overwrites-zero", "float-moves-to-one", "bool", "string"],
+    [{0: 1, 0.5: 2}, {1.7: 1}, {True: 2}, {0: 1, "1": 1}, {0.5: 1.5}],
+    ids=["fraction-overwrites-zero", "float-moves-to-one", "bool", "string", "bad-weight-too"],
 )
 def test_atom_weight_indices_must_be_integers(weights):
     # int(i) would keep one weight for 0, or move 1.7 and True to index 1
     with pytest.raises(MeasureInputError, match="^atom index must be an integer"):
         AtomWeighting.explicit(weights)
     assert AtomWeighting.explicit({0: 1, 1: 2}).weights == {0: 1, 1: 2}
+
+
+_WEIGH = {
+    "atom": lambda w: AtomWeighting.explicit({0: w}).weights[0],
+    "entity": lambda w: MeasureAssignment("m", {objective("a"): w}).weights[objective("a")],
+    "default": lambda w: MeasureAssignment("m", default_weight=w).default_weight,
+}
+
+
+@pytest.mark.parametrize("weigh", _WEIGH.values(), ids=_WEIGH.keys())
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        (True, "must be a rational, not True"),
+        (0.5, ": 0.5 (not a rational value: 0.5)"),
+        ("1/0", ": '1/0' ("),
+        ("x", ": 'x' ("),
+    ],
+    ids=["bool", "float", "zero-denominator", "not-a-number"],
+)
+def test_weights_refused_typed(weigh, weight, message):
+    # a bool was read as 1; the others raised a bare TypeError,
+    # ZeroDivisionError or ValueError
+    with pytest.raises(MeasureInputError, match=re.escape(message)):
+        weigh(weight)
+    assert weigh("7/2") == Fraction(7, 2)
+
+
+def test_negative_entity_weights_refused_typed():
+    with pytest.raises(MeasureInputError, match="^negative weight for a$"):
+        MeasureAssignment("m", {objective("a"): -1})
+    with pytest.raises(MeasureInputError, match="^negative default weight$"):
+        MeasureAssignment("m", default_weight="-1/2")
 
 
 # -- scope and granularity ----------------------------------------------------

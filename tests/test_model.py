@@ -378,3 +378,18 @@ def test_values_structural_equality():
     assert Value.scalar("1/3").numeric_components() == (Fraction(1, 3),)
     with pytest.raises(ValueError):
         Value.symbol("").sort_key()
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {1: Value.symbol("a")},
+        {"k": Value.symbol("a"), 1: Value.symbol("b")},
+        {None: Value.scalar(0)},
+    ],
+    ids=["int", "mixed", "none"],
+)
+def test_record_keys_must_be_strings(entries):
+    # a document cannot write such a record, and mixed keys cannot be sorted
+    with pytest.raises(TypeError, match="^record keys must be strings$"):
+        Value.record(entries)
