@@ -419,7 +419,8 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
 def _require_valid_informations(infos) -> None:
     """Raise one DocumentInvariantError listing every violation, by name.
     A name that two informations share is a violation of its own, and the
-    reports of both are listed under it."""
+    reports of both are listed under it; so is a name that is not a
+    nonempty string."""
     reports: dict[str, list[Violation]] = {}
     for info in infos:
         if info.name in reports:
@@ -427,6 +428,9 @@ def _require_valid_informations(infos) -> None:
                 Violation("duplicate-name", f"another information is named {info.name!r}")
             )
         reports.setdefault(info.name, []).extend(_checked(info))
+        if not (isinstance(info.name, str) and info.name):
+            problem = f"an information's name must be a nonempty string, not {info.name!r}"
+            reports[info.name].append(Violation("name-invalid", problem))
     bad = {name: report for name, report in reports.items() if report}
     if bad:
         raise DocumentInvariantError(bad)
@@ -498,22 +502,36 @@ def _chain_to_json(c: NamedChain, by_name: dict[str, Information]) -> dict:
 
 
 def _document_entity_table(doc: ModelDocument) -> list[EntityId]:
-    seen = {e.id: e for e in doc.entities}
+    """Every entity the document names, once.  A document writes one realm
+    per id, so an id named in both realms raises DocumentInvariantError."""
+    named = set(doc.entities)
     for info in doc.informations:  # valid, so its elements hold no other entities
-        for e in info.ontology | info.carrier:
-            seen.setdefault(e.id, e)
+        named |= info.ontology | info.carrier
     for m in doc.measures:
-        for e in m.weights:
-            seen.setdefault(e.id, e)
-    return sorted(seen.values(), key=EntityId.sort_key)
+        named |= m.weights.keys()
+    table = sorted(named, key=EntityId.sort_key)
+    clashes = [a.id for a, b in zip(table, table[1:]) if a.id == b.id]
+    if clashes:
+        raise DocumentInvariantError(
+            {i: [Violation("entity-realm-conflict", f"entity {i!r} is in both realms")]
+             for i in clashes}
+        )
+    return table
 
 
 def document_to_json(doc: ModelDocument) -> dict:
     """The canonical tree.  What loading would refuse raises
-    DocumentInvariantError: an invalid information, two informations of
-    one name, a relation pairing elements that are not states of its
-    information, or a chain whose links are not the document's
-    informations of the names it lists."""
+    DocumentInvariantError: a format version other than this one, an
+    invalid information or one whose name is not a nonempty string, two
+    informations of one name, an entity id in both realms, a relation
+    pairing elements that are not states of its information, or a chain
+    whose links are not the document's informations of the names it
+    lists."""
+    if doc.format_version != FORMAT_VERSION:
+        problem = f"unsupported format_version {doc.format_version!r}"
+        raise DocumentInvariantError(
+            {"format_version": [Violation("format-version-unsupported", problem)]}
+        )
     _require_valid_informations(doc.informations)
     out: dict[str, Any] = {"format_version": doc.format_version}
     out["entities"] = [

@@ -26,6 +26,7 @@ from .errors import (
     ZeroTargetMeasureError,
 )
 from .model import (
+    COMPONENTS,
     Information,
     InformationLike,
     Element,
@@ -149,6 +150,8 @@ class MeasureAssignment:
     def __post_init__(self):
         clean = {}
         for e, w in dict(self.weights).items():
+            if not isinstance(e, EntityId):
+                raise MeasureInputError(f"weight keys must be entities, not {e!r}")
             w = _weight(w, "weight for {.id}", e)
             if w < 0:
                 raise MeasureInputError(f"negative weight for {e.id}")
@@ -443,14 +446,7 @@ def coverage(
 
 # -- metrics -----------------------------------------------------------------
 
-MISMATCH_COMPONENTS = (
-    "ontology",
-    "occurrence",
-    "states",
-    "carrier",
-    "reflection_time",
-    "reflections",
-)
+MISMATCH_COMPONENTS = COMPONENTS
 
 
 @dataclass(frozen=True)

@@ -129,24 +129,30 @@ class _Sextuple:
         object.__setattr__(self, "_map", dict(self.mapping))
 
     @classmethod
-    def _presorted(cls, name, ontology, occurrence, states, carrier, reflection_time,
-                   reflections, mapping):
-        """A value built from frozensets and a mapping tuple that is already
-        in canonical order with one pair per state, which is kept as given:
-        ``__post_init__`` would only convert and sort it again."""
+    def _presorted(cls, *values, valid=False):
+        """The one trusted constructor: the name, the six components as
+        frozensets and TimeSets, and a mapping tuple in canonical order with
+        one pair per state, kept as given.  ``valid`` is the caller's verdict
+        that the value is valid by construction, recorded as the mark."""
         out = object.__new__(cls)
-        values = (name, ontology, occurrence, states, carrier, reflection_time,
-                  reflections, mapping, dict(mapping))
-        for f, v in zip(_SEXTUPLE_FIELDS, values):
+        for f, v in zip(_SEXTUPLE_FIELDS, (*values, dict(values[-1]))):
             object.__setattr__(out, f, v)
+        if valid:
+            object.__setattr__(out, "_known_valid", True)
         return out
 
     @property
     def map(self) -> Mapping[Element, Element]:
         return self._map
 
+    def components(self):
+        """The six components as a tuple, in canonical order."""
+        return tuple([getattr(self, c) for c in COMPONENTS])
+
 
 _SEXTUPLE_FIELDS = tuple(f.name for f in fields(_Sextuple))
+# the six components, in canonical order: the one place they are listed
+COMPONENTS = _SEXTUPLE_FIELDS[1:7]
 
 
 @dataclass(frozen=True)
@@ -156,9 +162,10 @@ class Information(_Sextuple):
     ``name`` is a label for documents and reports and is excluded from
     structural equality.  The constructor normalizes sets and mapping
     order but does not enforce semantic invariants; ``validate`` reports
-    them.  Operations that need a well-formed value check it once, and
-    composites of checked links and ``from_pairs`` values with an
-    objective carrier are valid by construction.
+    them.  Operations that need a well-formed value check it once.  The
+    six components are listed once, as ``COMPONENTS``.  Composites and
+    combinations of checked informations, and ``from_pairs`` values with an
+    objective carrier, are valid by construction and marked so.
     """
 
     @classmethod
@@ -172,24 +179,23 @@ class Information(_Sextuple):
         objective-carrier rule, so it is marked valid when its carrier is
         objective.  Raises ValueError when ``pairs`` is empty or gives one
         state two reflections."""
-        pairs = list(pairs)
-        if not pairs:
+        mapping = _normalize_pairs(pairs)
+        if not mapping:
             raise ValueError("an information needs at least one pair")
-        states = frozenset(s for s, _ in pairs)
-        reflections = frozenset(r for _, r in pairs)
-        out = cls(
+        states = frozenset([s for s, _ in mapping])
+        reflections = frozenset([r for _, r in mapping])
+        carrier = frozenset().union(*(r.entities for r in reflections))
+        return cls._presorted(
             name,
             frozenset().union(*(s.entities for s in states)),
             TimeSet.union(*(s.at for s in states)),
             states,
-            frozenset().union(*(r.entities for r in reflections)),
+            carrier,
             TimeSet.union(*(r.at for r in reflections)),
             reflections,
-            pairs,
+            mapping,
+            valid=all(e.is_objective for e in carrier),
         )
-        if all(e.is_objective for e in out.carrier):
-            object.__setattr__(out, "_known_valid", True)
-        return out
 
     def sorted_states(self) -> list[Element]:
         """The states in canonical order: the state column of the valid mapping."""
@@ -198,17 +204,6 @@ class Information(_Sextuple):
 
     def sorted_reflections(self) -> list[Element]:
         return sorted(self.reflections, key=Element.sort_key)
-
-    def components(self):
-        """The six components as a tuple, in canonical order."""
-        return (
-            self.ontology,
-            self.occurrence,
-            self.states,
-            self.carrier,
-            self.reflection_time,
-            self.reflections,
-        )
 
     def __repr__(self):
         return (
@@ -230,16 +225,8 @@ class RawMapping(_Sextuple):
     """
 
     def promote(self) -> Information:
-        info = Information(
-            self.name,
-            self.ontology,
-            self.occurrence,
-            self.states,
-            self.carrier,
-            self.reflection_time,
-            self.reflections,
-            self.mapping,
-        )
+        # the mapping is canonical already: the constructor sorted it
+        info = Information._presorted(self.name, *self.components(), self.mapping)
         require_valid(info)
         return info
 
@@ -274,13 +261,8 @@ def validate(info: InformationLike) -> list[Violation]:
     elements that break a rule are sorted into the report.
     """
     out: list[Violation] = []
-    for label, comp in (
-        ("ontology", info.ontology),
-        ("states", info.states),
-        ("carrier", info.carrier),
-        ("reflections", info.reflections),
-    ):
-        if not comp:
+    for label in ("ontology", "states", "carrier", "reflections"):
+        if not getattr(info, label):
             out.append(Violation("empty-component", f"{label} is empty"))
 
     bad_carrier = (e for e in info.carrier if not e.is_objective)
@@ -323,6 +305,10 @@ def _checked(info: InformationLike) -> list[Violation]:
     if not report:
         object.__setattr__(info, "_known_valid", True)
     return report
+
+
+def _both_marked(a: InformationLike, b: InformationLike) -> bool:
+    return getattr(a, "_known_valid", False) and getattr(b, "_known_valid", False)
 
 
 def require_valid(info: InformationLike) -> None:
@@ -438,9 +424,11 @@ def _join(first: Information, second: Information) -> Information:
     be valid: RawMapping links are exempt from checks, so a composite of
     one, and every composite built on that one, is not marked.  The pairs
     come in the first link's mapping order, which is already canonical for
-    its states, so they are kept as they are rather than sorted again."""
+    its states, so they are kept as they are rather than sorted again.  The
+    same reasoning makes a ``combine`` of checked parts valid by
+    construction; both go through the one trusted constructor."""
     pairs = tuple([(s, second.map[r]) for s, r in first.mapping])
-    out = Information._presorted(
+    return Information._presorted(
         f"{first.name}*{second.name}",
         first.ontology,
         first.occurrence,
@@ -449,10 +437,8 @@ def _join(first: Information, second: Information) -> Information:
         second.reflection_time,
         second.reflections,
         pairs,
+        valid=_both_marked(first, second),
     )
-    if getattr(first, "_known_valid", False) and getattr(second, "_known_valid", False):
-        object.__setattr__(out, "_known_valid", True)
-    return out
 
 
 @dataclass(frozen=True)
@@ -495,26 +481,18 @@ def is_sub_information(candidate: Information, whole: Information) -> tuple[bool
     shared states.  Proper means at least one containment is strict."""
     require_valid(candidate)
     require_valid(whole)
-    checks = [
-        candidate.ontology <= whole.ontology,
-        candidate.occurrence.is_subset(whole.occurrence),
-        candidate.states <= whole.states,
-        candidate.carrier <= whole.carrier,
-        candidate.reflection_time.is_subset(whole.reflection_time),
-        candidate.reflections <= whole.reflections,
-    ]
-    if not all(checks):
-        return (False, False)
-    for s, r in candidate.mapping:
-        if whole.map.get(s) != r:
+    for x, y in zip(candidate.components(), whole.components()):
+        if not (x.is_subset(y) if isinstance(x, TimeSet) else x <= y):
             return (False, False)
-    proper = candidate.components() != whole.components()
-    return (True, proper)
+    if any(whole.map.get(s) != r for s, r in candidate.mapping):
+        return (False, False)
+    return (True, candidate.components() != whole.components())
 
 
 def combine(a: Information, b: Information) -> Information:
     """Componentwise union.  The mappings must agree on shared states;
-    disagreement raises CombineConflictError naming the state."""
+    disagreement raises CombineConflictError naming the state.  The union
+    of two checked informations keeps every rule, so it is marked valid."""
     require_valid(a)
     require_valid(b)
     for s in a.states & b.states:
@@ -522,18 +500,12 @@ def combine(a: Information, b: Information) -> Information:
             raise CombineConflictError(
                 f"shared state maps to different reflections: {s}"
             )
-    pairs = dict(a.mapping)
-    pairs.update(dict(b.mapping))
     name = a.name if a.name == b.name else f"{a.name}+{b.name}"
-    return Information(
+    return Information._presorted(
         name,
-        a.ontology | b.ontology,
-        a.occurrence.union(b.occurrence),
-        a.states | b.states,
-        a.carrier | b.carrier,
-        a.reflection_time.union(b.reflection_time),
-        a.reflections | b.reflections,
-        pairs,
+        *[x.union(y) for x, y in zip(a.components(), b.components())],
+        _normalize_pairs({**a.map, **b.map}),
+        valid=_both_marked(a, b),
     )
 
 
@@ -570,8 +542,4 @@ def is_copy(a: Information, b: Information) -> bool:
     require_valid(b)
     if not (is_reducible(a) and is_reducible(b)):
         return False
-    return (
-        a.ontology == b.ontology
-        and a.occurrence == b.occurrence
-        and a.states == b.states
-    )
+    return a.components()[:3] == b.components()[:3]

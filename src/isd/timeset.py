@@ -33,10 +33,11 @@ Rational = Union[Fraction, int, str]
 
 
 def as_fraction(x: Rational) -> Fraction:
-    """Coerce ints, Fractions, and "p/q" strings to Fraction."""
+    """Coerce ints, Fractions, and "p/q" strings to Fraction; a bool is
+    refused like a float."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 

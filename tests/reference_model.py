@@ -9,7 +9,8 @@ rebuilds each element from the other side's fields.
 ``isd.model`` orders a mapping by state key alone; ``normalize_pairs``
 orders it by state and reflection keys.  ``isd.model._join`` keeps the
 first link's mapping order for a composite; ``join`` here sorts the
-composite's pairs again through the public ``Information`` constructor.  ``Information.from_pairs``
+composite's pairs again through the public ``Information`` constructor,
+and so does ``combine`` here with the six unions written out one by one.  ``Information.from_pairs``
 unions each time component in one normalization; ``from_pairs`` here
 folds pairwise unions field by field.  The property tests check that
 both sides return the same violations, the same mapping in the same
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Mapping
 
-from isd.errors import InvalidInformationError, NonInvertibleError
+from isd.errors import CombineConflictError, InvalidInformationError, NonInvertibleError
 from isd.model import (
     Information,
     InformationLike,
@@ -30,6 +31,7 @@ from isd.model import (
     StateElement,
     Violation,
     is_reducible,
+    require_valid,
 )
 from isd.timeset import TimeSet
 from isd.values import EntityId
@@ -234,3 +236,28 @@ def join(first: Information, second: Information) -> Information:
     if getattr(first, "_known_valid", False) and getattr(second, "_known_valid", False):
         object.__setattr__(out, "_known_valid", True)
     return out
+
+
+def combine(a: Information, b: Information) -> Information:
+    """Componentwise union.  The mappings must agree on shared states;
+    disagreement raises CombineConflictError naming the state."""
+    require_valid(a)
+    require_valid(b)
+    for s in a.states & b.states:
+        if a.map[s] != b.map[s]:
+            raise CombineConflictError(
+                f"shared state maps to different reflections: {s}"
+            )
+    pairs = dict(a.mapping)
+    pairs.update(dict(b.mapping))
+    name = a.name if a.name == b.name else f"{a.name}+{b.name}"
+    return Information(
+        name,
+        a.ontology | b.ontology,
+        a.occurrence.union(b.occurrence),
+        a.states | b.states,
+        a.carrier | b.carrier,
+        a.reflection_time.union(b.reflection_time),
+        a.reflections | b.reflections,
+        pairs,
+    )

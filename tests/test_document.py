@@ -446,6 +446,47 @@ def test_emission_writes_a_chain_of_equal_links(tmp_path):
     assert emit_document(again) == emit_document(doc)
 
 
+def _one_pair(subject, carrier) -> isd.Information:
+    s = isd.StateElement({subject}, isd.TimeSet.point(0), isd.Value.scalar(1))
+    r = isd.ReflectionElement({carrier}, isd.TimeSet.point(1), isd.Value.scalar(1))
+    return isd.Information.from_pairs("x", [(s, r)])
+
+
+@pytest.mark.parametrize("where", ["information", "declared", "measure"])
+def test_emission_refuses_an_id_in_both_realms(tmp_path, where):
+    """A document writes one realm per id.  Emission kept whichever "a" it
+    met first in set order, so the text depended on the hash seed: it
+    loaded back as another information, or not at all."""
+    a, cam, sub_a = isd.objective("a"), isd.objective("cam"), isd.subjective("a")
+    doc = {
+        "information": ModelDocument(informations=(_one_pair(sub_a, a),)),
+        "declared": ModelDocument(entities=(a,), informations=(_one_pair(sub_a, cam),)),
+        "measure": ModelDocument(
+            informations=(_one_pair(a, cam),),
+            measures=(isd.MeasureAssignment("m", {sub_a: 2}),),
+        ),
+    }[where]
+    error = _refused_on_emission(doc, tmp_path)
+    assert {k: [v.code for v in vs] for k, vs in error.per_info.items()} == {
+        "a": ["entity-realm-conflict"]
+    }
+
+
+def test_emission_refuses_an_unsupported_format_version(tmp_path):
+    doc = dataclasses.replace(load_document(str(BUNDLED)), format_version="2")
+    error = _refused_on_emission(doc, tmp_path)
+    assert [v.code for v in error.per_info["format_version"]] == ["format-version-unsupported"]
+    assert "'2'" in str(error)
+
+
+@pytest.mark.parametrize("name", ["", 5], ids=["empty", "int"])
+def test_emission_refuses_an_information_without_a_string_name(tmp_path, name):
+    # loading refuses both; an int name also broke the sort by name
+    unnamed = dataclasses.replace(load_document(str(BUNDLED)).information("capture"), name=name)
+    error = _refused_on_emission(ModelDocument(informations=(unnamed,)), tmp_path)
+    assert [v.code for v in error.per_info[name]] == ["name-invalid"]
+
+
 def test_informations_of_one_name_keep_both_reports(tmp_path):
     twins = (_mis_mapped_probe("unknown-state"), _mis_mapped_probe("unmapped-state"))
     error = _refused_on_emission(ModelDocument(informations=twins), tmp_path)

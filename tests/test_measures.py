@@ -260,6 +260,16 @@ def test_weights_refused_typed(weigh, weight, message):
     assert weigh("7/2") == Fraction(7, 2)
 
 
+@pytest.mark.parametrize("weight", [1, "x"], ids=["good-weight", "bad-weight"])
+@pytest.mark.parametrize("key", ["a", 0, None, ("a",)], ids=["str", "int", "none", "tuple"])
+def test_entity_weight_keys_must_be_entities(key, weight):
+    # a document holding such a measure could not be written, and a bad
+    # weight raised AttributeError while naming its key
+    message = f"^weight keys must be entities, not {re.escape(repr(key))}$"
+    with pytest.raises(MeasureInputError, match=message):
+        MeasureAssignment("m", {key: weight})
+
+
 def test_negative_entity_weights_refused_typed():
     with pytest.raises(MeasureInputError, match="^negative weight for a$"):
         MeasureAssignment("m", {objective("a"): -1})

@@ -34,6 +34,7 @@ from isd.model import (
     reduction_map,
     validate,
 )
+from isd.measures import MISMATCH_COMPONENTS
 from isd.timeset import TimeSet
 from isd.values import Value, objective, subjective
 from isd.verify import random_chain
@@ -314,6 +315,70 @@ def test_combine_atoms_rebuilds(pair_info):
     assert combine(first, second) == pair_info
 
 
+def test_raw_mapping_is_a_sub_information(pair_info):
+    # a RawMapping had no components(), so this raised AttributeError
+    raw = _as_raw(pair_info)
+    assert raw.components() == pair_info.components()
+    assert is_sub_information(raw, pair_info) == (True, False)
+    assert is_sub_information(pair_info, raw) == (True, False)
+
+
+def test_components_are_the_fields_in_order(pair_info):
+    names = ("ontology", "occurrence", "states", "carrier", "reflection_time", "reflections")
+    assert tuple(f.name for f in dataclasses.fields(Information))[1:7] == names
+    assert isd.model.COMPONENTS == MISMATCH_COMPONENTS == names
+    assert pair_info.components() == tuple(getattr(pair_info, n) for n in names)
+
+
+def _counting(monkeypatch, name):
+    """The names of the values passed to ``isd.model.<name>`` from now on."""
+    calls = []
+    real = getattr(isd.model, name)
+
+    def counting(arg, *rest):
+        calls.append(getattr(arg, "name", arg))
+        return real(arg, *rest)
+
+    monkeypatch.setattr(isd.model, name, counting)
+    return calls
+
+
+def test_combine_of_checked_parts_is_never_validated(monkeypatch, pair_info):
+    # unmarked copies of the atoms, so each is validated once by combine
+    first, second = (dataclasses.replace(a.lift(f"a{i}")) for i, a in enumerate(atoms(pair_info)))
+    calls = _counting(monkeypatch, "validate")
+    whole = combine(first, second)
+    assert calls == ["a0", "a1"]
+    assert whole._known_valid and whole == pair_info
+    nxt = _follow_on(pair_info)
+    built = [
+        compose(whole, nxt),
+        collapse_chain(SerialChain((whole, nxt))),
+        combine(whole, first),
+    ]
+    assert is_sub_information(first, whole) == (True, True)
+    assert atoms(whole) == atoms(pair_info)
+    assert calls == ["a0", "a1", "store"]
+    assert all(b._known_valid for b in built)
+
+
+def test_combine_with_a_raw_side_is_not_marked(pair_info):
+    first, second = (a.lift() for a in atoms(pair_info))
+    whole = combine(_as_raw(first), second)
+    assert type(whole) is Information and whole == pair_info
+    assert not getattr(whole, "_known_valid", False)
+    assert not getattr(dataclasses.replace(combine(first, second)), "_known_valid", False)
+
+
+def test_invert_sorts_the_mapping_once(monkeypatch, pair_info):
+    # promote used to rebuild the inverse through the public constructor,
+    # which sorted the already sorted mapping again
+    calls = _counting(monkeypatch, "_normalize_pairs")
+    back = invert(pair_info)
+    assert type(back) is Information and back._known_valid
+    assert len(calls) == 1
+
+
 def test_combine_conflict():
     a, cam = objective("a"), objective("cam")
     s = StateElement({a}, TimeSet.point(0), Value.scalar(1))
@@ -393,3 +458,19 @@ def test_record_keys_must_be_strings(entries):
     # a document cannot write such a record, and mixed keys cannot be sorted
     with pytest.raises(TypeError, match="^record keys must be strings$"):
         Value.record(entries)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Value.scalar(True),
+        lambda: Value.vector([True, False]),
+        lambda: TimeSet.point(True),
+        lambda: TimeSet.from_intervals([(False, 1)]),
+    ],
+    ids=["scalar", "vector", "point", "interval"],
+)
+def test_a_bool_is_not_a_rational(build):
+    # a bool is an int, so each of these read True as 1 and False as 0
+    with pytest.raises(TypeError, match="^not a rational value: (True|False)$"):
+        build()

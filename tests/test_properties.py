@@ -47,7 +47,7 @@ from isd.measures import (
 )
 from functools import reduce
 
-from isd.errors import NonInvertibleError
+from isd.errors import CombineConflictError, InvalidInformationError, NonInvertibleError
 from isd.model import (
     Element,
     Information,
@@ -890,9 +890,14 @@ def test_composition_matches_reference(seed, n_links, raw_at, loop):
         links[raw_at] = _as_raw(links[raw_at])
     chain = SerialChain(tuple(links))
     assert check_chain(chain) == []
-    _same_composite(collapse_chain(chain), reduce(reference_model.join, links))
+    known = [not isinstance(link, RawMapping) for link in links]
+    whole = collapse_chain(chain)
+    _trusted(whole, all(known))  # before sorted_states checks and marks it
+    _same_composite(whole, reduce(reference_model.join, links))
     if len(links) > 1:
-        _same_composite(compose(links[0], links[1]), reference_model.join(links[0], links[1]))
+        pair = compose(links[0], links[1])
+        _trusted(pair, all(known[:2]))
+        _same_composite(pair, reference_model.join(links[0], links[1]))
 
 
 @given(seeds)
@@ -919,6 +924,78 @@ def test_chain_collapse_matches_pairwise(seed):
     assert whole.reflections == paired.reflections
     assert set(whole.mapping) == set(paired.mapping)
     assert whole.name == paired.name
+
+
+# -- the trusted constructor ----------------------------------------------------
+#
+# ``from_pairs``, ``compose``, ``collapse_chain``, ``combine`` and ``promote``
+# build through ``_Sextuple._presorted``, which keeps the mapping as given and
+# records its caller's verdict as the mark.
+
+
+def _trusted(got, marked: bool) -> None:
+    """``got`` is what the public constructor builds from its fields, given
+    its mapping in reverse order, and is marked exactly when ``marked``."""
+    public = dataclasses.replace(got, mapping=got.mapping[::-1])
+    assert type(got.mapping) is tuple and got.mapping == public.mapping
+    assert got.map == public.map and got == public and got.name == public.name
+    assert getattr(got, "_known_valid", False) == marked
+    if marked:
+        assert validate(got) == []
+
+
+_valid_pairs = st.lists(
+    st.tuples(
+        st.builds(StateElement, small_parts, small_times, small_values),
+        st.builds(
+            ReflectionElement,
+            st.sets(st.sampled_from([objective("c"), objective("d")]), min_size=1),
+            small_times,
+            small_values,
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    st.lists(small_pairs, min_size=1, max_size=8),
+    _valid_pairs,
+    _valid_pairs,
+    st.sampled_from([None, 0, 1]),
+)
+@settings(max_examples=100, deadline=None)
+def test_trusted_builds_match_the_public_constructor(pairs, pairs_a, pairs_b, raw_at):
+    """``from_pairs`` is marked when its carrier is objective; ``promote``
+    when it returns; ``combine`` when neither side is a RawMapping.  The
+    combined sides share a state that maps alike, and may share others
+    that do not."""
+    info = Information.from_pairs("p", dict(pairs).items())
+    _trusted(info, all(e.is_objective for e in info.carrier))
+    try:
+        promoted = _as_raw(info).promote()
+    except InvalidInformationError:
+        assert validate(info)
+    else:
+        assert type(promoted) is Information and promoted == info
+        _trusted(promoted, True)
+
+    a = Information.from_pairs("a", dict(pairs_a).items())
+    b = Information.from_pairs("b", {**dict(pairs_b), **dict(a.mapping[:1])}.items())
+    sides = [a, b]
+    if raw_at is not None:
+        sides[raw_at] = _as_raw(sides[raw_at])
+    try:
+        want = reference_model.combine(*sides)
+    except CombineConflictError:
+        with pytest.raises(CombineConflictError):
+            combine(*sides)
+        return
+    whole = combine(*sides)
+    assert type(whole) is Information and whole == want and whole.name == want.name
+    assert whole.mapping == want.mapping
+    _trusted(whole, raw_at is None)
 
 
 # -- measures -----------------------------------------------------------------

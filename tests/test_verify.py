@@ -123,7 +123,7 @@ def _fault_mtbf(segments):
 
 
 def _fault_duration(info):
-    return duration(info).plus(info.occurrence.inf > 10)
+    return duration(info).plus(int(info.occurrence.inf > 10))  # plus refuses a bool
 
 
 def _fault_aggregation(info, relations, mode="instances"):
