@@ -362,9 +362,15 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
     _require_valid_informations(by_name.values())
 
     measures = []
+    measure_names = set()
     for i, obj in enumerate(_field(raw, "measures", list, source, [])):
         w = (source, ": measures", i)
         name = _field(_typed(obj, dict, w), "name", str, w)
+        if not name:
+            _fail(w, "name must be nonempty")
+        if name in measure_names:
+            _fail(w, f"duplicate measure name {name!r}")
+        measure_names.add(name)
         weights = {}
         for eid, wt in _field(obj, "weights", dict, w, {}).items():
             if eid not in table:
@@ -431,6 +437,24 @@ def _require_valid_informations(infos) -> None:
         if not (isinstance(info.name, str) and info.name):
             problem = f"an information's name must be a nonempty string, not {info.name!r}"
             reports[info.name].append(Violation("name-invalid", problem))
+    bad = {name: report for name, report in reports.items() if report}
+    if bad:
+        raise DocumentInvariantError(bad)
+
+
+def _require_valid_measure_names(measures) -> None:
+    """Raise one DocumentInvariantError, keyed by name, for each measure
+    whose name is not a nonempty string or is another measure's."""
+    reports: dict[Any, list[Violation]] = {}
+    for m in measures:
+        if not (isinstance(m.name, str) and m.name):
+            problem = f"a measure's name must be a nonempty string, not {m.name!r}"
+            reports.setdefault(m.name, []).append(Violation("measure-name-invalid", problem))
+        elif m.name in reports:
+            problem = f"another measure is named {m.name!r}"
+            reports[m.name].append(Violation("measure-duplicate-name", problem))
+        else:
+            reports[m.name] = []
     bad = {name: report for name, report in reports.items() if report}
     if bad:
         raise DocumentInvariantError(bad)
@@ -523,7 +547,8 @@ def document_to_json(doc: ModelDocument) -> dict:
     """The canonical tree.  What loading would refuse raises
     DocumentInvariantError: a format version other than this one, an
     invalid information or one whose name is not a nonempty string, two
-    informations of one name, an entity id in both realms, a relation
+    informations of one name, a measure whose name is not a nonempty
+    string, two measures of one name, an entity id in both realms, a relation
     pairing elements that are not states of its information, or a chain
     whose links are not the document's informations of the names it
     lists."""
@@ -533,6 +558,7 @@ def document_to_json(doc: ModelDocument) -> dict:
             {"format_version": [Violation("format-version-unsupported", problem)]}
         )
     _require_valid_informations(doc.informations)
+    _require_valid_measure_names(doc.measures)
     out: dict[str, Any] = {"format_version": doc.format_version}
     out["entities"] = [
         {"id": e.id, "realm": e.realm.value} for e in _document_entity_table(doc)

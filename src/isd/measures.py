@@ -505,6 +505,7 @@ def distortion(
         union = len(info.states | estimated)
         return Fraction(sym, union) if union else Fraction(0)
     if metric.kind == "euclidean_on_values":
+        # each (x - y)**2 as the integer pair ((xn yd - yn xd)**2, (xd yd)**2)
         squares = []
         for s, r in info.mapping:
             truth = s.value.numeric_components()
@@ -513,8 +514,10 @@ def distortion(
                 raise MeasureInputError(
                     "state and estimate values have different numeric shapes"
                 )
-            squares.extend((x - y) ** 2 for x, y in zip(truth, est))
-        return exact_or_float_sqrt(exact_sum(squares))
+            for x, y in zip(truth, est):
+                xd, yd = x.denominator, y.denominator
+                squares.append(((x.numerator * yd - y.numerator * xd) ** 2, (xd * yd) ** 2))
+        return exact_or_float_sqrt(Fraction(*exact_pair_sum(squares)))
     raise ValueError(f"metric kind {metric.kind!r} does not apply to distortion")
 
 

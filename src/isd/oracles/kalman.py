@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 import numpy as np
 
@@ -108,6 +109,15 @@ def kalman_filter(model: KalmanModel) -> KalmanResult:
         x(k|k)   = x(k|k-1) + G(k) (z(k) - H x(k|k-1))
         P(k|k)   = (I - G(k) H) P(k|k-1)
 
+    Each product is one numpy call on the operands of the reference in
+    ``tests/reference_kalman.py``, whose arrays these equal byte for byte.
+    It goes through ``np.dot``, the BLAS routine ``@`` reaches at less
+    call overhead, or through ``@`` for a 1-dimensional state, since
+    ``np.dot`` multiplies two size-1 operands as scalars and keeps a -0.0
+    that ``@`` makes +0.0.  A 1x1 innovation covariance is inverted as
+    the reciprocal of its entry, which is LAPACK's inverse.  With no
+    steps each array has shape ``(0,)``.
+
     Raises
     ------
     NumericalSingularityError
@@ -122,36 +132,44 @@ def kalman_filter(model: KalmanModel) -> KalmanResult:
         if not np.isfinite(getattr(model, name)).all():
             raise NumericalSingularityError(f"{name} has a non-finite entry")
     A, B, H, Q, R = model.A, model.B, model.H, model.Q, model.R
-    n = A.shape[0]
+    At, Ht = A.T, H.T
+    n, p, steps = A.shape[0], H.shape[0], len(model.zs)
+    dot = np.matmul if n == 1 else np.dot
     eye = np.eye(n)
-    x = model.x0.copy()
-    P = model.P0.copy()
-    pred_x, pred_P, gains, xs, Ps = [], [], [], [], []
-    for u, z in zip(model.us, model.zs):
-        x_pred = A @ x + B @ u
-        P_pred = A @ P @ A.T + Q
-        S = H @ P_pred @ H.T + R
-        if not np.isfinite(S).all():
-            raise NumericalSingularityError("innovation covariance is not finite")
-        if (S[0, 0] == 0) if S.shape == (1, 1) else (np.linalg.cond(S) > CONDITION_LIMIT):
-            raise NumericalSingularityError(
-                "innovation covariance too ill-conditioned to invert"
-            )
-        G = P_pred @ H.T @ np.linalg.inv(S)
-        x = x_pred + G @ (z - H @ x_pred)
-        P = (eye - G @ H) @ P_pred
-        pred_x.append(x_pred)
-        pred_P.append(P_pred)
-        gains.append(G)
-        xs.append(x)
-        Ps.append(P)
-    return KalmanResult(
-        predicted_states=np.array(pred_x),
-        predicted_covariances=np.array(pred_P),
-        gains=np.array(gains),
-        states=np.array(xs),
-        covariances=np.array(Ps),
-    )
+    x, P = model.x0, model.P0
+    if not steps:
+        return KalmanResult(*(np.array([]) for _ in range(5)))
+    pred_x, xs = np.empty((steps, n)), np.empty((steps, n))
+    pred_P, Ps = np.empty((steps, n, n)), np.empty((steps, n, n))
+    gains = np.empty((steps, n, p))
+    for k, (u, z) in enumerate(zip(model.us, model.zs)):
+        x_pred = dot(A, x) + dot(B, u)
+        P_pred = dot(dot(A, P), At) + Q
+        S = dot(dot(H, P_pred), Ht) + R
+        if p == 1:
+            s = S.item()
+            if not isfinite(s):
+                raise NumericalSingularityError("innovation covariance is not finite")
+            if s == 0:
+                raise NumericalSingularityError(
+                    "innovation covariance too ill-conditioned to invert"
+                )
+            # a Python division: a subnormal s overflows to inf without a warning
+            S[0, 0] = 1.0 / s
+            S_inv = S
+        else:
+            if not np.isfinite(S).all():
+                raise NumericalSingularityError("innovation covariance is not finite")
+            if np.linalg.cond(S) > CONDITION_LIMIT:
+                raise NumericalSingularityError(
+                    "innovation covariance too ill-conditioned to invert"
+                )
+            S_inv = np.linalg.inv(S)
+        G = dot(dot(P_pred, Ht), S_inv)
+        x = x_pred + dot(G, z - dot(H, x_pred))
+        P = dot(eye - dot(G, H), P_pred)
+        pred_x[k], pred_P[k], gains[k], xs[k], Ps[k] = x_pred, P_pred, G, x, P
+    return KalmanResult(pred_x, pred_P, gains, xs, Ps)
 
 
 @dataclass(frozen=True)
@@ -185,10 +203,13 @@ def simulate_tracking(
     truth = np.empty((steps, 2))
     zs = np.empty((steps, 1))
     chol = np.linalg.cholesky(Q + 1e-18 * np.eye(2))
+    # one draw of the interleaved stream: two state draws, then one
+    # measurement draw, per step
+    noise = rng.standard_normal((steps, 3))
     for k in range(steps):
-        x = A @ x + chol @ rng.standard_normal(2)
+        x = np.dot(A, x) + np.dot(chol, noise[k, :2])
         truth[k] = x
-        zs[k] = x[0] + rng.standard_normal() * np.sqrt(measurement_noise)
+    zs[:, 0] = truth[:, 0] + noise[:, 2] * np.sqrt(measurement_noise)
     model = KalmanModel(
         A=A,
         B=B,
@@ -222,11 +243,12 @@ def tracking_information(
             raise NumericalSingularityError(f"tracking run has a non-finite {what}")
     target = target or objective("target")
     sensor = sensor or objective("sensor")
+    columns = (run.times, run.true_positions, run.model.zs[:, 0])
     pairs = []
-    for t, pos, z in zip(run.times, run.true_positions, run.model.zs[:, 0]):
-        at = TimeSet.point(Fraction(float(t)))
-        s = Element(frozenset([target]), at, Value.scalar(Fraction(float(pos))))
-        r = Element(frozenset([sensor]), at, Value.scalar(Fraction(float(z))))
+    for t, pos, z in zip(*(np.asarray(c, dtype=float).tolist() for c in columns)):
+        at = TimeSet.point(Fraction(t))
+        s = Element(frozenset([target]), at, Value.scalar(Fraction(pos)))
+        r = Element(frozenset([sensor]), at, Value.scalar(Fraction(z)))
         pairs.append((s, r))
     return Information.from_pairs("tracking", pairs)
 
@@ -239,10 +261,10 @@ def kalman_reflection(run: TrackingRun, info: Information) -> dict:
     estimate for that step; feed it to ``measures.distortion``.
     """
     result = kalman_filter(run.model)
-    estimates = result.states[:, 0]
+    estimates = result.states[:, 0].tolist()
     out = {}
     for (s, r), est in zip(info.mapping, estimates):
-        out[r] = Element(s.entities, s.at, Value.scalar(Fraction(float(est))))
+        out[r] = Element(s.entities, s.at, Value.scalar(Fraction(est)))
     return out
 
 

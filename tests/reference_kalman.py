@@ -1,8 +1,14 @@
-"""The package's original ``kalman_filter``, kept verbatim as the reference.
+"""The package's original ``kalman_filter`` and ``simulate_tracking``, kept
+verbatim as the references.
 
-``isd.oracles.kalman.kalman_filter`` skips the SVD behind ``np.linalg.cond``
-when the innovation covariance is 1x1 and refuses a non-finite one; every
-array it returns must still equal this copy's byte for byte.
+``isd.oracles.kalman.kalman_filter`` refuses non-finite inputs and a
+non-finite innovation covariance, skips the SVD behind ``np.linalg.cond``
+when the innovation covariance is 1x1 and inverts it as the reciprocal of
+its entry, sends its products through ``np.dot`` (through ``@`` when the
+state is 1-dimensional) and writes into arrays allocated up front.
+``isd.oracles.kalman.simulate_tracking`` draws all its noise in one call
+and computes the measurements as one vector expression.  Every array
+either returns must still equal this copy's byte for byte.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from isd.errors import NumericalSingularityError
-from isd.oracles.kalman import CONDITION_LIMIT, KalmanModel, KalmanResult
+from isd.oracles.kalman import CONDITION_LIMIT, KalmanModel, KalmanResult, TrackingRun
 
 
 def kalman_filter(model: KalmanModel) -> KalmanResult:
@@ -59,3 +65,44 @@ def kalman_filter(model: KalmanModel) -> KalmanResult:
         states=np.array(xs),
         covariances=np.array(Ps),
     )
+
+
+def simulate_tracking(
+    steps: int = 1000,
+    dt: float = 1.0,
+    process_noise: float = 1e-4,
+    measurement_noise: float = 1.0,
+    seed: int = 0,
+) -> TrackingRun:
+    """Simulate 1-D position/velocity motion observed through noisy
+    position measurements, packaged as a KalmanModel ready to filter."""
+    rng = np.random.default_rng(seed)
+    A = np.array([[1.0, dt], [0.0, 1.0]])
+    B = np.zeros((2, 1))
+    H = np.array([[1.0, 0.0]])
+    q = process_noise
+    Q = q * np.array(
+        [[dt**3 / 3.0, dt**2 / 2.0], [dt**2 / 2.0, dt]]
+    )
+    R = np.array([[measurement_noise]])
+    x = np.array([0.0, 1.0])
+    truth = np.empty((steps, 2))
+    zs = np.empty((steps, 1))
+    chol = np.linalg.cholesky(Q + 1e-18 * np.eye(2))
+    for k in range(steps):
+        x = A @ x + chol @ rng.standard_normal(2)
+        truth[k] = x
+        zs[k] = x[0] + rng.standard_normal() * np.sqrt(measurement_noise)
+    model = KalmanModel(
+        A=A,
+        B=B,
+        H=H,
+        Q=Q,
+        R=R,
+        x0=np.array([0.0, 1.0]),
+        P0=np.eye(2),
+        us=np.zeros((steps, 1)),
+        zs=zs,
+    )
+    times = np.arange(1, steps + 1) * dt
+    return TrackingRun(model=model, times=times, true_positions=truth[:, 0].copy())

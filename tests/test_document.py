@@ -487,6 +487,48 @@ def test_emission_refuses_an_information_without_a_string_name(tmp_path, name):
     assert [v.code for v in error.per_info[name]] == ["name-invalid"]
 
 
+@pytest.mark.parametrize(
+    "names",
+    [(7,), ("floorspace", 7), ("",)],
+    ids=["int", "int-beside-a-string", "empty"],
+)
+def test_emission_refuses_a_measure_without_a_string_name(tmp_path, names):
+    """Loading refuses each of these names.  An int name was written as a
+    JSON number; beside a string name it broke the sort by name."""
+    doc = dataclasses.replace(
+        loads_document(SYNTHETIC), measures=tuple(isd.MeasureAssignment(n) for n in names)
+    )
+    error = _refused_on_emission(doc, tmp_path)
+    assert {k: [v.code for v in vs] for k, vs in error.per_info.items()} == {
+        names[-1]: ["measure-name-invalid"]
+    }
+
+
+def test_emission_refuses_two_measures_of_one_name(tmp_path):
+    twins = (isd.MeasureAssignment("m"), isd.MeasureAssignment("m", default_weight=2))
+    doc = dataclasses.replace(loads_document(SYNTHETIC), measures=twins)
+    error = _refused_on_emission(doc, tmp_path)
+    assert [v.code for v in error.per_info["m"]] == ["measure-duplicate-name"]
+    assert "another measure is named 'm'" in str(error)
+
+
+@pytest.mark.parametrize(
+    "mutate, problem",
+    [
+        (
+            lambda r: r["measures"].append(dict(r["measures"][0])),
+            "duplicate measure name 'floorspace'",
+        ),
+        (lambda r: r["measures"][0].update(name=""), "name must be nonempty"),
+    ],
+    ids=["duplicate", "empty"],
+)
+def test_loading_refuses_a_measure_name_emission_refuses(mutate, problem):
+    # the second measure of a name could not be reached by ModelDocument.measure
+    with pytest.raises(DocumentParseError, match=f"measures\\[\\d\\]: {problem}"):
+        loads_document(_patch(mutate))
+
+
 def test_informations_of_one_name_keep_both_reports(tmp_path):
     twins = (_mis_mapped_probe("unknown-state"), _mis_mapped_probe("unmapped-state"))
     error = _refused_on_emission(ModelDocument(informations=twins), tmp_path)

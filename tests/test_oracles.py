@@ -1,11 +1,15 @@
 """Numeric helpers: entropy, closed forms, sampling, filtering, search."""
 
+import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isd.errors import (
     EmptyLibraryError,
@@ -17,6 +21,7 @@ from isd.measures import Metric, distortion, mismatch, sampling_rate
 from isd.model import is_reducible
 from isd.oracles import (
     KalmanModel,
+    KalmanResult,
     PeriodicSignal,
     ProbabilityVector,
     RadarParams,
@@ -261,10 +266,134 @@ def test_kalman_singular_innovation_rejected():
 @pytest.mark.parametrize("seed", range(20))
 def test_kalman_matches_reference_bytes(seed):
     model = simulate_tracking(seed=seed).model
-    got, want = kalman_filter(model), reference_kalman.kalman_filter(model)
-    for name in ("predicted_states", "predicted_covariances", "gains", "states", "covariances"):
+    _same_bytes(kalman_filter(model), reference_kalman.kalman_filter(model), _RESULT_FIELDS)
+
+
+_RESULT_FIELDS = ("predicted_states", "predicted_covariances", "gains", "states", "covariances")
+
+
+def _same_bytes(got, want, names):
+    for name in names:
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _read_as_matmul(message) -> str:
+    """A numpy warning names the function that raised it; the package's
+    filter calls ``np.dot`` where the reference calls ``@``."""
+    return str(message).replace("encountered in dot", "encountered in matmul")
+
+
+def _outcome(filter_, model):
+    """What ``filter_`` makes of ``model`` with every warning an error: its
+    result, or the type and text of what it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return filter_(model)
+        except (NumericalSingularityError, RuntimeWarning) as e:
+            return type(e), _read_as_matmul(e)
+
+
+_entries = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.builds(
+    math.copysign,
+    st.floats(1e-3, 1e3),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@st.composite
+def kalman_models(draw):
+    n, p, m = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    steps = draw(st.integers(0, 12))
+
+    def matrix(*shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(_entries, min_size=size, max_size=size))).reshape(shape)
+
+    return KalmanModel(
+        A=matrix(n, n), B=matrix(n, m), H=matrix(p, n), Q=matrix(n, n), R=matrix(p, p),
+        x0=matrix(n), P0=matrix(n, n), us=matrix(steps, m), zs=matrix(steps, p),
+    )
+
+
+@given(kalman_models())
+@settings(max_examples=300, deadline=None)
+def test_kalman_matches_reference_on_random_models(model):
+    """Products through ``np.dot`` and a 1x1 inverse as a reciprocal give the
+    reference's bytes on every shape, not only on the tracking model,
+    whose products are all exact; a refusal or warning is the same too."""
+    got, want = _outcome(kalman_filter, model), _outcome(reference_kalman.kalman_filter, model)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, KalmanResult), got
+        _same_bytes(got, want, _RESULT_FIELDS)
+
+
+def test_kalman_without_steps_keeps_flat_arrays():
+    model = _static_model(0, 1.0, 1.0, np.empty((0, 1)))
+    got, want = kalman_filter(model), reference_kalman.kalman_filter(model)
+    assert got.states.shape == (0,)
+    _same_bytes(got, want, _RESULT_FIELDS)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kalman_subnormal_innovation_matches_reference(n):
+    """A subnormal 1x1 innovation covariance inverts to inf, as LAPACK's
+    inverse does, without a warning of its own: what follows warns as the
+    reference does."""
+    A = np.eye(n)
+    model = KalmanModel(
+        A=A, B=np.zeros((n, 1)), H=A[:1], Q=np.zeros((n, n)), R=np.array([[5e-324]]),
+        x0=np.zeros(n), P0=np.zeros((n, n)), us=np.zeros((1, 1)), zs=np.ones((1, 1)),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = kalman_filter(model)
+    with warnings.catch_warnings(record=True) as expected:
+        warnings.simplefilter("always")
+        want = reference_kalman.kalman_filter(model)
+    assert np.isnan(got.gains).all()  # 0 * inf
+    _same_bytes(got, want, _RESULT_FIELDS)
+    assert [(w.category, _read_as_matmul(w.message)) for w in caught] == [
+        (w.category, str(w.message)) for w in expected
+    ]
+
+
+def test_kalman_zero_innovation_is_refused_as_by_the_reference():
+    model = _static_model(3, 0.0, 0.0, [0.0, 1.0, 2.0])
+    got, want = _outcome(kalman_filter, model), _outcome(reference_kalman.kalman_filter, model)
+    assert got == want == (
+        NumericalSingularityError, "innovation covariance too ill-conditioned to invert"
+    )
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize(
+    "name, index", [("A", (0, 0)), ("H", (0, 0)), ("Q", (1, 1)), ("R", (0, 0)), ("P0", (1, 1))]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kalman_non_finite_matrix_fails_at_the_innovation(p, name, index, bad):
+    model = simulate_tracking(steps=20, seed=0).model
+    if p == 2:
+        model = dataclasses.replace(model, H=np.eye(2), R=np.eye(2), zs=np.zeros((20, 2)))
+    getattr(model, name)[index] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, 0 * inf
+        with pytest.raises(NumericalSingularityError, match="innovation covariance is not finite"):
+            kalman_filter(model)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 200])
+@pytest.mark.parametrize("dt", [1.0, 0.1, 2.5])
+@pytest.mark.parametrize("process_noise, measurement_noise", [(1e-4, 1.0), (0.5, 3.0)])
+def test_simulate_tracking_matches_reference_bytes(steps, dt, process_noise, measurement_noise):
+    args = (steps, dt, process_noise, measurement_noise, steps + 3)
+    got, want = simulate_tracking(*args), reference_kalman.simulate_tracking(*args)
+    _same_bytes(got, want, ("times", "true_positions"))
+    _same_bytes(got.model, want.model, ("A", "B", "H", "Q", "R", "x0", "P0", "us", "zs"))
 
 
 @pytest.mark.parametrize("r, p0", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.0, 0.0)])

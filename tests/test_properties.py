@@ -1159,6 +1159,35 @@ _RAYED = Information.from_pairs(
 
 _COMPOSITE = collapse_chain(random_chain(random.Random(0), n_links=3))
 
+# values as a float reading gives them: power-of-two denominators, beside one
+# coordinate in thirds; the vector atom comes first in the mapping
+def _at(who, t, value):
+    return Element({objective(who)}, TimeSet.point(t), value)
+
+
+_DYADIC = Information.from_pairs(
+    "dyadic",
+    [
+        (
+            _at("p", 0, Value.vector([Fraction(7, 8), Fraction(1, 3)])),
+            _at("c", 1, Value.vector([Fraction(1, 2), Fraction(1, 4)])),
+        ),
+        (_at("q", 1, Value.scalar(Fraction(-3, 16))), _at("c", 2, Value.scalar(Fraction(5, 64)))),
+    ],
+)
+
+
+def _dyadic_estimate(*coords):
+    """An estimate for the vector atom of ``_DYADIC``; the scalar atom is
+    estimated as its own state, at distance zero."""
+    return [_at("p", 0, Value.vector(coords))]
+
+
+# (3/4)**2 + 1**2 = 25/16, a rational square, and (3/4)**2 + (1/6)**2 =
+# 85/144, which is not
+_SQUARE_ESTIMATE = _dyadic_estimate(Fraction(1, 8), Fraction(-2, 3))
+_NON_SQUARE_ESTIMATE = _dyadic_estimate(Fraction(1, 8), Fraction(1, 6))
+
 
 def _outcome(f, *args, **kwargs):
     """The value with its type, or the error's type and message."""
@@ -1189,6 +1218,10 @@ def _outcome(f, *args, **kwargs):
 # a composite with explicit weights that miss atom 1
 @example(_COMPOSITE, _RAYED, AtomWeighting.explicit({0: 2, 2: "1/3"}), MeasureAssignment("w"),
          {}, [], 0, set(_subjects + _carriers), True)
+# euclidean_on_values distortion on float-derived values, once through each
+# branch of exact_or_float_sqrt
+@example(_DYADIC, _DYADIC, None, MeasureAssignment("w"), {}, _SQUARE_ESTIMATE, 0, set(), True)
+@example(_DYADIC, _DYADIC, None, MeasureAssignment("w"), {}, _NON_SQUARE_ESTIMATE, 0, set(), True)
 def test_measure_sums_match_reference(
     info, other, mu, sigma, component_weights, estimates, drop, target, allow
 ):
@@ -1220,6 +1253,17 @@ def test_measure_sums_match_reference(
         assert _outcome(mismatch, info, other, metric) == (
             _outcome(ref.mismatch, info, other, metric)
         )
+
+
+@pytest.mark.parametrize(
+    "estimate, want",
+    [(_SQUARE_ESTIMATE, Fraction(5, 4)), (_NON_SQUARE_ESTIMATE, math.sqrt(85 / 144))],
+)
+def test_dyadic_distortion_takes_each_square_root_branch(estimate, want):
+    """The two examples above reach both branches of exact_or_float_sqrt."""
+    (s, r), (s2, r2) = _DYADIC.mapping
+    got = distortion(_DYADIC, {r: estimate[0], r2: s2}, Metric("euclidean_on_values"))
+    assert (type(got), got) == (type(want), want)
 
 
 # -- the mismatch search against the reference --------------------------------
