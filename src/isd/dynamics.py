@@ -175,7 +175,17 @@ class StageSpec:
     transforms: Mapping[MeasureKind, MeasureTransform] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "transforms", dict(self.transforms))
+        if not isinstance(self.kind, StageKind):
+            raise TypeError(f"stage kind must be a StageKind, got {self.kind!r}")
+        transforms = dict(self.transforms)
+        for k, t in transforms.items():
+            if not isinstance(k, MeasureKind):
+                raise TypeError(f"transform keys must be MeasureKind, got {k!r}")
+            if not isinstance(t, MeasureTransform):
+                raise TypeError(
+                    f"transform for {k.value} must be a MeasureTransform, got {t!r}"
+                )
+        object.__setattr__(self, "transforms", transforms)
 
 
 @dataclass(frozen=True)
@@ -187,6 +197,8 @@ class SystemConfig:
     shape: Shape = Shape.CUSTOM
 
     def __post_init__(self):
+        if not isinstance(self.shape, Shape):
+            raise TypeError(f"config shape must be a Shape, got {self.shape!r}")
         object.__setattr__(self, "stages", tuple(self.stages))
 
     def kinds(self) -> tuple[StageKind, ...]:

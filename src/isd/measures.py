@@ -252,13 +252,9 @@ class Relation:
         for a, b in self.pairs:
             if a not in elems or b not in elems:
                 return False
-        classes = self.classes_over(elems)
-        expected = set()
-        for cls_ in classes:
-            for a in cls_:
-                for b in cls_:
-                    expected.add((a, b))
-        return self.pairs == expected
+        # the pairs lie inside the closure's classes, which hold sum |c|^2
+        # pairs, so the two sets are equal exactly when their sizes are
+        return len(self.pairs) == sum(len(c) ** 2 for c in self.classes_over(elems))
 
 
 # -- the eleven measures -----------------------------------------------------

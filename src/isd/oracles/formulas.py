@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import UnboundedSegmentError
-from ..timeset import Rational, TimeSet, as_fraction
+from ..timeset import Rational, TimeSet, as_fraction, exact_sum
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,7 @@ def mtbf_mean_duration(segments: Sequence[TimeSet]) -> Fraction:
     must be bounded: there is no mean over an interval still running."""
     if not segments:
         raise ValueError("need at least one segment")
-    total = Fraction(0)
     for seg in segments:
         if seg.is_unbounded:
             raise UnboundedSegmentError(f"segment {seg} has no finite width")
-        total += seg.sup - seg.inf
-    return total / len(segments)
+    return exact_sum([seg.sup - seg.inf for seg in segments]) / len(segments)

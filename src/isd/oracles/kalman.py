@@ -23,6 +23,12 @@ from ..values import EntityId, Value, objective
 
 MAX_DIM = 8
 CONDITION_LIMIT = 1e12
+# every array's shape over the dimensions n (state), p (measurement),
+# m (control) and k (steps), in the order that first names each of them
+_SHAPES = {
+    "A": "nn", "H": "pn", "B": "nm", "zs": "kp",
+    "Q": "nn", "R": "pp", "x0": "n", "P0": "nn", "us": "km",
+}
 
 
 @dataclass(frozen=True)
@@ -48,9 +54,10 @@ class KalmanModel:
     us : (k, m) array
         Control inputs, one row per step.
     zs : (k, p) array
-        Measurements, one row per step.
+        Measurements, one row per step; a (k,) vector when p = 1.
 
-    The model keeps float copies, not the caller's arrays.
+    The model keeps float copies, not the caller's arrays.  An array of
+    another shape, or p = 0, raises ``ValueError`` on construction.
     """
 
     A: np.ndarray
@@ -64,18 +71,23 @@ class KalmanModel:
     zs: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "B", "H", "Q", "R", "x0", "P0", "us", "zs"):
+        for name in _SHAPES:
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
-        n = self.A.shape[0]
-        p = self.H.shape[0]
-        if n > MAX_DIM or p > MAX_DIM:
+        # each dimension is read off the first array that names it
+        dims = {}
+        for name, spec in _SHAPES.items():
+            shape = getattr(self, name).shape
+            for d, size in zip(spec, shape):
+                dims.setdefault(d, size)
+            want = tuple(dims.get(d, d) for d in spec)
+            if name == "zs" and want[1:] == (1,) and shape == want[:1]:
+                continue  # one measurement per step may come as a flat vector
+            if shape != want:
+                raise ValueError(f"{name} has shape {shape}; it should be {want}".replace("'", ""))
+        if dims["p"] == 0:
+            raise ValueError("H has no rows: the model needs a measurement")
+        if dims["n"] > MAX_DIM or dims["p"] > MAX_DIM:
             raise ValueError(f"state/measurement dimension above {MAX_DIM}")
-        if self.A.shape != (n, n) or self.H.shape != (p, n):
-            raise ValueError("A must be square and H must map state to measurement")
-        if self.Q.shape != (n, n) or self.R.shape != (p, p) or self.P0.shape != (n, n):
-            raise ValueError("covariance shapes do not match the state/measurement dims")
-        if len(self.us) != len(self.zs):
-            raise ValueError("need one control input per measurement")
 
 
 @dataclass(frozen=True)

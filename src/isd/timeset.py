@@ -293,8 +293,7 @@ def symmetric_difference_keys(a: TimeSet, b: TimeSet) -> tuple[int | None, int, 
     None when exactly one side is unbounded past every endpoint.  The
     result is (0, den, 0) exactly when a == b.  ``measures.mismatch``
     reads this form directly, so that it adds integer pairs and builds no
-    Fraction per component; ``symmetric_difference_size`` is the same
-    answer as (Fraction or math.inf, isolated_points).
+    Fraction per component.
 
     One pass of two cursors, one per side (see ``_edges``), over both
     sides' endpoints rescaled to the least common multiple of the two
@@ -332,22 +331,6 @@ def symmetric_difference_keys(a: TimeSet, b: TimeSet) -> tuple[int | None, int, 
             isolated += 1
         before, prev = after, t
     return (None if before else length), den, isolated
-
-
-def symmetric_difference_size(a: TimeSet, b: TimeSet) -> tuple:
-    """Size of the symmetric difference of two TimeSets.
-
-    Returns (length, isolated_points): the Lebesgue measure of the
-    symmetric difference plus the count of its isolated points.  The pair
-    is (0, 0) exactly when a == b, which is what makes it usable as a
-    component distance; length is math.inf when exactly one side is
-    unbounded past every breakpoint.  ``symmetric_difference_keys`` with
-    its integer length over the common denominator made one Fraction.
-    """
-    length, den, isolated = symmetric_difference_keys(a, b)
-    if length is None:
-        return inf, isolated
-    return Fraction(length, den), isolated
 
 
 def exact_pair_sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:

@@ -26,6 +26,10 @@ class EntityId:
     realm: Realm = Realm.OBJECTIVE
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise TypeError(f"entity id must be a str, got {self.id!r}")
+        if not isinstance(self.realm, Realm):
+            raise TypeError(f"entity realm must be a Realm, got {self.realm!r}")
         if not self.id:
             raise ValueError("entity id must be nonempty")
 

@@ -5,7 +5,9 @@ and ``propagate``.
 
 Here a profile value is a ``Fraction`` or an ``ExtendedRate`` depending on
 which transform wrote it last; ``isd.dynamics`` keeps every value an
-``ExtendedRate`` and checks one range per measure.  The property test
+``ExtendedRate`` and checks one range per measure.  ``StageSpec`` is the
+unchecked seed stage, so that a stage can hold the reference transforms;
+the package's ``SystemConfig`` holds such stages.  The property test
 checks that both folds give the same per-stage and end profiles and the
 same ``NegativeMeasureError`` messages.  The one intended difference: an
 infinite value outside SamplingRate and Duration passes here and is
@@ -15,13 +17,14 @@ refused by ``isd.dynamics``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
 from isd.dynamics import (
     ALL_MEASURES,
     MeasureKind,
+    StageKind,
     SystemConfig,
     config_efficacies,
     stage_efficacies,
@@ -242,6 +245,21 @@ _CAPPED = frozenset(
         MeasureKind.DURATION,
     }
 )
+
+
+@dataclass(frozen=True)
+class StageSpec:
+    """One stage: a label, its kind, and its declared measure transforms.
+
+    The package's ``StageSpec`` refuses a transform that is not its own
+    ``MeasureTransform``; this one holds the reference transforms above."""
+
+    name: str
+    kind: StageKind
+    transforms: Mapping[MeasureKind, MeasureTransform] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "transforms", dict(self.transforms))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,13 @@ denominator, one integer sum, one ``Fraction``) and computes ``delay`` and
 into a ``Fraction(0)`` accumulator, one measure at a time.  The bodies are
 the originals: ``MeasureAssignment.measure_of`` and
 ``TimeSet.lebesgue_measure`` become functions of the assignment and the
-time set, and the measures call the reference ``measure_of``.  The
-property tests check that both sides return equal values of the same type
-and raise the same errors with the same messages.
+time set, and the measures call the reference ``measure_of``.
+``mismatch``'s time distance comes from the seed sweep in
+``reference_timeset``, not from the package's.  ``is_equivalence_over``
+is the seed method, which builds every pair inside every class; the package
+compares the pair count with the class sizes instead.  The property
+tests check that both sides return equal values of the same type and
+raise the same errors with the same messages.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from isd.measures import (
     ExtendedRate,
     MeasureAssignment,
     Metric,
+    Relation,
 )
 from isd.model import (
     Element,
@@ -41,8 +46,10 @@ from isd.model import (
     is_copy,
     require_valid,
 )
-from isd.timeset import TimeSet, exact_or_float_sqrt, symmetric_difference_size
+from isd.timeset import TimeSet, exact_or_float_sqrt
 from isd.values import EntityId
+
+import reference_timeset
 
 
 def measure_of(sigma: MeasureAssignment, entities: Iterable[EntityId]) -> Fraction:
@@ -151,7 +158,10 @@ def _set_distance(kind: str, a: frozenset, b: frozenset):
 
 
 def _timeset_distance(a: TimeSet, b: TimeSet):
-    length, isolated = symmetric_difference_size(a, b)
+    length, isolated = reference_timeset.symmetric_difference_size(
+        reference_timeset.TimeSet(a.intervals, a.ray_from),
+        reference_timeset.TimeSet(b.intervals, b.ray_from),
+    )
     if length is inf:
         return inf
     return length + isolated
@@ -204,3 +214,19 @@ def mismatch(info: InformationLike, target: InformationLike, metric: Metric) -> 
             dist = len(a ^ b)
         total += w * dist
     return total
+
+
+def is_equivalence_over(self: Relation, elements: Iterable[Element]) -> bool:
+    """Exactly the pairs of some partition of ``elements``: reflexive
+    on all of them, symmetric, and transitive (closure adds nothing)."""
+    elems = set(elements)
+    for a, b in self.pairs:
+        if a not in elems or b not in elems:
+            return False
+    classes = self.classes_over(elems)
+    expected = set()
+    for cls_ in classes:
+        for a in cls_:
+            for b in cls_:
+                expected.add((a, b))
+    return self.pairs == expected

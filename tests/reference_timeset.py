@@ -1,9 +1,9 @@
 """The package's original ``TimeSet`` kernel, kept verbatim as the reference.
 
 ``isd.timeset`` sorts on the lower endpoint alone, bisects over the lower
-endpoints in ``contains_point`` and ``is_subset``, and computes
-``symmetric_difference_size`` in one integer sweep over both sides'
-endpoints.  The copies here sort on whole pairs, scan every interval, and
+endpoints in ``contains_point`` and ``is_subset``, and sizes the symmetric
+difference with ``symmetric_difference_keys``, one integer sweep over both
+sides' endpoints.  The copies here sort on whole pairs, scan every interval, and
 probe every cut and every midpoint between cuts.  The property tests check
 that both sides give the same normal form, the same booleans and the same
 ``(length, isolated)`` pair, down to the type of ``length``.

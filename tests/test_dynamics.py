@@ -349,3 +349,30 @@ def test_finite_extended_rate_hashes_like_its_rational(q):
     assert Fraction(q) in {rate} and rate in {q}
     assert {q: "rational"}[rate] == "rational"
     assert ExtendedRate.infinite() not in {rate, q}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: StageSpec("c", "Collection"), "stage kind must be a StageKind, got 'Collection'"),
+        (
+            lambda: StageSpec("c", K.COLLECTION, {"Delay": MeasureTransform.add(1)}),
+            "transform keys must be MeasureKind, got 'Delay'",
+        ),
+        (
+            lambda: StageSpec("c", K.COLLECTION, {M.DELAY: 1}),
+            "transform for Delay must be a MeasureTransform, got 1",
+        ),
+        (
+            lambda: SystemConfig("s", (StageSpec("c", K.COLLECTION),), "SingleRing"),
+            "config shape must be a Shape, got 'SingleRing'",
+        ),
+    ],
+    ids=["stage-kind", "transform-key", "transform-value", "config-shape"],
+)
+def test_config_parts_refuse_a_plain_name(build, message):
+    """A name where an enum or a transform belongs is refused on
+    construction, not by a KeyError or AttributeError in propagation."""
+    with pytest.raises(TypeError) as caught:
+        build()
+    assert str(caught.value) == message

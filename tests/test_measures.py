@@ -395,6 +395,29 @@ def test_variety_rejects_non_equivalence(pair_info):
         variety(pair_info, broken)
 
 
+_DIAGONAL = {(i, i) for i in range(3)}
+
+
+@pytest.mark.parametrize(
+    "case, pairs, size, want",
+    [
+        ("identity", _DIAGONAL, 3, True),
+        ("two classes", _DIAGONAL | {(0, 1), (1, 0)}, 3, True),
+        ("one class", {(a, b) for a in range(3) for b in range(3)}, 3, True),
+        ("empty set", set(), 0, True),
+        ("pair outside the set", {(0, 0), (1, 1), (0, 2), (2, 0)}, 2, False),
+        ("missing diagonal", {(0, 0), (1, 1)}, 3, False),
+        ("asymmetric", _DIAGONAL | {(0, 1)}, 3, False),
+        ("not transitive", _DIAGONAL | {(0, 1), (1, 0), (1, 2), (2, 1)}, 3, False),
+    ],
+)
+def test_is_equivalence_over_cases(case, pairs, size, want):
+    """A relation on three elements, asked about the first ``size`` of them."""
+    elems = [StateElement({objective(f"e{i}")}, TimeSet.point(i), Value.scalar(i)) for i in range(3)]
+    relation = Relation(case, frozenset((elems[a], elems[b]) for a, b in pairs))
+    assert relation.is_equivalence_over(elems[:size]) is want
+
+
 def test_induced_relation_preserves_classes(pair_info):
     identity = Relation(
         "id", frozenset((s, s) for s in pair_info.states), True

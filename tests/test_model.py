@@ -36,7 +36,7 @@ from isd.model import (
 )
 from isd.measures import MISMATCH_COMPONENTS
 from isd.timeset import TimeSet
-from isd.values import Value, objective, subjective
+from isd.values import EntityId, Value, objective, subjective
 from isd.verify import random_chain
 
 from conftest import lossy_info, two_atom_info
@@ -67,6 +67,22 @@ def test_subjective_ontology_allowed():
         "memoir", {mind}, TimeSet.point(0), {s}, {cam}, TimeSet.point(1), {r}, [(s, r)]
     )
     assert validate(info) == []
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("a", "objective"), "entity realm must be a Realm, got 'objective'"),
+        ((5,), "entity id must be a str, got 5"),
+        ((None,), "entity id must be a str, got None"),
+    ],
+)
+def test_entity_id_refuses_wrong_types(args, message):
+    """A plain string realm would make a non-objective carrier, and a
+    non-string id would break the sorted document emission."""
+    with pytest.raises(TypeError) as caught:
+        EntityId(*args)
+    assert str(caught.value) == message
 
 
 def test_totality_and_surjectivity_reported():

@@ -332,6 +332,47 @@ def test_kalman_matches_reference_on_random_models(model):
         _same_bytes(got, want, _RESULT_FIELDS)
 
 
+def _tracking_arrays(steps=5):
+    model = simulate_tracking(steps=steps).model
+    return {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+
+
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [
+        ("x0", np.zeros(3), "x0 has shape (3,); it should be (2,)"),
+        ("B", np.zeros(2), "B has shape (2,); it should be (2, m)"),
+        ("us", np.zeros(5), "us has shape (5,); it should be (5, 1)"),
+        ("us", np.zeros((4, 1)), "us has shape (4, 1); it should be (5, 1)"),
+        ("zs", np.zeros((5, 2)), "zs has shape (5, 2); it should be (5, 1)"),
+        ("zs", np.zeros((5, 1, 1)), "zs has shape (5, 1, 1); it should be (5, 1)"),
+        ("A", np.zeros((2, 3)), "A has shape (2, 3); it should be (2, 2)"),
+        ("A", np.float64(1.0), "A has shape (); it should be (n, n)"),
+        ("Q", np.zeros((3, 3)), "Q has shape (3, 3); it should be (2, 2)"),
+    ],
+)
+def test_kalman_model_refuses_a_misshapen_array(name, bad, message):
+    arrays = _tracking_arrays()
+    arrays[name] = bad
+    with pytest.raises(ValueError) as caught:
+        KalmanModel(**arrays)
+    assert str(caught.value) == message
+
+
+def test_kalman_model_refuses_an_empty_measurement():
+    arrays = _tracking_arrays()
+    arrays.update(H=np.zeros((0, 2)), R=np.zeros((0, 0)), zs=np.zeros((5, 0)))
+    with pytest.raises(ValueError, match="H has no rows"):
+        KalmanModel(**arrays)
+
+
+def test_kalman_flat_measurements_filter_as_one_column():
+    arrays = _tracking_arrays(steps=40)
+    flat = KalmanModel(**{**arrays, "zs": arrays["zs"][:, 0]})
+    assert flat.zs.shape == (40,)
+    _same_bytes(kalman_filter(flat), kalman_filter(KalmanModel(**arrays)), _RESULT_FIELDS)
+
+
 def test_kalman_without_steps_keeps_flat_arrays():
     model = _static_model(0, 1.0, 1.0, np.empty((0, 1)))
     got, want = kalman_filter(model), reference_kalman.kalman_filter(model)

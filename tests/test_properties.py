@@ -33,6 +33,7 @@ from isd.measures import (
     ExtendedRate,
     MeasureAssignment,
     Metric,
+    Relation,
     aggregation,
     coverage,
     delay,
@@ -68,7 +69,7 @@ from isd.model import (
     validate,
 )
 from isd.oracles.search import SearchLibrary, min_mismatch_search
-from isd.timeset import TimeSet, symmetric_difference_size
+from isd.timeset import TimeSet, symmetric_difference_keys
 from isd.values import Value, objective, subjective
 from isd.verify import (
     random_chain,
@@ -136,12 +137,13 @@ def test_timeset_union_contains_both(a, b):
 
 @given(timesets())
 def test_timeset_self_difference_vanishes(ts):
-    assert symmetric_difference_size(ts, ts) == (Fraction(0), 0)
+    length, _, isolated = symmetric_difference_keys(ts, ts)
+    assert (length, isolated) == (0, 0)
 
 
 @given(timesets(), timesets())
 def test_timeset_difference_symmetric(a, b):
-    assert symmetric_difference_size(a, b) == symmetric_difference_size(b, a)
+    assert symmetric_difference_keys(a, b) == symmetric_difference_keys(b, a)
 
 
 @given(timesets(), rationals)
@@ -1010,6 +1012,41 @@ def test_variety_transport_invariant(info, pick):
     assert variety(info, rel) == len(induced.classes_over(info.reflections))
 
 
+_POOL = tuple(
+    Element(frozenset([objective(f"e{i}")]), TimeSet.point(i), Value.scalar(i)) for i in range(5)
+)
+
+
+@st.composite
+def relations_over(draw):
+    """(relation, element set) over a pool of five elements.  Half the draws
+    start from the pairs of a partition of the set; every draw may then lose
+    a pair (a missing diagonal, an asymmetric or non-transitive remainder)
+    and gain pairs, some of them naming elements outside the set."""
+    chosen = draw(st.lists(st.integers(0, 4), unique=True, max_size=5))
+    pairs = set()
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 2), min_size=len(chosen), max_size=len(chosen)))
+        pairs = {(a, b) for a, la in zip(chosen, labels) for b, lb in zip(chosen, labels) if la == lb}
+        if pairs and draw(st.booleans()):
+            pairs.discard(draw(st.sampled_from(sorted(pairs))))
+    index_pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    pairs |= set(draw(st.lists(index_pairs, max_size=4)))
+    elements = [_POOL[i] for i in chosen]
+    return Relation("r", frozenset((_POOL[a], _POOL[b]) for a, b in pairs)), elements
+
+
+@given(relations_over())
+@settings(max_examples=400, deadline=None)
+@example((Relation("r", frozenset()), []))
+@example((Relation("r", frozenset((e, e) for e in _POOL[:2])), list(_POOL[:2])))
+def test_is_equivalence_over_matches_reference(drawn):
+    relation, elements = drawn
+    assert relation.is_equivalence_over(elements) is (
+        reference_measures.is_equivalence_over(relation, elements)
+    )
+
+
 @given(infos(), seeds)
 @settings(max_examples=60, deadline=None)
 def test_aggregation_two_sided(info, pick):
@@ -1428,7 +1465,7 @@ def test_propagate_matches_reference(stages, source):
                 continue
             mine[measure] = MeasureTransform(tkind, _amount(ExtendedRate, a))
         specs.append(StageSpec(f"s{i}", kind, mine))
-        ref_specs.append(StageSpec(f"s{i}", kind, theirs))
+        ref_specs.append(reference_dynamics.StageSpec(f"s{i}", kind, theirs))
     config = SystemConfig("rig", tuple(specs), Shape.CUSTOM)
     ref_config = SystemConfig("rig", tuple(ref_specs), Shape.CUSTOM)
 

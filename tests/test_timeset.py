@@ -11,7 +11,6 @@ from isd.timeset import (
     TimeSet,
     exact_or_float_sqrt,
     symmetric_difference_keys,
-    symmetric_difference_size,
 )
 
 import reference_timeset
@@ -93,30 +92,28 @@ def test_union_and_shift():
 
 
 def test_symmetric_difference_length_and_isolated_points():
+    # (length numerator, common denominator, isolated points)
     a = TimeSet.from_intervals([(0, 2)])
     b = TimeSet.from_intervals([(1, 3)])
-    assert symmetric_difference_size(a, b) == (Fraction(2), 0)
+    assert symmetric_difference_keys(a, b) == (2, 1, 0)
 
     # distinct single points differ by two isolated points, length zero
-    assert symmetric_difference_size(TimeSet.point(0), TimeSet.point(1)) == (
-        Fraction(0),
-        2,
-    )
-    assert symmetric_difference_size(a, a) == (Fraction(0), 0)
+    assert symmetric_difference_keys(TimeSet.point(0), TimeSet.point(1)) == (0, 1, 2)
+    assert symmetric_difference_keys(a, a) == (0, 1, 0)
 
 
 def test_symmetric_difference_point_against_interval():
     a = TimeSet.from_intervals([(0, 2)])
     with_point = a.union(TimeSet.point(5))
-    assert symmetric_difference_size(a, with_point) == (Fraction(0), 1)
+    assert symmetric_difference_keys(a, with_point) == (0, 1, 1)
 
 
 def test_symmetric_difference_unbounded():
-    length, isolated = symmetric_difference_size(TimeSet.ray(0), TimeSet.interval(0, 1))
-    assert length == inf
-    assert symmetric_difference_size(TimeSet.ray(0), TimeSet.ray(0)) == (Fraction(0), 0)
+    # no length numerator: the difference is unbounded
+    assert symmetric_difference_keys(TimeSet.ray(0), TimeSet.interval(0, 1))[0] is None
+    assert symmetric_difference_keys(TimeSet.ray(0), TimeSet.ray(0)) == (0, 1, 0)
     # two rays differing in start: bounded difference
-    assert symmetric_difference_size(TimeSet.ray(0), TimeSet.ray(2)) == (Fraction(2), 0)
+    assert symmetric_difference_keys(TimeSet.ray(0), TimeSet.ray(2)) == (2, 1, 0)
 
 
 def test_symmetric_difference_keys_integer_form():
@@ -169,6 +166,13 @@ def _same(ts, ref):
     return ts.intervals == ref.intervals and ts.ray_from == ref.ray_from
 
 
+def _size(a, b):
+    """``symmetric_difference_keys`` in the reference's form:
+    (Fraction length, or math.inf when unbounded, isolated points)."""
+    length, den, isolated = symmetric_difference_keys(a, b)
+    return (inf if length is None else Fraction(length, den)), isolated
+
+
 @given(raw_timesets)
 @settings(max_examples=150, deadline=None)
 def test_normal_form_matches_reference(raw):
@@ -205,7 +209,7 @@ def test_is_subset_and_union_match_reference(raw, extra):
 @settings(max_examples=300, deadline=None)
 def test_symmetric_difference_matches_reference(raw):
     (a, ref_a), (b, ref_b) = _both(raw[0]), _both(raw[1])
-    got = symmetric_difference_size(a, b)
+    got = _size(a, b)
     want = reference_timeset.symmetric_difference_size(ref_a, ref_b)
     assert got == want
     assert type(got[0]) is type(want[0]) and type(got[1]) is int
