@@ -88,6 +88,8 @@ def cmd_measure(args) -> int:
         info = doc.information(args.info)
     elif len(doc.informations) == 1:
         info = doc.informations[0]
+    elif not doc.informations:
+        raise ISDError("document declares no information to measure")
     else:
         names = ", ".join(i.name for i in doc.informations)
         raise ISDError(f"document has several informations; pick one with --info ({names})")

@@ -303,6 +303,18 @@ def _information_from_json(obj: Any, table, where, fracs) -> Information:
         _fail(where, str(e))
 
 
+def _unique_name(obj: Any, where, noun: str, seen: set) -> str:
+    """The nonempty ``name`` of the entry ``obj``, which no earlier entry
+    of its kind, whose names are ``seen``, has taken."""
+    name = _field(_typed(obj, dict, where), "name", str, where)
+    if not name:
+        _fail(where, "name must be nonempty")
+    if name in seen:
+        _fail(where, f"duplicate {noun} name {name!r}")
+    seen.add(name)
+    return name
+
+
 def _information_named(by_name, name: Any, where) -> Information:
     if _typed(name, str, where) not in by_name:
         _fail(where, f"undeclared information {name!r}", UnresolvedReferenceError)
@@ -320,8 +332,8 @@ def _transform_from_json(obj: Any, where, fracs) -> MeasureTransform:
         _fail(where, str(e))
 
 
-def _system_from_json(obj: Any, where, fracs) -> SystemConfig:
-    name = _field(_typed(obj, dict, where), "name", str, where)
+def _system_from_json(obj: Any, where, fracs, seen: set) -> SystemConfig:
+    name = _unique_name(obj, where, "system", seen)
     shape = _enum(Shape, _field(obj, "shape", str, where), where, "shape")
     stages = []
     for i, st in enumerate(_field(obj, "stages", list, where)):
@@ -362,15 +374,10 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
     _require_valid_informations(by_name.values())
 
     measures = []
-    measure_names = set()
+    seen: set[str] = set()
     for i, obj in enumerate(_field(raw, "measures", list, source, [])):
         w = (source, ": measures", i)
-        name = _field(_typed(obj, dict, w), "name", str, w)
-        if not name:
-            _fail(w, "name must be nonempty")
-        if name in measure_names:
-            _fail(w, f"duplicate measure name {name!r}")
-        measure_names.add(name)
+        name = _unique_name(obj, w, "measure", seen)
         weights = {}
         for eid, wt in _field(obj, "weights", dict, w, {}).items():
             if eid not in table:
@@ -385,24 +392,27 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
             _fail(w, str(e))
 
     relations = []
+    seen = set()
     for i, obj in enumerate(_field(raw, "relations", list, source, [])):
         w = (source, ": relations", i)
-        name = _field(_typed(obj, dict, w), "name", str, w)
+        name = _unique_name(obj, w, "relation", seen)
         info_name = _field(obj, "info", str, w)
         ordered = _information_named(by_name, info_name, w).sorted_states()
         pairs = frozenset(_index_pairs(obj, "pairs", ordered, ordered, w))
         equivalence = _field(obj, "declared_equivalence", bool, w, False)
         relations.append(BoundRelation(info_name, Relation(name, pairs, equivalence)))
 
+    seen = set()
     systems = tuple(
-        _system_from_json(obj, (source, ": systems", i), fracs)
+        _system_from_json(obj, (source, ": systems", i), fracs, seen)
         for i, obj in enumerate(_field(raw, "systems", list, source, []))
     )
 
     chains = []
+    seen = set()
     for i, obj in enumerate(_field(raw, "chains", list, source, [])):
         w = (source, ": chains", i)
-        name = _field(_typed(obj, dict, w), "name", str, w)
+        name = _unique_name(obj, w, "chain", seen)
         names = _field(obj, "links", list, w)
         if not names:
             _fail(w, "links must be a nonempty list")
@@ -422,39 +432,50 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
     )
 
 
+def _name_key(name: Any) -> Any:
+    """``name`` as a report key: itself, or its repr when it is unhashable."""
+    try:
+        hash(name)
+    except TypeError:
+        return repr(name)
+    return name
+
+
 def _require_valid_informations(infos) -> None:
     """Raise one DocumentInvariantError listing every violation, by name.
     A name that two informations share is a violation of its own, and the
     reports of both are listed under it; so is a name that is not a
     nonempty string."""
-    reports: dict[str, list[Violation]] = {}
+    reports: dict[Any, list[Violation]] = {}
     for info in infos:
-        if info.name in reports:
-            reports[info.name].append(
+        key = _name_key(info.name)
+        if key in reports:
+            reports[key].append(
                 Violation("duplicate-name", f"another information is named {info.name!r}")
             )
-        reports.setdefault(info.name, []).extend(_checked(info))
+        reports.setdefault(key, []).extend(_checked(info))
         if not (isinstance(info.name, str) and info.name):
             problem = f"an information's name must be a nonempty string, not {info.name!r}"
-            reports[info.name].append(Violation("name-invalid", problem))
+            reports[key].append(Violation("name-invalid", problem))
     bad = {name: report for name, report in reports.items() if report}
     if bad:
         raise DocumentInvariantError(bad)
 
 
-def _require_valid_measure_names(measures) -> None:
-    """Raise one DocumentInvariantError, keyed by name, for each measure
-    whose name is not a nonempty string or is another measure's."""
+def _require_valid_names(noun: str, names) -> None:
+    """Raise one DocumentInvariantError, keyed by name, for each ``noun``
+    whose name is not a nonempty string or is another ``noun``'s."""
     reports: dict[Any, list[Violation]] = {}
-    for m in measures:
-        if not (isinstance(m.name, str) and m.name):
-            problem = f"a measure's name must be a nonempty string, not {m.name!r}"
-            reports.setdefault(m.name, []).append(Violation("measure-name-invalid", problem))
-        elif m.name in reports:
-            problem = f"another measure is named {m.name!r}"
-            reports[m.name].append(Violation("measure-duplicate-name", problem))
+    for name in names:
+        key = _name_key(name)
+        if not (isinstance(name, str) and name):
+            problem = f"a {noun}'s name must be a nonempty string, not {name!r}"
+            reports.setdefault(key, []).append(Violation(f"{noun}-name-invalid", problem))
+        elif key in reports:
+            problem = f"another {noun} is named {name!r}"
+            reports[key].append(Violation(f"{noun}-duplicate-name", problem))
         else:
-            reports[m.name] = []
+            reports[key] = []
     bad = {name: report for name, report in reports.items() if report}
     if bad:
         raise DocumentInvariantError(bad)
@@ -546,19 +567,21 @@ def _document_entity_table(doc: ModelDocument) -> list[EntityId]:
 def document_to_json(doc: ModelDocument) -> dict:
     """The canonical tree.  What loading would refuse raises
     DocumentInvariantError: a format version other than this one, an
-    invalid information or one whose name is not a nonempty string, two
-    informations of one name, a measure whose name is not a nonempty
-    string, two measures of one name, an entity id in both realms, a relation
-    pairing elements that are not states of its information, or a chain
-    whose links are not the document's informations of the names it
-    lists."""
+    invalid information, an information, measure, relation, system or
+    chain whose name is not a nonempty string or is another one's of its
+    kind, an entity id in both realms, a relation pairing elements that
+    are not states of its information, or a chain whose links are not the
+    document's informations of the names it lists."""
     if doc.format_version != FORMAT_VERSION:
         problem = f"unsupported format_version {doc.format_version!r}"
         raise DocumentInvariantError(
             {"format_version": [Violation("format-version-unsupported", problem)]}
         )
     _require_valid_informations(doc.informations)
-    _require_valid_measure_names(doc.measures)
+    _require_valid_names("measure", [m.name for m in doc.measures])
+    _require_valid_names("relation", [b.relation.name for b in doc.relations])
+    _require_valid_names("system", [s.name for s in doc.systems])
+    _require_valid_names("chain", [c.name for c in doc.chains])
     out: dict[str, Any] = {"format_version": doc.format_version}
     out["entities"] = [
         {"id": e.id, "realm": e.realm.value} for e in _document_entity_table(doc)

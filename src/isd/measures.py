@@ -347,7 +347,6 @@ def variety(info: InformationLike, relation: Relation) -> int:
 def transport_relation(info: InformationLike, relation: Relation) -> Relation:
     """Push a relation on states through the mapping onto reflections.
     Needs reducibility so the transport is faithful in both directions."""
-    require_valid(info)
     if not is_reducible(info):
         raise NonInvertibleError("relation transport needs a reducible information")
     m = info.map

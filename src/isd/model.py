@@ -92,12 +92,8 @@ MappingLike = Union[
 
 
 def _normalize_pairs(mapping: MappingLike):
-    if isinstance(mapping, Mapping):
-        items = list(mapping.items())
-    else:
-        items = [(s, r) for s, r in mapping]
     seen = {}
-    for s, r in items:
+    for s, r in mapping.items() if isinstance(mapping, Mapping) else mapping:
         if s in seen and seen[s] != r:
             raise ValueError(f"mapping assigns two reflections to one state: {s}")
         seen[s] = r
@@ -118,7 +114,7 @@ class _Sextuple:
     reflection_time: TimeSet
     reflections: frozenset[Element]
     mapping: tuple[tuple[Element, Element], ...]
-    _map: dict = field(init=False, compare=False, repr=False, default=None)
+    _known_valid: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ontology", frozenset(self.ontology))
@@ -126,24 +122,22 @@ class _Sextuple:
         object.__setattr__(self, "carrier", frozenset(self.carrier))
         object.__setattr__(self, "reflections", frozenset(self.reflections))
         object.__setattr__(self, "mapping", _normalize_pairs(self.mapping))
-        object.__setattr__(self, "_map", dict(self.mapping))
 
     @classmethod
     def _presorted(cls, *values, valid=False):
         """The one trusted constructor: the name, the six components as
         frozensets and TimeSets, and a mapping tuple in canonical order with
         one pair per state, kept as given.  ``valid`` is the caller's verdict
-        that the value is valid by construction, recorded as the mark."""
+        that the value is valid by construction, recorded in ``_known_valid``."""
         out = object.__new__(cls)
-        for f, v in zip(_SEXTUPLE_FIELDS, (*values, dict(values[-1]))):
+        for f, v in zip(_SEXTUPLE_FIELDS, (*values, valid)):
             object.__setattr__(out, f, v)
-        if valid:
-            object.__setattr__(out, "_known_valid", True)
         return out
 
-    @property
+    @functools.cached_property
     def map(self) -> Mapping[Element, Element]:
-        return self._map
+        """The mapping as a dict, built on first read."""
+        return dict(self.mapping)
 
     def components(self):
         """The six components as a tuple, in canonical order."""
@@ -178,21 +172,20 @@ class Information(_Sextuple):
         are the pairs' two sides.  Such a value can break only the
         objective-carrier rule, so it is marked valid when its carrier is
         objective.  Raises ValueError when ``pairs`` is empty or gives one
-        state two reflections."""
+        state two reflections.  The unions follow the canonical mapping,
+        so time-ordered pairs give normal-form time sets."""
         mapping = _normalize_pairs(pairs)
         if not mapping:
             raise ValueError("an information needs at least one pair")
-        states = frozenset([s for s, _ in mapping])
-        reflections = frozenset([r for _, r in mapping])
-        carrier = frozenset().union(*(r.entities for r in reflections))
+        carrier = frozenset().union(*(r.entities for _, r in mapping))
         return cls._presorted(
             name,
-            frozenset().union(*(s.entities for s in states)),
-            TimeSet.union(*(s.at for s in states)),
-            states,
+            frozenset().union(*(s.entities for s, _ in mapping)),
+            TimeSet.union(*(s.at for s, _ in mapping)),
+            frozenset([s for s, _ in mapping]),
             carrier,
-            TimeSet.union(*(r.at for r in reflections)),
-            reflections,
+            TimeSet.union(*(r.at for _, r in mapping)),
+            frozenset([r for _, r in mapping]),
             mapping,
             valid=all(e.is_objective for e in carrier),
         )
@@ -299,16 +292,12 @@ def _checked(info: InformationLike) -> list[Violation]:
     """``validate`` at most once per value: frozen objects cannot become
     invalid, so a clean result is remembered as ``_known_valid``.  A
     RawMapping is exempt by construction and reports nothing."""
-    if isinstance(info, RawMapping) or getattr(info, "_known_valid", False):
+    if isinstance(info, RawMapping) or info._known_valid:
         return []
     report = validate(info)
     if not report:
         object.__setattr__(info, "_known_valid", True)
     return report
-
-
-def _both_marked(a: InformationLike, b: InformationLike) -> bool:
-    return getattr(a, "_known_valid", False) and getattr(b, "_known_valid", False)
 
 
 def require_valid(info: InformationLike) -> None:
@@ -437,7 +426,7 @@ def _join(first: Information, second: Information) -> Information:
         second.reflection_time,
         second.reflections,
         pairs,
-        valid=_both_marked(first, second),
+        valid=first._known_valid and second._known_valid,
     )
 
 
@@ -446,6 +435,7 @@ class SerialChain:
     """A sequence of informations meant to hand off one to the next."""
 
     links: tuple[Information, ...]
+    _known_valid: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
@@ -454,6 +444,10 @@ class SerialChain:
 
 
 def check_chain(chain: SerialChain) -> list[Violation]:
+    """Every link's violations, then every hand-off's.  A clean report
+    marks the chain, so a later check of the same object is free."""
+    if chain._known_valid:
+        return []
     out = []
     for i, link in enumerate(chain.links):
         for v in _checked(link):
@@ -461,6 +455,8 @@ def check_chain(chain: SerialChain) -> list[Violation]:
     for i, (a, b) in enumerate(zip(chain.links, chain.links[1:])):
         for v in check_link(a, b):
             out.append(Violation(v.code, f"links {i}-{i + 1}: {v.message}"))
+    if not out:
+        object.__setattr__(chain, "_known_valid", True)
     return out
 
 
@@ -505,7 +501,7 @@ def combine(a: Information, b: Information) -> Information:
         name,
         *[x.union(y) for x, y in zip(a.components(), b.components())],
         _normalize_pairs({**a.map, **b.map}),
-        valid=_both_marked(a, b),
+        valid=a._known_valid and b._known_valid,
     )
 
 

@@ -191,6 +191,22 @@ def test_analyze_reports_matrix_violation_once(tmp_path, capsys):
     assert "Scope         3" in out  # the add on uplink is still skipped
 
 
+@pytest.mark.parametrize(
+    "command, problem",
+    [
+        ("measure", "document declares no information to measure"),
+        ("analyze", "pick a system with --system (none declared)"),
+    ],
+    ids=["measure", "analyze"],
+)
+def test_empty_document_names_what_is_missing(tmp_path, capsys, command, problem):
+    # measure said the document had several informations
+    path = tmp_path / "empty.json"
+    path.write_text('{"format_version": "1"}', encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"error: {problem}\n")
+
+
 def test_verify_filtered(capsys):
     code, out, _ = run(
         capsys, "verify", "--seed", "3", "--trials", "25",

@@ -529,6 +529,70 @@ def test_loading_refuses_a_measure_name_emission_refuses(mutate, problem):
         loads_document(_patch(mutate))
 
 
+_RENAMED = {
+    "informations": lambda info, name: dataclasses.replace(info, name=name),
+    "measures": lambda m, name: dataclasses.replace(m, name=name),
+    "relations": lambda b, name: BoundRelation(b.info, dataclasses.replace(b.relation, name=name)),
+    "systems": lambda system, name: dataclasses.replace(system, name=name),
+    "chains": lambda c, name: NamedChain(name, c.link_names, c.chain),
+}
+
+
+def _with_names(doc, kind: str, names) -> ModelDocument:
+    """``doc`` whose ``kind`` entries are its first one under each of ``names``."""
+    first = getattr(doc, kind)[0]
+    return dataclasses.replace(doc, **{kind: tuple(_RENAMED[kind](first, n) for n in names)})
+
+
+@pytest.mark.parametrize("kind", ["relations", "systems", "chains"])
+@pytest.mark.parametrize(
+    "names, problem",
+    [
+        (("x", "x"), "duplicate-name"),
+        (("x", 5), "name-invalid"),
+        (("",), "name-invalid"),
+        ((["x"],), "name-invalid"),
+    ],
+    ids=["duplicate", "int-beside-a-string", "empty", "unhashable"],
+)
+def test_emission_refuses_a_name_loading_refuses(tmp_path, kind, names, problem):
+    """The second entry of a name could not be reached by name; an int
+    beside a string broke the sort by name; an empty name was written."""
+    doc = _with_names(load_document(str(BUNDLED)), kind, names)
+    error = _refused_on_emission(doc, tmp_path)
+    key = names[-1] if isinstance(names[-1], (str, int)) else repr(names[-1])
+    assert {k: [v.code for v in vs] for k, vs in error.per_info.items()} == {
+        key: [f"{kind[:-1]}-{problem}"]
+    }
+
+
+@pytest.mark.parametrize("kind", ["informations", "measures"])
+def test_emission_keys_an_unhashable_name_by_its_repr(tmp_path, kind):
+    # the report was keyed by the name itself, and emission died with a
+    # bare TypeError: unhashable type: 'list'
+    doc = _with_names(load_document(str(BUNDLED)), kind, [["x"]])
+    error = _refused_on_emission(doc, tmp_path)
+    code = "name-invalid" if kind == "informations" else "measure-name-invalid"
+    assert [v.code for v in error.per_info["['x']"]] == [code]
+
+
+@pytest.mark.parametrize("kind", ["relations", "systems", "chains"])
+@pytest.mark.parametrize(
+    "names, problem",
+    [(("c", "c"), "duplicate {} name 'c'"), (("",), "name must be nonempty")],
+    ids=["duplicate", "empty"],
+)
+def test_loading_refuses_a_name_emission_refuses(kind, names, problem):
+    def mutate(raw):
+        raw["chains"] = [{"name": "c", "links": ["probe"]}]
+        first = raw[kind][0]
+        raw[kind] = [{**first, "name": n} for n in names]
+
+    where = f"{kind}\\[{len(names) - 1}\\]"
+    with pytest.raises(DocumentParseError, match=f"{where}: {problem.format(kind[:-1])}"):
+        loads_document(_patch(mutate))
+
+
 def test_informations_of_one_name_keep_both_reports(tmp_path):
     twins = (_mis_mapped_probe("unknown-state"), _mis_mapped_probe("unmapped-state"))
     error = _refused_on_emission(ModelDocument(informations=twins), tmp_path)

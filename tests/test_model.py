@@ -1,13 +1,16 @@
 """Structural algebra: validation, inversion, chains, sub-information,
 combination, atoms, copies."""
 
+import copy
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import isd.model
+import isd.timeset
 
 from isd.errors import (
     ChainMismatchError,
@@ -314,6 +317,78 @@ def test_chain_mismatch_detected(pair_info):
     assert problems
     with pytest.raises(ChainMismatchError):
         collapse_chain(SerialChain((pair_info, other)))
+
+
+@pytest.mark.parametrize("cls", [Information, RawMapping, SerialChain])
+def test_the_mark_is_one_declared_field(cls):
+    mark = {f.name: f for f in dataclasses.fields(cls)}["_known_valid"]
+    assert (mark.default, mark.init, mark.compare, mark.repr) == (False,) * 4
+
+
+def test_a_checked_chain_is_not_checked_again(monkeypatch):
+    chain = random_chain(random.Random(7), n_links=8)
+    calls = _counting(monkeypatch, "check_link")
+    assert check_chain(chain) == []
+    collapse_chain(chain)
+    assert len(calls) == 7
+    # a replace copy carries no mark, so its hand-offs are checked again
+    copy = dataclasses.replace(chain)
+    assert not copy._known_valid
+    assert check_chain(copy) == []
+    assert len(calls) == 14
+
+
+def test_a_broken_chain_is_never_marked(pair_info):
+    chain = SerialChain((pair_info, lossy_info()))
+    problems = check_chain(chain)
+    assert problems and check_chain(chain) == problems
+    for _ in range(2):
+        with pytest.raises(ChainMismatchError, match=re.escape(problems[0].message)):
+            collapse_chain(chain)
+    assert not chain._known_valid
+
+
+def test_the_chain_mark_is_not_part_of_the_value():
+    chain = random_chain(random.Random(3), n_links=3)
+    copy = dataclasses.replace(chain)
+    assert check_chain(chain) == [] and chain._known_valid and not copy._known_valid
+    assert chain == copy
+    assert repr(chain) == repr(copy)
+    assert hash(chain) == hash(copy)
+
+
+def test_map_is_the_mapping_built_on_first_read(pair_info):
+    # elements refuse to unpickle (their hashes hold per process), so an
+    # information is copied, not pickled
+    for info in (dataclasses.replace(pair_info), Information.from_pairs("p", pair_info.mapping)):
+        assert "map" not in vars(info)
+        assert list(info.map.items()) == list(info.mapping)
+        assert "map" in vars(info)
+        assert info.map is info.map
+        assert copy.copy(info).map is info.map
+        assert "map" not in vars(dataclasses.replace(info))
+
+
+def test_from_pairs_of_time_ordered_pairs_takes_the_normal_form(monkeypatch):
+    # the unions follow the canonical mapping, not set order, so point
+    # times that arrive in order need no sort and merge
+    cam, disk = objective("cam"), objective("disk")
+    pairs = [
+        (
+            StateElement({cam}, TimeSet.point(t), Value.scalar(t)),
+            ReflectionElement({disk}, TimeSet.point(Fraction(2 * t + 1, 2)), Value.scalar(t)),
+        )
+        for t in range(60)
+    ]
+    calls = []
+    real = isd.timeset._normalized
+    monkeypatch.setattr(
+        isd.timeset, "_normalized", lambda *args: calls.append(1) or real(*args)
+    )
+    info = Information.from_pairs("track", reversed(pairs))
+    assert calls == []
+    assert info.occurrence == TimeSet.union(*(s.at for s, _ in pairs))
+    assert info.reflection_time == TimeSet.union(*(r.at for _, r in pairs))
 
 
 def test_sub_information(pair_info):
