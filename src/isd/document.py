@@ -276,10 +276,8 @@ def _element_from_json(obj: Any, table, where, key: str, fracs) -> Element:
     return Element(entities, at, value)
 
 
-def _information_from_json(obj: Any, table, where, fracs) -> Information:
-    name = _field(_typed(obj, dict, where), "name", str, where)
-    if not name:
-        _fail(where, "name must be nonempty")
+def _information_from_json(obj: Any, table, where, fracs, seen: set) -> Information:
+    name = _unique_name(obj, where, "information", seen)
     states = [
         _element_from_json(e, table, (where, ".states", i), "subject", fracs)
         for i, e in enumerate(_field(obj, "states", list, where))
@@ -365,16 +363,15 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
 
     fracs: dict[str, Fraction] = {}
     by_name: dict[str, Information] = {}
+    seen: set[str] = set()
     for i, obj in enumerate(_field(raw, "informations", list, source, [])):
-        info = _information_from_json(obj, table, (source, ": informations", i), fracs)
-        if info.name in by_name:
-            _fail(source, f"duplicate information name {info.name!r}")
+        info = _information_from_json(obj, table, (source, ": informations", i), fracs, seen)
         by_name[info.name] = info
 
     _require_valid_informations(by_name.values())
 
     measures = []
-    seen: set[str] = set()
+    seen = set()
     for i, obj in enumerate(_field(raw, "measures", list, source, [])):
         w = (source, ": measures", i)
         name = _unique_name(obj, w, "measure", seen)

@@ -516,22 +516,19 @@ def distortion(
     raise ValueError(f"metric kind {metric.kind!r} does not apply to distortion")
 
 
-def mismatch(info: InformationLike, target: InformationLike, metric: Metric) -> Fraction | float:
-    """Weighted sum of the six per-component distances between two
-    informations.  Zero exactly when all six components coincide; set
-    components use symmetric-difference counts, time components use
-    symmetric-difference length plus isolated-point count.
-
-    Each weighted distance is an integer pair (numerator, denominator),
-    read from the weight's terms (a missing weight is 1) and, for a time
-    component, from the sweep's integer length over its common
-    denominator; ``exact_pair_sum`` adds them and one Fraction is built."""
+def _mismatch_set_part(info: InformationLike, target: InformationLike, metric: Metric):
+    """Step one of ``mismatch``: check the metric and both sides, then add
+    the weighted set-component distances ``w * len(a ^ b)``.  Returns that
+    sum as an integer pair (numerator, denominator), which bounds the whole
+    distance from below because every weight and distance is >= 0, and the
+    ``(wn, wd, a, b)`` of each weighted time component for step two.  A
+    missing weight is 1; a zero weight drops its component."""
     if metric.kind != "weighted_product":
         raise ValueError("mismatch requires a weighted_product metric")
     require_valid(info)
     require_valid(target)
     weights = metric.component_weights
-    terms = []
+    terms, times = [], []
     for name in MISMATCH_COMPONENTS:
         w = weights.get(name)
         if w is None:
@@ -542,10 +539,42 @@ def mismatch(info: InformationLike, target: InformationLike, metric: Metric) -> 
             continue
         a, b = getattr(info, name), getattr(target, name)
         if isinstance(a, TimeSet):
-            length, den, isolated = symmetric_difference_keys(a, b)
-            if length is None:
-                return inf
-            terms.append((wn * (length + isolated * den), wd * den))
+            times.append((wn, wd, a, b))
         else:
             terms.append((wn * len(a ^ b), wd))
-    return Fraction(*exact_pair_sum(terms))
+    return exact_pair_sum(terms), times
+
+
+# an infinite distance as an integer pair: n * 0 < 1 * d for every finite
+# n/d, so cross-multiplied comparisons order it above them all
+_INFINITE_PAIR = (1, 0)
+
+
+def _mismatch_time_part(low: tuple[int, int], times) -> tuple[int, int]:
+    """Step two of ``mismatch``: the set part ``low`` plus each weighted
+    time distance, read from the sweep's integer length and isolated-point
+    count over its common denominator, as one integer pair; _INFINITE_PAIR
+    when a difference is unbounded."""
+    terms = [low]
+    for wn, wd, a, b in times:
+        length, den, isolated = symmetric_difference_keys(a, b)
+        if length is None:
+            return _INFINITE_PAIR
+        terms.append((wn * (length + isolated * den), wd * den))
+    return exact_pair_sum(terms)
+
+
+def mismatch(info: InformationLike, target: InformationLike, metric: Metric) -> Fraction | float:
+    """Weighted sum of the six per-component distances between two
+    informations.  Zero exactly when all six components coincide; set
+    components use symmetric-difference counts, time components use
+    symmetric-difference length plus isolated-point count.
+
+    The sum is taken set part first (``_mismatch_set_part``), which is an
+    exact lower bound of the whole, then the two time sweeps
+    (``_mismatch_time_part``); ``min_mismatch_search`` runs the same two
+    steps and sweeps only where the bound cannot settle its answer.  The
+    terms are integer pairs added by ``exact_pair_sum``, and one Fraction
+    is built; an unbounded time difference gives ``math.inf``."""
+    n, d = _mismatch_time_part(*_mismatch_set_part(info, target, metric))
+    return Fraction(n, d) if d else inf

@@ -12,11 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Sequence
 
 from ..errors import EmptyLibraryError
+from ..measures import _INFINITE_PAIR, _mismatch_set_part, _mismatch_time_part
 from ..measures import Metric, mismatch
 from ..model import Information
+from ..timeset import as_fraction
 
 
 def asl_sequential(n: int) -> Fraction:
@@ -62,7 +65,8 @@ def asl_binary_closed_form(n: int) -> Fraction:
 @dataclass(frozen=True)
 class SearchLibrary:
     """A target, the entries to scan, the mismatch metric, and an
-    optional early-stop threshold."""
+    optional early-stop threshold, read as a Fraction: an int, a Fraction
+    or a "p/q" string; a bool or a float raises TypeError."""
 
     target: Information
     entries: tuple[Information, ...]
@@ -71,6 +75,8 @@ class SearchLibrary:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        if self.threshold is not None:
+            object.__setattr__(self, "threshold", as_fraction(self.threshold))
 
 
 @dataclass(frozen=True)
@@ -81,23 +87,53 @@ class SearchResult:
 
 
 def min_mismatch_search(library: SearchLibrary) -> SearchResult:
-    """Scan the entries in order computing mismatch against the target.
+    """Scan the entries in order for the one closest to the target.
 
     With a threshold, stop at the first entry at or below it (comparisons
-    = its position).  Without one, all n entries are compared and the
-    first entry attaining the minimum is returned.
+    = its position).  Without one, or when no entry meets it, all n
+    entries count as compared and the first entry attaining the minimum
+    is returned.  Answers and errors are those of running ``mismatch`` on
+    every entry in turn.
+
+    Each entry's distance is taken set part first: the weighted set
+    differences, an exact lower bound of the whole mismatch.  The time
+    sweeps run only where they can change the answer.  The scan, in entry
+    order, sweeps an entry only when its bound is within the threshold.
+    The best is deferred to a second pass over the bounds kept for this
+    call, which sweeps an entry only when its bound is not strictly above
+    the best distance so far (a tie is swept, so the first index wins) and
+    reuses the distances the scan completed.  Distances stay integer pairs
+    compared by cross-multiplication; the reported one is built once, as
+    a Fraction, or ``math.inf`` when every distance is infinite.
     """
+    target, metric, threshold = library.target, library.metric, library.threshold
     if not library.entries:
         raise EmptyLibraryError("cannot search an empty library")
-    best_i = 0
-    best_d = None
+    if threshold is not None:
+        tn, td = threshold.numerator, threshold.denominator
+    scanned = []  # per entry: (set part numerator, index, its denominator, time pairs, whole)
     for i, entry in enumerate(library.entries):
-        d = mismatch(library.target, entry, library.metric)
-        if library.threshold is not None and d <= library.threshold:
-            return SearchResult(index=i, comparisons=i + 1, distance=d)
-        if best_d is None or d < best_d:
-            best_i, best_d = i, d
-    return SearchResult(index=best_i, comparisons=len(library.entries), distance=best_d)
+        low, times = _mismatch_set_part(target, entry, metric)
+        whole = None
+        if threshold is not None and low[0] * td <= tn * low[1]:
+            whole = _mismatch_time_part(low, times)
+            if whole[0] * td <= tn * whole[1]:
+                return SearchResult(index=i, comparisons=i + 1, distance=Fraction(*whole))
+        scanned.append((low[0], i, low[1], times, whole))
+    # The set parts share the metric's denominator, so sorting by numerator
+    # visits the entries by ascending bound, ties by index: the best turns
+    # up early and most sweeps are skipped.  The answer does not depend on
+    # this order, as every skip and tie is decided exactly.
+    best_i, (bn, bd) = 0, _INFINITE_PAIR
+    for ln, i, ld, times, whole in sorted(scanned):
+        if ln * bd > bn * ld:
+            continue
+        n, d = whole or _mismatch_time_part((ln, ld), times)
+        if n * bd < bn * d or (n * bd == bn * d and i < best_i):
+            best_i, bn, bd = i, n, d
+    return SearchResult(
+        index=best_i, comparisons=len(scanned), distance=Fraction(bn, bd) if bd else inf
+    )
 
 
 def asl_sequential_empirical(

@@ -33,6 +33,19 @@ class EntityId:
         if not self.id:
             raise ValueError("entity id must be nonempty")
 
+    # Written by hand, not generated: identity first, then the id, then the
+    # realm by identity (enum members are singletons).  The hash is the one
+    # the dataclass would generate, so set order is unchanged.
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not EntityId:
+            return NotImplemented
+        return self.id == other.id and self.realm is other.realm
+
+    def __hash__(self):
+        return hash((self.id, self.realm))
+
     @property
     def is_objective(self) -> bool:
         return self.realm is Realm.OBJECTIVE

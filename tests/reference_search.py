@@ -1,11 +1,12 @@
 """The package's original ``min_mismatch_search``, kept as the reference.
 
 The body is the seed scan, calling ``reference_measures.mismatch``, which
-adds each weighted component distance into a ``Fraction`` accumulator;
-``isd.oracles.search`` calls ``isd.measures.mismatch``, which adds integer
-pairs over one common denominator.  The property tests check that both
-searches return the same index, comparison count and distance, with the
-distance of the same type, or raise the same error.
+adds each weighted component distance into a ``Fraction`` accumulator on
+every entry.  ``isd.oracles.search`` takes each entry's integer set part
+first, as a lower bound, and runs the time sweeps only where that bound
+cannot settle the answer.  The property tests check that both searches
+return the same index, comparison count and distance, with the distance
+of the same type, or raise the same error.
 """
 
 from __future__ import annotations

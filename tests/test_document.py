@@ -576,7 +576,7 @@ def test_emission_keys_an_unhashable_name_by_its_repr(tmp_path, kind):
     assert [v.code for v in error.per_info["['x']"]] == [code]
 
 
-@pytest.mark.parametrize("kind", ["relations", "systems", "chains"])
+@pytest.mark.parametrize("kind", ["informations", "relations", "systems", "chains"])
 @pytest.mark.parametrize(
     "names, problem",
     [(("c", "c"), "duplicate {} name 'c'"), (("",), "name must be nonempty")],
@@ -591,6 +591,14 @@ def test_loading_refuses_a_name_emission_refuses(kind, names, problem):
     where = f"{kind}\\[{len(names) - 1}\\]"
     with pytest.raises(DocumentParseError, match=f"{where}: {problem.format(kind[:-1])}"):
         loads_document(_patch(mutate))
+
+
+def test_a_repeated_information_name_is_refused_at_its_entry():
+    # the message named the document only, not the entry that repeats the name
+    repeated = _patch(lambda raw: raw["informations"].append(dict(raw["informations"][0])))
+    with pytest.raises(DocumentParseError) as exc:
+        loads_document(repeated, source="doc.json")
+    assert str(exc.value) == "doc.json: informations[1]: duplicate information name 'probe'"
 
 
 def test_informations_of_one_name_keep_both_reports(tmp_path):

@@ -3,6 +3,7 @@ combination, atoms, copies."""
 
 import copy
 import dataclasses
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -39,7 +40,7 @@ from isd.model import (
 )
 from isd.measures import MISMATCH_COMPONENTS
 from isd.timeset import TimeSet
-from isd.values import EntityId, Value, objective, subjective
+from isd.values import EntityId, Realm, Value, objective, subjective
 from isd.verify import random_chain
 
 from conftest import lossy_info, two_atom_info
@@ -86,6 +87,21 @@ def test_entity_id_refuses_wrong_types(args, message):
     with pytest.raises(TypeError) as caught:
         EntityId(*args)
     assert str(caught.value) == message
+
+
+def test_entity_id_equality_hash_and_copies():
+    """``__eq__`` is written by hand; equality, the hash, the repr, pickling
+    and ``dataclasses.replace`` behave as the generated ones did."""
+    x = objective("x")
+    twin = EntityId("x")
+    assert x == twin and x is not twin and not (x != twin)
+    assert objective("x") != subjective("x") and objective("x") != objective("y")
+    assert x != ("x", Realm.OBJECTIVE) and x != "x"
+    assert hash(x) == hash(twin) == hash(("x", Realm.OBJECTIVE))
+    assert repr(subjective("x")) == "EntityId(id='x', realm=<Realm.SUBJECTIVE: 'subjective'>)"
+    assert pickle.loads(pickle.dumps(subjective("x"))) == subjective("x")
+    assert dataclasses.replace(x, realm=Realm.SUBJECTIVE) == subjective("x")
+    assert {x, twin, subjective("x")} == {subjective("x"), x}
 
 
 def test_totality_and_surjectivity_reported():

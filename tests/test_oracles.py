@@ -26,6 +26,7 @@ from isd.oracles import (
     ProbabilityVector,
     RadarParams,
     SearchLibrary,
+    SearchResult,
     asl_binary,
     asl_binary_closed_form,
     asl_sequential,
@@ -567,6 +568,21 @@ def test_min_mismatch_search_threshold_stops_early():
                 target=entries[0], entries=(), metric=Metric("weighted_product")
             )
         )
+
+
+@pytest.mark.parametrize("threshold", [0, Fraction(0), "0"])
+def test_search_threshold_is_read_as_a_fraction(threshold):
+    entries = _library(3)
+    lib = SearchLibrary(entries[1], entries, Metric("weighted_product"), threshold)
+    assert type(lib.threshold) is Fraction and lib.threshold == 0
+    assert min_mismatch_search(lib) == SearchResult(index=1, comparisons=2, distance=0)
+
+
+@pytest.mark.parametrize("threshold", [False, 0.0, 0.5])
+def test_search_threshold_refuses_bools_and_floats(threshold):
+    # a float threshold was compared as given; True passed as 1
+    with pytest.raises(TypeError, match="not a rational value"):
+        SearchLibrary(_library(1)[0], (), Metric("weighted_product"), threshold)
 
 
 def test_asl_sequential_empirical_matches_closed_form():

@@ -45,10 +45,16 @@ from isd.measures import (
     scope,
     variety,
     volume,
+    _mismatch_set_part,
 )
 from functools import reduce
 
-from isd.errors import CombineConflictError, InvalidInformationError, NonInvertibleError
+from isd.errors import (
+    CombineConflictError,
+    EmptyLibraryError,
+    InvalidInformationError,
+    NonInvertibleError,
+)
 from isd.model import (
     Element,
     Information,
@@ -1332,6 +1338,26 @@ _T0, _T1, _T2 = _tick("t0", 0), _tick("t1", 1), _tick("t2", 2)
 _T0_RAY, _T1_RAY = _tick("t0-ray", 0, ray=True), _tick("t1-ray", 1, ray=True)
 
 
+def _variant(name: str, value: int, reflected_at: int) -> Information:
+    """One atom at time 0 of value ``value``, reflected at ``reflected_at``;
+    value 0 reflected at 1 is t0."""
+    s = Element({objective("p")}, TimeSet.point(0), Value.scalar(value))
+    r = Element({objective("c")}, TimeSet.point(reflected_at), Value.scalar(value))
+    return Information.from_pairs(name, [(s, r)])
+
+
+# against t0, both are 4 away: the new value is 4 in the set part and 0 in
+# time; the late reflection 2 in the set part and 2 in time
+_NEW_VALUE, _LATE = _variant("new-value", 5, 1), _variant("late", 0, 2)
+# a subjective carrier: an invalid information, refused when validated
+_GHOST = Information.from_pairs(
+    "ghost",
+    [(Element({objective("p")}, TimeSet.point(0), Value.scalar(0)),
+      Element({subjective("c")}, TimeSet.point(1), Value.scalar(0)))],
+)
+_NO_SET_WEIGHTS = {name: Fraction(0) for name in ("ontology", "states", "carrier", "reflections")}
+
+
 @given(
     _measured(),
     st.lists(_measured(), max_size=3),
@@ -1355,6 +1381,26 @@ _T0_RAY, _T1_RAY = _tick("t0-ray", 0, ray=True), _tick("t1-ray", 1, ray=True)
 @example(_T0, [_tick("t-half", Fraction(1, 2))], [1], None, {})
 # an empty library
 @example(_T0, [], [], None, {})
+# pruning edges.  The late entry's set part (2) is visited first; the new
+# value's set part (4) equals that best and must be swept, so the first of
+# the tied entries wins, in both orders and under a threshold below both
+@example(_T0, [_NEW_VALUE, _LATE], [1, 2], None, {})
+@example(_T0, [_NEW_VALUE, _LATE], [2, 1], None, {})
+@example(_T0, [_NEW_VALUE, _LATE], [1, 2], Fraction(1), {})
+# set parts (4) within the threshold but distances (8) above it: swept in
+# the scan, then reused; and a later hit
+@example(_T0, [_T1, _T2], [1, 2], Fraction(5), {})
+@example(_T0, [_T1, _NEW_VALUE], [1, 2], Fraction(5), {})
+# a negative threshold is never met, not even by a zero distance
+@example(_T0, [_T1], [1, 0], Fraction(-1), {})
+# zero weights on all four set components: every bound is 0, nothing pruned
+@example(_T0, [_T1, _T2, _T1_RAY], [3, 1, 2, 0], None, _NO_SET_WEIGHTS)
+@example(_T0, [_T1, _T2], [1, 2], Fraction(4), _NO_SET_WEIGHTS)
+# an infinite distance before a finite one, with no threshold
+@example(_T0, [_T1_RAY, _T1], [1, 2], None, {})
+# an invalid entry before the hit raises; one after the hit is never validated
+@example(_T0, [_T1, _GHOST], [1, 2, 0], Fraction(0), {})
+@example(_T0, [_GHOST], [0, 1], Fraction(0), {})
 def test_min_mismatch_search_matches_reference(target, others, picks, threshold, weights):
     pool = [target, *others]
     entries = tuple(pool[k % len(pool)] for k in picks)
@@ -1362,6 +1408,26 @@ def test_min_mismatch_search_matches_reference(target, others, picks, threshold,
     assert _search_outcome(min_mismatch_search, library) == (
         _search_outcome(reference_search.min_mismatch_search, library)
     )
+
+
+@pytest.mark.parametrize("entries", [(_T0, _T1), ()], ids=["nonempty", "empty"])
+def test_min_mismatch_search_refuses_other_metrics_as_reference(entries):
+    # ValueError from the first comparison; EmptyLibraryError before any
+    library = SearchLibrary(_T0, entries, Metric("jaccard_distance"))
+    got = _search_outcome(min_mismatch_search, library)
+    assert got == _search_outcome(reference_search.min_mismatch_search, library)
+    assert got[0] is (ValueError if entries else EmptyLibraryError)
+
+
+@given(_measured(), _measured(), st.dictionaries(st.sampled_from(MISMATCH_COMPONENTS), _weight))
+@settings(max_examples=150, deadline=None)
+@example(_T0, _T1_RAY, {})
+@example(_T0, _T1, _NO_SET_WEIGHTS)
+def test_mismatch_set_part_is_a_lower_bound(info, other, weights):
+    """The bound the search prunes with never exceeds the distance."""
+    metric = Metric("weighted_product", weights)
+    (n, d), _ = _mismatch_set_part(info, other, metric)
+    assert Fraction(n, d) <= mismatch(info, other, metric)
 
 
 # -- measure profiles ---------------------------------------------------------
