@@ -136,9 +136,9 @@ def _rate_from_json(s: Any, where, fracs):
 
 
 def _timeset_to_json(ts: TimeSet) -> dict:
-    intervals = [[str(lo), str(hi)] for lo, hi in ts.intervals]
-    if ts.ray_from is not None:
-        intervals.append([str(ts.ray_from), None])
+    intervals, ray = ts.endpoint_texts()
+    if ray is not None:
+        intervals.append([ray, None])
     return {"intervals": intervals}
 
 
@@ -368,7 +368,7 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
         info = _information_from_json(obj, table, (source, ": informations", i), fracs, seen)
         by_name[info.name] = info
 
-    _require_valid_informations(by_name.values())
+    _require_valid("information", "", [(i.name, _checked(i)) for i in by_name.values()])
 
     measures = []
     seen = set()
@@ -429,51 +429,33 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
     )
 
 
-def _name_key(name: Any) -> Any:
-    """``name`` as a report key: itself, or its repr when it is unhashable."""
-    try:
-        hash(name)
-    except TypeError:
-        return repr(name)
-    return name
-
-
-def _require_valid_informations(infos) -> None:
-    """Raise one DocumentInvariantError listing every violation, by name.
-    A name that two informations share is a violation of its own, and the
-    reports of both are listed under it; so is a name that is not a
-    nonempty string."""
+def _require_valid(noun: str, prefix: str, entries) -> None:
+    """Raise one DocumentInvariantError listing what is wrong with the
+    ``noun`` entries, given as (name, violations) pairs, where violations
+    is None for a kind with no checks of its own.  An entry's report is a
+    duplicate-name violation when an earlier entry took its name, then its
+    own violations, then a name-invalid violation when the name is not a
+    nonempty string; an invalid name with no checks of its own is not also
+    a duplicate.  Codes begin with ``prefix``.  Reports are keyed by name,
+    or by its repr when it is unhashable, and entries of one name share one."""
     reports: dict[Any, list[Violation]] = {}
-    for info in infos:
-        key = _name_key(info.name)
-        if key in reports:
-            reports[key].append(
-                Violation("duplicate-name", f"another information is named {info.name!r}")
-            )
-        reports.setdefault(key, []).extend(_checked(info))
-        if not (isinstance(info.name, str) and info.name):
-            problem = f"an information's name must be a nonempty string, not {info.name!r}"
-            reports[key].append(Violation("name-invalid", problem))
-    bad = {name: report for name, report in reports.items() if report}
-    if bad:
-        raise DocumentInvariantError(bad)
-
-
-def _require_valid_names(noun: str, names) -> None:
-    """Raise one DocumentInvariantError, keyed by name, for each ``noun``
-    whose name is not a nonempty string or is another ``noun``'s."""
-    reports: dict[Any, list[Violation]] = {}
-    for name in names:
-        key = _name_key(name)
-        if not (isinstance(name, str) and name):
-            problem = f"a {noun}'s name must be a nonempty string, not {name!r}"
-            reports.setdefault(key, []).append(Violation(f"{noun}-name-invalid", problem))
-        elif key in reports:
+    for name, own in entries:
+        key = name
+        try:
+            hash(name)
+        except TypeError:
+            key = repr(name)
+        valid = isinstance(name, str) and name
+        if key in reports and (valid or own is not None):
             problem = f"another {noun} is named {name!r}"
-            reports[key].append(Violation(f"{noun}-duplicate-name", problem))
-        else:
-            reports[key] = []
-    bad = {name: report for name, report in reports.items() if report}
+            reports[key].append(Violation(f"{prefix}duplicate-name", problem))
+        report = reports.setdefault(key, [])
+        report.extend(own or ())
+        if not valid:
+            article = "an" if noun[0] in "aeiou" else "a"
+            problem = f"{article} {noun}'s name must be a nonempty string, not {name!r}"
+            report.append(Violation(f"{prefix}name-invalid", problem))
+    bad = {key: report for key, report in reports.items() if report}
     if bad:
         raise DocumentInvariantError(bad)
 
@@ -574,11 +556,14 @@ def document_to_json(doc: ModelDocument) -> dict:
         raise DocumentInvariantError(
             {"format_version": [Violation("format-version-unsupported", problem)]}
         )
-    _require_valid_informations(doc.informations)
-    _require_valid_names("measure", [m.name for m in doc.measures])
-    _require_valid_names("relation", [b.relation.name for b in doc.relations])
-    _require_valid_names("system", [s.name for s in doc.systems])
-    _require_valid_names("chain", [c.name for c in doc.chains])
+    _require_valid("information", "", [(i.name, _checked(i)) for i in doc.informations])
+    for noun, names in (
+        ("measure", [m.name for m in doc.measures]),
+        ("relation", [b.relation.name for b in doc.relations]),
+        ("system", [s.name for s in doc.systems]),
+        ("chain", [c.name for c in doc.chains]),
+    ):
+        _require_valid(noun, f"{noun}-", [(name, None) for name in names])
     out: dict[str, Any] = {"format_version": doc.format_version}
     out["entities"] = [
         {"id": e.id, "realm": e.realm.value} for e in _document_entity_table(doc)

@@ -258,7 +258,8 @@ def tracking_information(
     columns = (run.times, run.true_positions, run.model.zs[:, 0])
     pairs = []
     for t, pos, z in zip(*(np.asarray(c, dtype=float).tolist() for c in columns)):
-        at = TimeSet.point(Fraction(t))
+        n, d = t.as_integer_ratio()  # in lowest terms, d > 0
+        at = TimeSet._from_keys(d, (n,), (n,), None)
         s = Element(frozenset([target]), at, Value.scalar(Fraction(pos)))
         r = Element(frozenset([sensor]), at, Value.scalar(Fraction(z)))
         pairs.append((s, r))

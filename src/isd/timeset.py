@@ -7,17 +7,19 @@ non-adjacent (touching intervals are merged on construction), so structural
 equality of TimeSets is equality of the underlying point sets.  Degenerate
 intervals [t, t] represent isolated instants.
 
-The endpoints are public as Fractions, and each set also keeps them as
-integer keys: its least common denominator d, and every endpoint times d.
-Fractions are stored in lowest terms and the normal form is unique, so
-equal sets have equal keys.  The hash is the hash of the keys, equality
-compares them, containment bisects over them, and the symmetric-difference
-sweep rescales them to the two sides' common denominator, so none of these
-runs Fraction arithmetic or comparison.  The constructor scales its input
-once and checks it for normal form in one linear pass over the integers;
-only input that fails (unsorted, overlapping or touching intervals, or
-intervals the ray reaches) is sorted and merged, on the integers, and
-scaled again.
+A set stores its endpoints once, as integer keys: the least common
+denominator d of its endpoints, and every endpoint times d.  The normal
+form is unique, so equal sets have equal keys.  The hash is the hash of the
+keys, equality compares them, containment bisects over them, ``sort_key``
+orders by them, ``union`` and ``shift`` build new keys from them, the
+endpoint text is written from them, and the symmetric-difference sweep
+rescales them to the two sides' common denominator, so none of these builds
+a Fraction.  The public endpoints ``intervals`` and ``ray_from`` are a view:
+Fractions built from the keys on first read and kept on the set.  The
+constructor reduces its input to integer pairs once and checks the keys for
+normal form in one linear pass; only input that fails (unsorted,
+overlapping or touching intervals, or intervals the ray reaches) is sorted
+and merged, on the integers.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, isqrt, lcm
+from functools import cmp_to_key
+from math import gcd, inf, isqrt, lcm
 from operator import le, lt
 from typing import Iterable, Sequence, Union
 
@@ -42,30 +45,56 @@ def as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"not a rational value: {x!r}")
 
 
-def _scaled(pairs, ray):
-    """The Fraction ``pairs`` and ``ray`` over their least common
-    denominator d: (d, lower ends, upper ends, ray), each endpoint now the
-    integer it is times d, and the ray still None if it was."""
-    dens = [t.denominator for pair in pairs for t in pair]
-    d = lcm(*dens) if ray is None else lcm(ray.denominator, *dens)
-    ends = tuple([t.numerator * (d // t.denominator) for pair in pairs for t in pair])
-    r = None if ray is None else ray.numerator * (d // ray.denominator)
-    return d, ends[0::2], ends[1::2], r
+def _terms(x: Rational) -> tuple[int, int]:
+    """``x`` as (numerator, denominator) in lowest terms."""
+    if x.__class__ is not int:
+        x = as_fraction(x)
+    return x.numerator, x.denominator
 
 
-def _normalized(pairs, ray, los, his, r):
-    """The normal form (pairs, ray) of ``pairs`` and ``ray``, whose scaled
-    endpoints are ``los``, ``his`` and ``r``: sort on the lower endpoints,
-    merge the intervals that overlap or touch, and let the ray absorb every
-    one that reaches it."""
-    merged, starts, tops = [], [], []
+def _rational_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, written without the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _reduced(d, los, his, r):
+    """The keys ``d``, ``los``, ``his``, ``r`` over the least common
+    denominator of the endpoints they hold: all divided by their greatest
+    common divisor."""
+    g = gcd(d, *los, *his, r or 0)
+    keys = tuple([k // g for k in los]), tuple([k // g for k in his])
+    return d // g, *keys, None if r is None else r // g
+
+
+def _normal_form(d, los, his, r):
+    """The keys of the set whose endpoints times ``d`` are the tuples
+    ``los`` and ``his`` and the ray ``r``: as they are when one linear pass
+    finds them in normal form, and ``_merged`` otherwise."""
+    if (
+        all(map(le, los, his))
+        and all(map(lt, his, los[1:]))
+        and (r is None or not his or his[-1] < r)
+    ):
+        return d, los, his, r
+    return _merged(d, los, his, r)
+
+
+def _merged(d, los, his, r):
+    """The normal form of keys that are not in it: the intervals sorted on
+    their lower endpoints, those that overlap or touch merged, every one
+    the ray reaches absorbed, and the result ``_reduced``.  An interval
+    whose ends are out of order raises ValueError."""
+    for a, b in zip(los, his):
+        if a > b:
+            lo, hi = _rational_text(a, d), _rational_text(b, d)
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+    starts, tops = [], []
     for k in sorted(range(len(los)), key=los.__getitem__):
         if tops and los[k] <= tops[-1]:
             if his[k] > tops[-1]:
                 tops[-1] = his[k]
-                merged[-1] = (merged[-1][0], pairs[k][1])
         else:
-            merged.append(pairs[k])
             starts.append(los[k])
             tops.append(his[k])
     if r is not None:
@@ -73,13 +102,35 @@ def _normalized(pairs, ray, los, his, r):
         # the ray are a tail, and the ray starts at the first one if earlier
         k = bisect_left(tops, r)
         if k < len(tops):
-            if starts[k] < r:
-                ray = merged[k][0]
-            del merged[k:]
-    return merged, ray
+            r = min(r, starts[k])
+            del starts[k:], tops[k:]
+    return _reduced(d, starts, tops, r)
 
 
-@dataclass(frozen=True, eq=False, slots=True, init=False)
+def _endpoints(ts: TimeSet):
+    """The Fraction view of ``ts``'s keys: (intervals, ray_from)."""
+    d = ts._d
+    intervals = tuple([(Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(ts._los, ts._his)])
+    return intervals, None if ts._ray is None else Fraction(ts._ray, d)
+
+
+class _View:
+    """``intervals`` or ``ray_from``, built by ``_endpoints`` on first read.
+    A non-data descriptor: the first read stores both in the set's instance
+    dict, where every later read finds them before the class."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ts, owner=None):
+        if ts is None:
+            return self
+        view = ts.__dict__
+        view["intervals"], view["ray_from"] = _endpoints(ts)
+        return view[self.name]
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class TimeSet:
     """Normal-form union of closed rational intervals, plus optional ray.
 
@@ -87,41 +138,43 @@ class TimeSet:
     ``ray_from`` is the start of a closed right-unbounded tail [ray_from, oo)
     or None.  The constructor normalizes arbitrary input: it sorts, merges
     overlapping or touching intervals, and absorbs intervals into the ray.
-    A TimeSet is never empty.  The integer keys, the common denominator
-    ``_d`` and the endpoints times ``_d`` (``_los``, ``_his``, ``_ray``),
-    are computed once, on construction, and so is their hash.
+    A TimeSet is never empty.  What it stores are the integer keys, the
+    least common denominator ``_d`` and the endpoints times ``_d``
+    (``_los``, ``_his``, ``_ray``), and their hash; ``intervals`` and
+    ``ray_from`` are Fractions built from the keys when first read.
     """
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-    ray_from: Fraction | None = None
-    _h: int = field(init=False, repr=False)
-    _d: int = field(init=False, repr=False)
-    _los: tuple[int, ...] = field(init=False, repr=False)
-    _his: tuple[int, ...] = field(init=False, repr=False)
-    _ray: int | None = field(init=False, repr=False)
+    intervals: tuple[tuple[Fraction, Fraction], ...] = _View()
+    ray_from: Fraction | None = _View()
+    _h: int = field(init=False)
+    _d: int = field(init=False)
+    _los: tuple[int, ...] = field(init=False)
+    _his: tuple[int, ...] = field(init=False)
+    _ray: int | None = field(init=False)
 
     def __init__(
         self, intervals: Iterable[tuple[Rational, Rational]], ray_from: Rational | None = None
     ):
-        pairs = [(as_fraction(lo), as_fraction(hi)) for lo, hi in intervals]
-        ray = None if ray_from is None else as_fraction(ray_from)
-        d, los, his, r = _scaled(pairs, ray)
-        if not (
-            all(map(le, los, his))
-            and all(map(lt, his, los[1:]))
-            and (r is None or not his or his[-1] < r)
-        ):
-            for (lo, hi), a, b in zip(pairs, los, his):
-                if a > b:
-                    raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-            pairs, ray = _normalized(pairs, ray, los, his, r)
-            d, los, his, r = _scaled(pairs, ray)
-        if not pairs and ray is None:
+        ends = [_terms(t) for lo, hi in intervals for t in (lo, hi)]
+        if ray_from is not None:
+            ends.append(_terms(ray_from))
+        if not ends:
             raise ValueError("a TimeSet must be nonempty")
-        pairs = tuple(pairs)
+        d = lcm(*[den for _, den in ends])
+        keys = [n * (d // den) for n, den in ends]
+        r = None if ray_from is None else keys.pop()
+        self._keep(*_normal_form(d, tuple(keys[0::2]), tuple(keys[1::2]), r))
+
+    @classmethod
+    def _from_keys(cls, d: int, los: tuple[int, ...], his: tuple[int, ...], r: int | None):
+        """The trusted constructor: keys already in normal form, with ``d``
+        the least common denominator of the endpoints."""
+        ts = object.__new__(cls)
+        ts._keep(d, los, his, r)
+        return ts
+
+    def _keep(self, d, los, his, r):
         setattr_ = object.__setattr__
-        setattr_(self, "intervals", pairs)
-        setattr_(self, "ray_from", ray)
         setattr_(self, "_h", hash((d, los, his, r)))
         setattr_(self, "_d", d)
         setattr_(self, "_los", los)
@@ -144,6 +197,9 @@ class TimeSet:
     def __hash__(self):
         return self._h
 
+    def __repr__(self):
+        return f"TimeSet(intervals={self.intervals!r}, ray_from={self.ray_from!r})"
+
     def __reduce__(self):
         # rebuild rather than restore: hash(None) differs between processes
         return TimeSet, (self.intervals, self.ray_from)
@@ -152,46 +208,45 @@ class TimeSet:
 
     @classmethod
     def interval(cls, lo: Rational, hi: Rational) -> TimeSet:
-        return cls(((as_fraction(lo), as_fraction(hi)),))
+        return cls(((lo, hi),))
 
     @classmethod
     def point(cls, t: Rational) -> TimeSet:
-        t = as_fraction(t)
-        return cls(((t, t),))
+        n, d = _terms(t)
+        return cls._from_keys(d, (n,), (n,), None)
 
     @classmethod
     def from_points(cls, points: Iterable[Rational]) -> TimeSet:
-        return cls(tuple((as_fraction(p), as_fraction(p)) for p in points))
+        return cls([(p, p) for p in points])
 
     @classmethod
     def from_intervals(
         cls, pairs: Iterable[tuple[Rational, Rational]], ray_from: Rational | None = None
     ) -> TimeSet:
-        return cls(tuple(pairs), ray_from)
+        return cls(pairs, ray_from)
 
     @classmethod
     def ray(cls, start: Rational) -> TimeSet:
-        return cls((), as_fraction(start))
+        n, d = _terms(start)
+        return cls._from_keys(d, (), (), n)
 
     # -- queries -------------------------------------------------------
 
     @property
     def is_unbounded(self) -> bool:
-        return self.ray_from is not None
+        return self._ray is not None
 
     @property
     def inf(self) -> Fraction:
         """Greatest lower bound (always attained: intervals are closed)."""
-        if self.intervals:
-            return self.intervals[0][0]
-        return self.ray_from  # type: ignore[return-value]
+        return Fraction(self._los[0] if self._los else self._ray, self._d)
 
     @property
     def sup(self):
         """Least upper bound: a Fraction, or math.inf when unbounded."""
-        if self.ray_from is not None:
+        if self._ray is not None:
             return inf
-        return self.intervals[-1][1]
+        return Fraction(self._his[-1], self._d)
 
     def sup_after(self, earlier: TimeSet) -> tuple[int, int]:
         """``self.sup - earlier.sup`` as an integer pair (numerator,
@@ -202,12 +257,12 @@ class TimeSet:
 
     def lebesgue_measure(self):
         """Total length; math.inf when unbounded."""
-        if self.ray_from is not None:
+        if self._ray is not None:
             return inf
         return Fraction(sum(self._his) - sum(self._los), self._d)
 
     def connected_components(self) -> int:
-        return len(self.intervals) + (1 if self.ray_from is not None else 0)
+        return len(self._los) + (self._ray is not None)
 
     def hull_gaps(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Maximal open gaps (b, c) between consecutive components.
@@ -215,13 +270,10 @@ class TimeSet:
         These are exactly the open subintervals of the convex hull that
         miss the set; a single component has no gaps.
         """
-        edges = list(self.intervals)
-        if self.ray_from is not None:
-            edges.append((self.ray_from, self.ray_from))
-        gaps = []
-        for (_, hi), (lo, _) in zip(edges, edges[1:]):
-            gaps.append((hi, lo))
-        return tuple(gaps)
+        d, starts = self._d, self._los[1:]
+        if self._ray is not None:
+            starts += (self._ray,)
+        return tuple([(Fraction(b, d), Fraction(c, d)) for b, c in zip(self._his, starts)])
 
     def contains_point(self, t: Rational) -> bool:
         return TimeSet.point(t).is_subset(self)
@@ -245,27 +297,73 @@ class TimeSet:
         return True
 
     def union(self, *others: TimeSet) -> TimeSet:
-        """Union with any number of TimeSets, normalized once."""
+        """Union with any number of TimeSets, normalized once, on keys
+        rescaled to the sets' common denominator."""
         sets = (self, *others)
-        rays = [ts.ray_from for ts in sets if ts.ray_from is not None]
-        return TimeSet(
-            tuple(iv for ts in sets for iv in ts.intervals), min(rays, default=None)
-        )
+        d = lcm(*[ts._d for ts in sets])
+        los, his, rays = [], [], []
+        for ts in sets:
+            m = d // ts._d
+            los += [k * m for k in ts._los]
+            his += [k * m for k in ts._his]
+            if ts._ray is not None:
+                rays.append(ts._ray * m)
+        keys = _normal_form(d, tuple(los), tuple(his), min(rays, default=None))
+        if len(rays) > 1:  # the rays left out may have needed all of d
+            keys = _reduced(*keys)
+        return TimeSet._from_keys(*keys)
 
     def shift(self, delta: Rational) -> TimeSet:
-        delta = as_fraction(delta)
-        ray = None if self.ray_from is None else self.ray_from + delta
-        return TimeSet(tuple((lo + delta, hi + delta) for lo, hi in self.intervals), ray)
+        n, e = _terms(delta)
+        d = lcm(self._d, e)
+        m, step = d // self._d, n * (d // e)
+        r = None if self._ray is None else self._ray * m + step
+        los = [k * m + step for k in self._los]
+        his = [k * m + step for k in self._his]
+        return TimeSet._from_keys(*_reduced(d, los, his, r))
 
     def sort_key(self):
-        ray_part = (1, self.ray_from) if self.ray_from is not None else (0, Fraction(0))
-        return (self.intervals, ray_part)
+        return _order_key(self)
+
+    def endpoint_texts(self) -> tuple[list[list[str]], str | None]:
+        """The endpoints as ``str`` writes their Fractions, from the keys:
+        a new list of [lo, hi] pairs, and the ray's start or None."""
+        d = self._d
+        pairs = [[_rational_text(a, d), _rational_text(b, d)] for a, b in zip(self._los, self._his)]
+        return pairs, None if self._ray is None else _rational_text(self._ray, d)
 
     def __str__(self):
-        parts = [f"[{lo}, {hi}]" for lo, hi in self.intervals]
-        if self.ray_from is not None:
-            parts.append(f"[{self.ray_from}, +oo)")
+        pairs, ray = self.endpoint_texts()
+        parts = [f"[{lo}, {hi}]" for lo, hi in pairs]
+        if ray is not None:
+            parts.append(f"[{ray}, +oo)")
         return " u ".join(parts)
+
+
+def _compare(a: TimeSet, b: TimeSet) -> int:
+    """-1, 0 or 1 as ``a`` comes before, with or after ``b`` in the
+    canonical order.  It is the order of ``(intervals, (1, ray_from) if a
+    ray else (0, 0))`` over Fractions: the endpoints lo0, hi0, lo1, ...
+    lexicographically, a shorter list first, then no ray before a ray, and
+    rays by their start.  Each side's keys are compared times the other's
+    denominator."""
+    ma, mb = b._d, a._d
+    for alo, ahi, blo, bhi in zip(a._los, a._his, b._los, b._his):
+        x, y = alo * ma, blo * mb
+        if x == y:
+            x, y = ahi * ma, bhi * mb
+        if x != y:
+            return -1 if x < y else 1
+    x, y = len(a._los), len(b._los)
+    if x == y:
+        if a._ray is None or b._ray is None:
+            x, y = a._ray is not None, b._ray is not None
+        else:
+            x, y = a._ray * ma, b._ray * mb
+    return (x > y) - (x < y)
+
+
+_order_key = cmp_to_key(_compare)
 
 
 def _edges(ts: TimeSet, scale: int) -> list[int]:

@@ -65,12 +65,30 @@ def subjective(id: str) -> EntityId:
 _TAG_ORDER = {"symbol": 0, "scalar": 1, "vector": 2, "record": 3}
 
 
+def _hash_terms(q) -> tuple:
+    """A numeric body's (numerator, denominator) in lowest terms, which
+    equal numbers share: an int or Fraction holds them, and a float gives
+    them by ``as_integer_ratio``.  Anything else, such as a non-finite
+    float, is returned as ``(q,)``."""
+    try:
+        return q.numerator, q.denominator
+    except AttributeError:
+        pass
+    try:
+        return q.as_integer_ratio()
+    except (AttributeError, OverflowError, ValueError):
+        return (q,)
+
+
 class Value:
     """Immutable tagged value: symbol, scalar, vector, or record.
 
     Scalars and vector entries are exact rationals; records map string
     keys to nested Values and are stored as sorted pairs so equality and
-    hashing are structural.  The hash is computed once, on construction.
+    hashing are structural.  The hash is computed once, on construction: a
+    scalar hashes ``(tag, n, d)`` and a vector ``(tag, ((n, d), ...))``, its
+    numbers' integer terms, which skips the modular inverse that hashing a
+    Fraction computes; a symbol or record hashes ``(tag, body)``.
     """
 
     __slots__ = ("tag", "body", "_h")
@@ -80,7 +98,13 @@ class Value:
             raise ValueError(f"unknown value tag: {tag!r}")
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "body", body)
-        object.__setattr__(self, "_h", hash((tag, body)))
+        if tag == "scalar":
+            h = hash((tag, *_hash_terms(body)))
+        elif tag == "vector":
+            h = hash((tag, tuple(map(_hash_terms, body))))
+        else:
+            h = hash((tag, body))
+        object.__setattr__(self, "_h", h)
 
     def __setattr__(self, *_):
         raise AttributeError("Value is immutable")

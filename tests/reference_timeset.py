@@ -1,12 +1,14 @@
 """The package's original ``TimeSet`` kernel, kept verbatim as the reference.
 
 ``isd.timeset`` sorts on the lower endpoint alone, bisects over the lower
-endpoints in ``contains_point`` and ``is_subset``, and sizes the symmetric
+endpoints in ``contains_point`` and ``is_subset``, sizes the symmetric
 difference with ``symmetric_difference_keys``, one integer sweep over both
-sides' endpoints.  The copies here sort on whole pairs, scan every interval, and
-probe every cut and every midpoint between cuts.  The property tests check
-that both sides give the same normal form, the same booleans and the same
-``(length, isolated)`` pair, down to the type of ``length``.
+sides' endpoints, and orders sets by their integer keys.  The copies here
+sort on whole pairs, scan every interval, probe every cut and every midpoint
+between cuts, and order sets by their Fraction endpoints.  The property
+tests check that both sides give the same normal form, the same booleans,
+the same ``(length, isolated)`` pair, down to the type of ``length``, and
+the same order.
 """
 
 from __future__ import annotations
@@ -79,6 +81,12 @@ class TimeSet:
         return TimeSet(
             tuple(iv for ts in sets for iv in ts.intervals), min(rays, default=None)
         )
+
+
+def sort_key(ts: TimeSet):
+    """The seed's ``TimeSet.sort_key``: the Fraction endpoints, then the ray."""
+    ray_part = (1, ts.ray_from) if ts.ray_from is not None else (0, Fraction(0))
+    return (ts.intervals, ray_part)
 
 
 def symmetric_difference_size(a: TimeSet, b: TimeSet) -> tuple:

@@ -351,26 +351,38 @@ def test_negative_transform_is_clean_error(tmp_path, stages, named):
     _analyze_fails_cleanly(tmp_path, json.dumps(doc), named)
 
 
+_EMIT = (
+    "import sys\n"
+    "from isd.document import emit_document, load_document\n"
+    "for path in sys.argv[1:]:\n"
+    "    sys.stdout.write(emit_document(load_document(path)))\n"
+)
+GOLDEN = sorted(str(p) for p in (Path(__file__).parent / "golden").glob("*.json"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--seed", "0", "--trials", "20", "--format", "json"],
-        ["scenario", "news_pipeline", "--format", "json"],
+        ["-m", "isd.cli", "verify", "--seed", "0", "--trials", "20", "--format", "json"],
+        ["-m", "isd.cli", "scenario", "news_pipeline", "--format", "json"],
         [
-            "measure", BUNDLED, "--info", "capture", "--relations", "same_source",
-            "--target", "uplink", "--format", "json",
+            "-m", "isd.cli", "measure", BUNDLED, "--info", "capture", "--relations",
+            "same_source", "--target", "uplink", "--format", "json",
         ],
+        ["-m", "isd.cli", "analyze", BUNDLED],
+        ["-c", _EMIT, *GOLDEN],
     ],
-    ids=["verify", "scenario", "measure"],
+    ids=["verify", "scenario", "measure", "analyze", "golden-emission"],
 )
 def test_output_does_not_depend_on_hash_values(argv):
     """Strings hash differently under each PYTHONHASHSEED, and so do the
-    elements and entity sets that hold them; no output may show that."""
+    values, elements and entity sets that hold them; no output may show
+    that, neither a CLI report nor a re-emitted golden document."""
     outputs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONPATH=str(Path(isd.__file__).parents[1]), PYTHONHASHSEED=seed)
         proc = subprocess.run(
-            [sys.executable, "-m", "isd.cli", *argv],
+            [sys.executable, *argv],
             capture_output=True,
             text=True,
             env=env,
@@ -378,7 +390,7 @@ def test_output_does_not_depend_on_hash_values(argv):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_measure_validates_each_information_once(monkeypatch, capsys):

@@ -28,8 +28,16 @@ from isd.errors import (
     DocumentParseError,
     UnresolvedReferenceError,
 )
-from isd.measures import Relation
+from isd.dynamics import MeasureKind, MeasureProfile, propagate
+from isd.measures import Metric, Relation, distortion
 from isd.model import SerialChain, validate
+from isd.oracles import (
+    kalman_reflection,
+    measurement_reflection,
+    simulate_tracking,
+    tracking_information,
+)
+from isd.timeset import TimeSet
 
 BUNDLED = Path(isd.__file__).parent / "data" / "news_pipeline.json"
 
@@ -661,8 +669,9 @@ def test_writer_refuses_what_a_document_tree_never_holds(tree):
 # -- the per-load rational memo -------------------------------------------------
 
 
-def _fractions(doc):
-    """Every rational of the document's time sets and values."""
+def _memo_rationals(doc):
+    """Every rational the loader's memo hands out: the scalar and vector
+    bodies of values, measure weights, and finite transform amounts."""
     def of_value(v):
         if v.tag == "scalar":
             yield v.body
@@ -673,10 +682,23 @@ def _fractions(doc):
                 yield from of_value(inner)
 
     for info in doc.informations:
-        times = [info.occurrence, info.reflection_time]
         for element in (*info.states, *info.reflections):
-            times.append(element.at)
             yield from of_value(element.value)
+    for m in doc.measures:
+        yield m.default_weight
+        yield from m.weights.values()
+    for system in doc.systems:
+        for stage in system.stages:
+            for t in stage.transforms.values():
+                if t.kind != "identity" and not t.amount.is_infinite:
+                    yield t.amount.value
+
+
+def _endpoints(doc):
+    """Every endpoint of the document's time sets, read through the view."""
+    for info in doc.informations:
+        times = [info.occurrence, info.reflection_time]
+        times += [element.at for element in (*info.states, *info.reflections)]
         for ts in times:
             for lo, hi in ts.intervals:
                 yield lo
@@ -685,17 +707,63 @@ def _fractions(doc):
                 yield ts.ray_from
 
 
+def _numeric_bundled() -> str:
+    """The bundled document with numeric values, whose canonical strings
+    repeat across informations, and a measure of repeated weights."""
+    raw = json.loads(BUNDLED.read_text(encoding="utf-8"))
+    for info in raw["informations"]:
+        for k, state in enumerate(info["states"]):
+            state["value"] = {"scalar": str(Fraction(k, 2))}
+        for k, reflection in enumerate(info["reflections"]):
+            reflection["value"] = {"vector": [str(Fraction(k, 2)), "3"]}
+    weights = {"camera": "1/2", "recorder": "3"}
+    raw["measures"].append({"name": "halves", "default_weight": "1/2", "weights": weights})
+    return json.dumps(raw)
+
+
 def test_rational_memo_lives_for_one_load():
-    text = BUNDLED.read_text(encoding="utf-8")
+    text = _numeric_bundled()
     first, second = loads_document(text), loads_document(text)
-    qs = list(_fractions(first))
+    qs = list(_memo_rationals(first))
+    assert {"scalar", "vector"} <= {
+        e.value.tag for info in first.informations for e in (*info.states, *info.reflections)
+    }
     # within one load, each rational string was parsed once ...
     one_each = {}
     for q in qs:
         assert one_each.setdefault(q, q) is q
     assert len(one_each) < len(qs)
     # ... and no parsed rational outlives the load that made it
-    assert not {id(q) for q in qs} & {id(q) for q in _fractions(second)}
+    assert not {id(q) for q in qs} & {id(q) for q in _memo_rationals(second)}
+    # endpoints are views of each set's own keys, so no load shares one
+    assert not {id(q) for q in _endpoints(first)} & {id(q) for q in _endpoints(second)}
+
+
+def test_request_paths_build_no_endpoint_view(monkeypatch):
+    """Tracking, and a document round trip with propagation, read only the
+    integer keys of their time sets: none builds its Fraction endpoints."""
+    built = []
+    real = isd.timeset._endpoints
+    monkeypatch.setattr(isd.timeset, "_endpoints", lambda ts: built.append(ts) or real(ts))
+    run = simulate_tracking(steps=60, dt=0.1, seed=3)
+    info = tracking_information(run)
+    metric = Metric("euclidean_on_values")
+    distortion(info, kalman_reflection(run, info), metric)
+    distortion(info, measurement_reflection(info), metric)
+    source = MeasureProfile({MeasureKind.DELAY: 0, MeasureKind.VOLUME: 100})
+    for path in sorted((Path(__file__).parent / "golden").glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        doc = loads_document(text)
+        for system in doc.systems:
+            propagate(system, source)
+        assert emit_document(doc) == text
+    assert built == []
+    # the first read of either field builds both, once
+    ts = TimeSet.from_intervals([(0, 1)], 3)
+    assert (ts.intervals, ts.ray_from, repr(ts)) == (
+        ((Fraction(0), Fraction(1)),), Fraction(3), repr(ts)
+    )
+    assert built == [ts]
 
 
 @pytest.mark.parametrize(

@@ -397,10 +397,8 @@ def test_from_pairs_of_time_ordered_pairs_takes_the_normal_form(monkeypatch):
         for t in range(60)
     ]
     calls = []
-    real = isd.timeset._normalized
-    monkeypatch.setattr(
-        isd.timeset, "_normalized", lambda *args: calls.append(1) or real(*args)
-    )
+    real = isd.timeset._merged
+    monkeypatch.setattr(isd.timeset, "_merged", lambda *args: calls.append(1) or real(*args))
     info = Information.from_pairs("track", reversed(pairs))
     assert calls == []
     assert info.occurrence == TimeSet.union(*(s.at for s, _ in pairs))

@@ -165,8 +165,8 @@ def test_timeset_shift_preserves_structure(ts, d):
 # -- hashes -------------------------------------------------------------------
 #
 # Values and time sets compute their hash once, on construction.  A value
-# hashes its field tuple, as the frozen dataclass did; a time set hashes its
-# integer keys.  Either way equal objects must hash equal, however they
+# hashes its tag and body, with each number of a scalar or vector as its
+# integer terms; a time set hashes its integer keys.  Either way equal objects must hash equal, however they
 # were written or rebuilt.  No output may show the hash values: symbols and
 # entity ids hash by string, which differs from one process to the next.
 
@@ -215,14 +215,40 @@ def _with_parts(v: Value):
             yield from _with_parts(inner)
 
 
+def _hashed_fields(v: Value) -> tuple:
+    """What ``v`` hashes: (tag, n, d) for a scalar, (tag, ((n, d), ...))
+    for a vector, and (tag, body) for a symbol or a record."""
+    if v.tag == "scalar":
+        return v.tag, v.body.numerator, v.body.denominator
+    if v.tag == "vector":
+        return v.tag, tuple((q.numerator, q.denominator) for q in v.body)
+    return v.tag, v.body
+
+
 @given(values)
 @settings(max_examples=200, deadline=None)
 def test_value_hash_is_the_field_tuple_hash(v):
-    # by induction over the nesting, each record hashes as it always did
+    # by induction over the nesting, each record hashes its field tuple
     for part in _with_parts(v):
-        assert hash(part) == hash((part.tag, part.body))
+        assert hash(part) == hash(_hashed_fields(part))
     twin = _rebuilt(v)
     assert twin == v and hash(twin) == hash(v)
+
+
+@pytest.mark.parametrize(
+    "body, q",
+    [(3, "3"), (-2, "-2"), (True, "1"), (0.5, "1/2"), (-0.375, "-3/8"), (2.0, "2"), (0.1, 0.1)],
+)
+def test_value_of_a_body_built_without_value_scalar_hashes_as_its_rational(body, q):
+    # 0.1 stands for the exact binary fraction a float holds
+    q = Fraction(q)
+    for v, w in (
+        (Value("scalar", body), Value.scalar(q)),
+        (Value("vector", (body, 7)), Value.vector([q, 7])),
+    ):
+        assert v == w and w == v and hash(v) == hash(w)
+    infinite = Value("scalar", math.inf)
+    assert infinite == Value("scalar", math.inf) and hash(infinite) == hash(("scalar", math.inf))
 
 
 @given(st.one_of(timesets(), touching_timesets()), st.none() | rationals)
@@ -319,7 +345,7 @@ def test_equality_is_field_tuple_equality(pair, side, other_side):
         assert (x == y) is (_value_fields(x) == _value_fields(y))
         assert (x != y) is (_value_fields(x) != _value_fields(y))
     for v in (a, b):
-        assert hash(v) == hash((v.tag, v.body))
+        assert hash(v) == hash(_hashed_fields(v))
         assert (v == v.body) is False and (v == (v.tag, v.body)) is False
     # the second element's fields are equal but distinct objects, or drawn apart
     entities, at = side

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from isd.timeset import (
     TimeSet,
     exact_or_float_sqrt,
+    _rational_text,
     symmetric_difference_keys,
 )
 
@@ -213,3 +214,56 @@ def test_symmetric_difference_matches_reference(raw):
     want = reference_timeset.symmetric_difference_size(ref_a, ref_b)
     assert got == want
     assert type(got[0]) is type(want[0]) and type(got[1]) is int
+
+
+# -- order and text from the keys ----------------------------------------------
+#
+# ``sort_key`` and ``endpoint_texts`` read the integer keys.  The seed read
+# the Fraction endpoints: its key is ``reference_timeset.sort_key`` and its
+# text ``str`` of each Fraction.
+
+
+@st.composite
+def families(draw):
+    """Raw time sets that share prefixes of one normal form, extended by
+    further spans (points among them) and maybe a ray; repeats are kept."""
+    base = TimeSet(*draw(raw_timesets)).intervals
+    raws = []
+    for _ in range(draw(st.integers(2, 8))):
+        prefix = base[: draw(st.integers(0, len(base)))]
+        more = draw(st.lists(spans, max_size=2))
+        raws.append((tuple(prefix) + tuple(more), draw(st.one_of(st.none(), edges))))
+    return [raw for raw in raws if raw[0] or raw[1] is not None]
+
+
+@given(families())
+@settings(max_examples=200, deadline=None)
+def test_sort_key_orders_as_the_reference(raws):
+    sets = [_both(raw) for raw in raws]
+    keys = [ts.sort_key() for ts, _ in sets]
+    ref_keys = [reference_timeset.sort_key(ref) for _, ref in sets]
+    order = range(len(sets))
+    assert sorted(order, key=keys.__getitem__) == sorted(order, key=ref_keys.__getitem__)
+    for i in order:
+        for j in order:
+            assert (keys[i] < keys[j]) is (ref_keys[i] < ref_keys[j])
+            assert (keys[i] == keys[j]) is (ref_keys[i] == ref_keys[j])
+            assert (keys[i] >= keys[j]) is (ref_keys[i] >= ref_keys[j])
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+def test_rational_text_is_str_of_the_fraction(n, d):
+    assert _rational_text(n, d) == str(Fraction(n, d))
+    assert _rational_text(n * d, d) == str(n)
+
+
+@given(raw_timesets)
+@settings(max_examples=150, deadline=None)
+def test_endpoint_texts_are_str_of_the_endpoints(raw):
+    ts, ref = _both(raw)
+    pairs, ray = ts.endpoint_texts()
+    assert pairs == [[str(lo), str(hi)] for lo, hi in ref.intervals]
+    assert ray == (None if ref.ray_from is None else str(ref.ray_from))
+    text = [f"[{lo}, {hi}]" for lo, hi in ref.intervals]
+    text += [f"[{ref.ray_from}, +oo)"] * (ref.ray_from is not None)
+    assert str(ts) == " u ".join(text)
