@@ -300,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ISDError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ISDError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

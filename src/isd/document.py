@@ -276,8 +276,7 @@ def _element_from_json(obj: Any, table, where, key: str, fracs) -> Element:
     return Element(entities, at, value)
 
 
-def _information_from_json(obj: Any, table, where, fracs, seen: set) -> Information:
-    name = _unique_name(obj, where, "information", seen)
+def _information_from_json(obj: dict, name: str, table, where, fracs) -> Information:
     states = [
         _element_from_json(e, table, (where, ".states", i), "subject", fracs)
         for i, e in enumerate(_field(obj, "states", list, where))
@@ -301,16 +300,20 @@ def _information_from_json(obj: Any, table, where, fracs, seen: set) -> Informat
         _fail(where, str(e))
 
 
-def _unique_name(obj: Any, where, noun: str, seen: set) -> str:
-    """The nonempty ``name`` of the entry ``obj``, which no earlier entry
-    of its kind, whose names are ``seen``, has taken."""
-    name = _field(_typed(obj, dict, where), "name", str, where)
-    if not name:
-        _fail(where, "name must be nonempty")
-    if name in seen:
-        _fail(where, f"duplicate {noun} name {name!r}")
-    seen.add(name)
-    return name
+def _named_entries(raw: dict, key: str, noun: str, source: str):
+    """Each entry of the collection ``raw[key]`` as (where, name, obj): an
+    object whose ``name`` is a nonempty string that no earlier entry of the
+    collection has taken."""
+    taken = set()
+    for i, obj in enumerate(_field(raw, key, list, source, [])):
+        where = (source, f": {key}", i)
+        name = _field(_typed(obj, dict, where), "name", str, where)
+        if not name:
+            _fail(where, "name must be nonempty")
+        if name in taken:
+            _fail(where, f"duplicate {noun} name {name!r}")
+        taken.add(name)
+        yield where, name, obj
 
 
 def _information_named(by_name, name: Any, where) -> Information:
@@ -330,8 +333,7 @@ def _transform_from_json(obj: Any, where, fracs) -> MeasureTransform:
         _fail(where, str(e))
 
 
-def _system_from_json(obj: Any, where, fracs, seen: set) -> SystemConfig:
-    name = _unique_name(obj, where, "system", seen)
+def _system_from_json(obj: dict, name: str, where, fracs) -> SystemConfig:
     shape = _enum(Shape, _field(obj, "shape", str, where), where, "shape")
     stages = []
     for i, st in enumerate(_field(obj, "stages", list, where)):
@@ -363,18 +365,13 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
 
     fracs: dict[str, Fraction] = {}
     by_name: dict[str, Information] = {}
-    seen: set[str] = set()
-    for i, obj in enumerate(_field(raw, "informations", list, source, [])):
-        info = _information_from_json(obj, table, (source, ": informations", i), fracs, seen)
-        by_name[info.name] = info
+    for w, name, obj in _named_entries(raw, "informations", "information", source):
+        by_name[name] = _information_from_json(obj, name, table, w, fracs)
 
     _require_valid("information", "", [(i.name, _checked(i)) for i in by_name.values()])
 
     measures = []
-    seen = set()
-    for i, obj in enumerate(_field(raw, "measures", list, source, [])):
-        w = (source, ": measures", i)
-        name = _unique_name(obj, w, "measure", seen)
+    for w, name, obj in _named_entries(raw, "measures", "measure", source):
         weights = {}
         for eid, wt in _field(obj, "weights", dict, w, {}).items():
             if eid not in table:
@@ -389,27 +386,20 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
             _fail(w, str(e))
 
     relations = []
-    seen = set()
-    for i, obj in enumerate(_field(raw, "relations", list, source, [])):
-        w = (source, ": relations", i)
-        name = _unique_name(obj, w, "relation", seen)
+    for w, name, obj in _named_entries(raw, "relations", "relation", source):
         info_name = _field(obj, "info", str, w)
         ordered = _information_named(by_name, info_name, w).sorted_states()
         pairs = frozenset(_index_pairs(obj, "pairs", ordered, ordered, w))
         equivalence = _field(obj, "declared_equivalence", bool, w, False)
         relations.append(BoundRelation(info_name, Relation(name, pairs, equivalence)))
 
-    seen = set()
     systems = tuple(
-        _system_from_json(obj, (source, ": systems", i), fracs, seen)
-        for i, obj in enumerate(_field(raw, "systems", list, source, []))
+        _system_from_json(obj, name, w, fracs)
+        for w, name, obj in _named_entries(raw, "systems", "system", source)
     )
 
     chains = []
-    seen = set()
-    for i, obj in enumerate(_field(raw, "chains", list, source, [])):
-        w = (source, ": chains", i)
-        name = _unique_name(obj, w, "chain", seen)
+    for w, name, obj in _named_entries(raw, "chains", "chain", source):
         names = _field(obj, "links", list, w)
         if not names:
             _fail(w, "links must be a nonempty list")

@@ -15,7 +15,7 @@ orders by them, ``union`` and ``shift`` build new keys from them, the
 endpoint text is written from them, and the symmetric-difference sweep
 rescales them to the two sides' common denominator, so none of these builds
 a Fraction.  The public endpoints ``intervals`` and ``ray_from`` are a view:
-Fractions built from the keys on first read and kept on the set.  The
+two cached properties, each built from the keys on its first read.  The
 constructor reduces its input to integer pairs once and checks the keys for
 normal form in one linear pass; only input that fails (unsorted,
 overlapping or touching intervals, or intervals the ray reaches) is sorted
@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd, inf, isqrt, lcm
 from operator import le, lt
 from typing import Iterable, Sequence, Union
@@ -107,30 +107,18 @@ def _merged(d, los, his, r):
     return _reduced(d, starts, tops, r)
 
 
-def _endpoints(ts: TimeSet):
-    """The Fraction view of ``ts``'s keys: (intervals, ray_from)."""
+def _intervals(ts: TimeSet) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The bounded part of ``ts`` as Fraction pairs, built from its keys."""
     d = ts._d
-    intervals = tuple([(Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(ts._los, ts._his)])
-    return intervals, None if ts._ray is None else Fraction(ts._ray, d)
+    return tuple([(Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(ts._los, ts._his)])
 
 
-class _View:
-    """``intervals`` or ``ray_from``, built by ``_endpoints`` on first read.
-    A non-data descriptor: the first read stores both in the set's instance
-    dict, where every later read finds them before the class."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, ts, owner=None):
-        if ts is None:
-            return self
-        view = ts.__dict__
-        view["intervals"], view["ray_from"] = _endpoints(ts)
-        return view[self.name]
+def _ray_from(ts: TimeSet) -> Fraction | None:
+    """The start of ``ts``'s ray as a Fraction, or None."""
+    return None if ts._ray is None else Fraction(ts._ray, ts._d)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TimeSet:
     """Normal-form union of closed rational intervals, plus optional ray.
 
@@ -144,13 +132,13 @@ class TimeSet:
     ``ray_from`` are Fractions built from the keys when first read.
     """
 
-    intervals: tuple[tuple[Fraction, Fraction], ...] = _View()
-    ray_from: Fraction | None = _View()
-    _h: int = field(init=False)
-    _d: int = field(init=False)
-    _los: tuple[int, ...] = field(init=False)
-    _his: tuple[int, ...] = field(init=False)
-    _ray: int | None = field(init=False)
+    intervals: tuple[tuple[Fraction, Fraction], ...] = cached_property(_intervals)
+    ray_from: Fraction | None = cached_property(_ray_from)
+    _h: int = field(init=False, repr=False)
+    _d: int = field(init=False, repr=False)
+    _los: tuple[int, ...] = field(init=False, repr=False)
+    _his: tuple[int, ...] = field(init=False, repr=False)
+    _ray: int | None = field(init=False, repr=False)
 
     def __init__(
         self, intervals: Iterable[tuple[Rational, Rational]], ray_from: Rational | None = None
@@ -196,9 +184,6 @@ class TimeSet:
 
     def __hash__(self):
         return self._h
-
-    def __repr__(self):
-        return f"TimeSet(intervals={self.intervals!r}, ray_from={self.ray_from!r})"
 
     def __reduce__(self):
         # rebuild rather than restore: hash(None) differs between processes

@@ -609,6 +609,24 @@ def test_a_repeated_information_name_is_refused_at_its_entry():
     assert str(exc.value) == "doc.json: informations[1]: duplicate information name 'probe'"
 
 
+@pytest.mark.parametrize("kind", ["informations", "measures", "relations", "systems", "chains"])
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        (lambda first: 5, "must be an object, not an integer"),
+        (lambda first: {k: v for k, v in first.items() if k != "name"}, "missing 'name'"),
+        (lambda first: {**first, "name": 7}, "name: must be a string, not an integer"),
+    ],
+    ids=["not-an-object", "no-name", "int-name"],
+)
+def test_every_named_collection_refuses_a_malformed_entry_alike(kind, entry, problem):
+    raw = json.loads(BUNDLED.read_text(encoding="utf-8"))
+    raw[kind][0] = entry(raw[kind][0])
+    with pytest.raises(DocumentParseError) as exc:
+        loads_document(json.dumps(raw), source="doc.json")
+    assert str(exc.value) == f"doc.json: {kind}[0]: {problem}"
+
+
 def test_informations_of_one_name_keep_both_reports(tmp_path):
     twins = (_mis_mapped_probe("unknown-state"), _mis_mapped_probe("unmapped-state"))
     error = _refused_on_emission(ModelDocument(informations=twins), tmp_path)
@@ -743,8 +761,10 @@ def test_request_paths_build_no_endpoint_view(monkeypatch):
     """Tracking, and a document round trip with propagation, read only the
     integer keys of their time sets: none builds its Fraction endpoints."""
     built = []
-    real = isd.timeset._endpoints
-    monkeypatch.setattr(isd.timeset, "_endpoints", lambda ts: built.append(ts) or real(ts))
+    for name in ("intervals", "ray_from"):
+        view = TimeSet.__dict__[name]
+        count = lambda ts, name=name, real=view.func: built.append((name, ts)) or real(ts)
+        monkeypatch.setattr(view, "func", count)
     run = simulate_tracking(steps=60, dt=0.1, seed=3)
     info = tracking_information(run)
     metric = Metric("euclidean_on_values")
@@ -758,12 +778,14 @@ def test_request_paths_build_no_endpoint_view(monkeypatch):
             propagate(system, source)
         assert emit_document(doc) == text
     assert built == []
-    # the first read of either field builds both, once
+    # each field is built once, on its own first read, and repr builds no more
     ts = TimeSet.from_intervals([(0, 1)], 3)
-    assert (ts.intervals, ts.ray_from, repr(ts)) == (
-        ((Fraction(0), Fraction(1)),), Fraction(3), repr(ts)
-    )
-    assert built == [ts]
+    assert ts.intervals == ((Fraction(0), Fraction(1)),)
+    assert built == [("intervals", ts)]
+    assert ts.ray_from == Fraction(3)
+    assert built == [("intervals", ts), ("ray_from", ts)]
+    repr(ts)
+    assert built == [("intervals", ts), ("ray_from", ts)]
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isd.model import Element, EntityId
 from isd.timeset import (
     TimeSet,
     exact_or_float_sqrt,
     _rational_text,
     symmetric_difference_keys,
 )
+from isd.values import Value
 
 import reference_timeset
 
@@ -33,6 +35,35 @@ def test_ray_absorbs_intervals_beyond_start():
     assert ts.ray_from == Fraction(3)
     assert ts.is_unbounded
     assert ts.sup == inf
+
+
+@pytest.mark.parametrize(
+    "ts, text",
+    [
+        (
+            TimeSet([(0, Fraction(1, 2))], 3),
+            "TimeSet(intervals=((Fraction(0, 1), Fraction(1, 2)),), ray_from=Fraction(3, 1))",
+        ),
+        (
+            TimeSet.point(2),
+            "TimeSet(intervals=((Fraction(2, 1), Fraction(2, 1)),), ray_from=None)",
+        ),
+        (TimeSet.ray(Fraction(-1, 3)), "TimeSet(intervals=(), ray_from=Fraction(-1, 3))"),
+    ],
+    ids=["interval-and-ray", "point", "ray"],
+)
+def test_repr_names_the_fraction_endpoints(ts, text):
+    assert repr(ts) == text
+
+
+def test_element_repr_holds_the_time_set_repr():
+    # an element's repr is part of every violation message that names it
+    e = Element(frozenset({EntityId("a")}), TimeSet([(0, Fraction(1, 2))], 3), Value.scalar(1))
+    assert repr(e) == (
+        "Element(entities=frozenset({EntityId(id='a', realm=<Realm.OBJECTIVE: 'objective'>)}), "
+        "at=TimeSet(intervals=((Fraction(0, 1), Fraction(1, 2)),), ray_from=Fraction(3, 1)), "
+        "value=Value.scalar(Fraction(1, 1)))"
+    )
 
 
 def test_empty_rejected():
