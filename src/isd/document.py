@@ -5,20 +5,29 @@ A document declares entities, informations, entity measures, relations
 serial chains.  Rationals are exact "p/q" strings; times are interval
 lists where a null upper endpoint marks a right-unbounded tail.  Emission
 is canonical (sorted, stable), so load -> emit -> load is idempotent and
-canonical files round-trip byte for byte.  ``document_to_json`` owns the
-schema; ``emit_document`` writes its tree as indent-2 JSON directly.
+canonical files round-trip byte for byte.
+
+The writer owns the schema: ``emit_document`` writes indent-2 JSON
+directly, each state and reflection straight from its ``Element``, and
+``document_to_json`` is that text parsed.  While one load runs, each
+distinct rational string is parsed once: a time-set endpoint to the integer
+terms its set's keys are built from, a value, weight or amount to a
+Fraction.  A rational with a term too long to write back is refused.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
+from math import gcd
 from operator import attrgetter
-from typing import Any, NoReturn
+from typing import Any, NamedTuple, NoReturn
 
 from .dynamics import (
     MeasureKind,
@@ -35,7 +44,7 @@ from .errors import (
 )
 from .measures import ExtendedRate, MeasureAssignment, Relation
 from .model import Element, Information, SerialChain, Violation, _checked
-from .timeset import TimeSet
+from .timeset import TimeSet, _keys_of_terms
 from .values import EntityId, Realm, Value
 
 FORMAT_VERSION = "1"
@@ -116,17 +125,57 @@ def _index_pairs(obj: dict, key: str, left: list, right: list, where) -> list:
 # -- primitive codecs --------------------------------------------------------
 
 
+# The spellings read by ``int``, which include every one emission writes:
+# ASCII digits with an optional minus sign, over ASCII digits or alone.
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _terms_from_json(s: Any, where) -> tuple[int, int]:
+    """The rational string ``s`` as (numerator, denominator) in lowest
+    terms.  A canonical spelling with a nonzero denominator is read by
+    ``int``; any other goes through ``Fraction(s)``, which refuses what is
+    no rational in its own words, and then a rational whose terms have more
+    digits than ``str`` may write is refused too."""
+    m = _CANONICAL.fullmatch(s) if type(s) is str else None
+    if m is not None:
+        num, den = m.groups()
+        try:
+            n, d = int(num), int(den) if den else 1
+        except ValueError:  # more digits than int conversion allows
+            d = 0
+        if d:
+            g = gcd(n, d)
+            return n // g, d // g
+    try:
+        q = Fraction(_typed(s, str, where))
+    except (ValueError, ZeroDivisionError) as e:
+        _fail(where, f"bad rational {s!r} ({e})")
+    try:
+        str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        _fail(where, f"bad rational {s!r} (a term has more than {limit} digits)")
+    return q.numerator, q.denominator
+
+
 def _frac_from_json(s: Any, where, fracs: dict[str, Fraction]) -> Fraction:
-    """The rational string ``s``.  ``fracs`` holds the strings this load has
-    already parsed; it belongs to one ``loads_document`` call."""
+    """The rational string ``s`` as a Fraction.  ``fracs`` holds the
+    strings this load has already parsed; it belongs to one
+    ``loads_document`` call."""
     q = fracs.get(s) if type(s) is str else None
     if q is None:
-        try:
-            q = Fraction(_typed(s, str, where))
-        except (ValueError, ZeroDivisionError) as e:
-            _fail(where, f"bad rational {s!r} ({e})")
-        fracs[s] = q
+        q = fracs[s] = Fraction(*_terms_from_json(s, where))
     return q
+
+
+def _endpoint_from_json(s: Any, where, ends: dict[str, tuple[int, int]]) -> tuple[int, int]:
+    """The time-set endpoint string ``s`` as its lowest terms.  ``ends``
+    holds the endpoint strings this load has already parsed; it belongs to
+    one ``loads_document`` call."""
+    terms = ends.get(s) if type(s) is str else None
+    if terms is None:
+        terms = ends[s] = _terms_from_json(s, where)
+    return terms
 
 
 def _rate_from_json(s: Any, where, fracs):
@@ -135,45 +184,29 @@ def _rate_from_json(s: Any, where, fracs):
     return _frac_from_json(s, where, fracs)
 
 
-def _timeset_to_json(ts: TimeSet) -> dict:
-    intervals, ray = ts.endpoint_texts()
-    if ray is not None:
-        intervals.append([ray, None])
-    return {"intervals": intervals}
-
-
-def _timeset_from_json(obj: dict, key: str, where, fracs) -> TimeSet:
-    """The time set ``obj[key]``: intervals, the last of which may be a ray."""
+def _timeset_from_json(obj: dict, key: str, where, ends) -> TimeSet:
+    """The time set ``obj[key]``: intervals, the last of which may be a ray.
+    Its keys are built from the endpoints' integer terms, with no Fraction."""
     at = (where, ".", key)
     entries = _field(_field(obj, key, dict, where), "intervals", list, at)
     if not entries:
         _fail(at, "intervals must be a nonempty list")
-    pairs = []
-    ray = None
+    terms = []
+    ray = False
     for i, entry in enumerate(entries):
         if type(entry) is not list or len(entry) != 2:
             _fail(at, f"interval {i} must be a [lo, hi] pair")
-        lo = _frac_from_json(entry[0], (at, ".intervals", i, 0), fracs)
+        terms.append(_endpoint_from_json(entry[0], (at, ".intervals", i, 0), ends))
         if entry[1] is not None:
-            pairs.append((lo, _frac_from_json(entry[1], (at, ".intervals", i, 1), fracs)))
+            terms.append(_endpoint_from_json(entry[1], (at, ".intervals", i, 1), ends))
         elif i != len(entries) - 1:
             _fail(at, "only the last interval may be unbounded")
         else:
-            ray = lo
+            ray = True
     try:
-        return TimeSet(tuple(pairs), ray)
+        return TimeSet._from_keys(*_keys_of_terms(terms, ray))
     except ValueError as e:
         _fail(at, str(e))
-
-
-def _value_to_json(v: Value) -> dict:
-    if v.tag == "symbol":
-        return {"symbol": v.body}
-    if v.tag == "scalar":
-        return {"scalar": str(v.body)}
-    if v.tag == "vector":
-        return {"vector": [str(q) for q in v.body]}
-    return {"record": {k: _value_to_json(inner) for k, inner in v.body}}
 
 
 def _value_from_json(obj: Any, where, fracs) -> Value:
@@ -265,34 +298,34 @@ def _entity_list(obj: dict, key: str, table, where) -> frozenset[EntityId]:
     return frozenset(out)
 
 
-def _element_from_json(obj: Any, table, where, key: str, fracs) -> Element:
+def _element_from_json(obj: Any, table, where, key: str, fracs, ends) -> Element:
     """An element whose entities are listed under ``key``: "subject" for a
     state, "carrier_part" for a reflection."""
     entities = _entity_list(_typed(obj, dict, where), key, table, where)
     if not entities:
         _fail((where, ".", key), "must name at least one entity")
-    at = _timeset_from_json(obj, "at", where, fracs)
+    at = _timeset_from_json(obj, "at", where, ends)
     value = _value_from_json(_field(obj, "value", dict, where), (where, ".value"), fracs)
     return Element(entities, at, value)
 
 
-def _information_from_json(obj: dict, name: str, table, where, fracs) -> Information:
+def _information_from_json(obj: dict, name: str, table, where, fracs, ends) -> Information:
     states = [
-        _element_from_json(e, table, (where, ".states", i), "subject", fracs)
+        _element_from_json(e, table, (where, ".states", i), "subject", fracs, ends)
         for i, e in enumerate(_field(obj, "states", list, where))
     ]
     reflections = [
-        _element_from_json(e, table, (where, ".reflections", i), "carrier_part", fracs)
+        _element_from_json(e, table, (where, ".reflections", i), "carrier_part", fracs, ends)
         for i, e in enumerate(_field(obj, "reflections", list, where))
     ]
     try:
         return Information(
             name,
             _entity_list(obj, "ontology", table, where),
-            _timeset_from_json(obj, "occurrence", where, fracs),
+            _timeset_from_json(obj, "occurrence", where, ends),
             frozenset(states),
             _entity_list(obj, "carrier", table, where),
-            _timeset_from_json(obj, "reflection_time", where, fracs),
+            _timeset_from_json(obj, "reflection_time", where, ends),
             frozenset(reflections),
             _index_pairs(obj, "mapping", states, reflections, where),
         )
@@ -363,10 +396,13 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
         realm = _enum(Realm, _field(ent, "realm", str, w, "objective"), w, "realm")
         table[eid] = EntityId(eid, realm)
 
+    # the two memos of this load: values, weights and amounts as Fractions,
+    # and time-set endpoints as integer terms
     fracs: dict[str, Fraction] = {}
+    ends: dict[str, tuple[int, int]] = {}
     by_name: dict[str, Information] = {}
     for w, name, obj in _named_entries(raw, "informations", "information", source):
-        by_name[name] = _information_from_json(obj, name, table, w, fracs)
+        by_name[name] = _information_from_json(obj, name, table, w, fracs, ends)
 
     _require_valid("information", "", [(i.name, _checked(i)) for i in by_name.values()])
 
@@ -474,17 +510,71 @@ def load_document(path: str) -> ModelDocument:
 
 
 # -- emission -----------------------------------------------------------------
+#
+# The tree ``_document_tree`` builds holds each time set as the TimeSet and
+# each state or reflection as an ``_ElementNode``, which ``_write_json``
+# writes from the objects: the element schema is stated once.
 
 
-def _element_to_json(e: Element, key: str) -> dict:
-    return {
-        key: sorted(x.id for x in e.entities),
-        "at": _timeset_to_json(e.at),
-        "value": _value_to_json(e.value),
-    }
+class _ElementNode(NamedTuple):
+    """A state or reflection of the tree: its element and the key its
+    entities are listed under, "subject" or "carrier_part"."""
+
+    key: str
+    element: Element
 
 
-def _information_to_json(info: Information, s_index: dict[Element, int]) -> dict:
+def _list_text(items: list[str], indent: str) -> str:
+    """The JSON list of the JSON texts ``items``, starting on a line
+    indented by ``indent`` (a newline and spaces)."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _time_set_text(ts: TimeSet, indent: str) -> str:
+    """``ts`` as ``{"intervals": [[lo, hi], ..., [ray, null]]}``."""
+    k1, k2, k3 = indent + "  ", indent + "    ", indent + "      "
+    pairs, ray = ts.endpoint_texts()
+    items = [f'[{k3}"{lo}",{k3}"{hi}"{k2}]' for lo, hi in pairs]
+    if ray is not None:
+        items.append(f'[{k3}"{ray}",{k3}null{k2}]')
+    return "{" + k1 + '"intervals": ' + _list_text(items, k1) + indent + "}"
+
+
+def _value_text(v: Value, indent: str) -> str:
+    """``v`` as the single-key object of its tag: a symbol's string, a
+    scalar's rational, a vector's list of rationals, or a record's object of
+    values by key."""
+    k1 = indent + "  "
+    if v.tag == "symbol":
+        body = encode_basestring(v.body)
+    elif v.tag == "scalar":
+        body = '"' + str(v.body) + '"'
+    elif v.tag == "vector":
+        body = _list_text(['"' + str(q) + '"' for q in v.body], k1)
+    else:
+        k2 = k1 + "  "
+        entries = [encode_basestring(k) + ": " + _value_text(inner, k2) for k, inner in v.body]
+        body = "{" + k2 + ("," + k2).join(entries) + k1 + "}" if entries else "{}"
+    return "{" + k1 + '"' + v.tag + '": ' + body + indent + "}"
+
+
+def _element_text(node: _ElementNode, indent: str) -> str:
+    """``node``'s element as its object: the sorted ids of its entities
+    under ``node.key``, its time set under "at", its value under "value"."""
+    e, k1 = node.element, indent + "  "
+    ids = _list_text([encode_basestring(i) for i in sorted([x.id for x in e.entities])], k1)
+    return (
+        "{" + k1 + '"' + node.key + '": ' + ids
+        + "," + k1 + '"at": ' + _time_set_text(e.at, k1)
+        + "," + k1 + '"value": ' + _value_text(e.value, k1)
+        + indent + "}"
+    )
+
+
+def _information_tree(info: Information, s_index: dict[Element, int]) -> dict:
     reflections = info.sorted_reflections()
     r_index = {r: i for i, r in enumerate(reflections)}
     # a valid mapping lists the states in s_index order, once each
@@ -492,11 +582,11 @@ def _information_to_json(info: Information, s_index: dict[Element, int]) -> dict
     return {
         "name": info.name,
         "ontology": sorted(e.id for e in info.ontology),
-        "occurrence": _timeset_to_json(info.occurrence),
-        "states": [_element_to_json(s, "subject") for s in s_index],
+        "occurrence": info.occurrence,
+        "states": [_ElementNode("subject", s) for s in s_index],
         "carrier": sorted(e.id for e in info.carrier),
-        "reflection_time": _timeset_to_json(info.reflection_time),
-        "reflections": [_element_to_json(r, "carrier_part") for r in reflections],
+        "reflection_time": info.reflection_time,
+        "reflections": [_ElementNode("carrier_part", r) for r in reflections],
         "mapping": mapping,
     }
 
@@ -533,8 +623,8 @@ def _document_entity_table(doc: ModelDocument) -> list[EntityId]:
     return table
 
 
-def document_to_json(doc: ModelDocument) -> dict:
-    """The canonical tree.  What loading would refuse raises
+def _document_tree(doc: ModelDocument) -> dict:
+    """The tree ``emit_document`` writes.  What loading would refuse raises
     DocumentInvariantError: a format version other than this one, an
     invalid information, an information, measure, relation, system or
     chain whose name is not a nonempty string or is another one's of its
@@ -565,7 +655,7 @@ def document_to_json(doc: ModelDocument) -> dict:
         for info in doc.informations
     }
     out["informations"] = [
-        _information_to_json(info, state_index[id(info)])
+        _information_tree(info, state_index[id(info)])
         for info in sorted(doc.informations, key=lambda i: i.name)
     ]
     out["measures"] = [
@@ -621,8 +711,10 @@ def document_to_json(doc: ModelDocument) -> dict:
 def _write_json(node, indent: str, out: list[str]) -> None:
     """Append ``node`` to ``out`` as ``json.dumps(node, indent=2,
     ensure_ascii=False)`` writes it; ``indent`` is the newline and the
-    indentation of the line ``node`` starts on.  Only the node types of a
-    ``document_to_json`` tree are accepted: anything else is a TypeError."""
+    indentation of the line ``node`` starts on.  A TimeSet or an
+    ``_ElementNode`` is written as the object the schema makes of it.  Only
+    the node types of a ``_document_tree`` are accepted: anything else is a
+    TypeError."""
     kind = type(node)
     if kind is str:
         out.append(encode_basestring(node))
@@ -646,10 +738,17 @@ def _write_json(node, indent: str, out: list[str]) -> None:
         inner = indent + "  "
         sep = "[" + inner
         for value in node:
-            out.append(sep)
-            _write_json(value, inner, out)
+            if type(value) is int:  # the index pairs of mappings and relations
+                out.append(sep + repr(value))
+            else:
+                out.append(sep)
+                _write_json(value, inner, out)
             sep = "," + inner
         out.append(indent + "]")
+    elif kind is _ElementNode:
+        out.append(_element_text(node, indent))
+    elif kind is TimeSet:
+        out.append(_time_set_text(node, indent))
     elif kind is int:
         out.append(repr(node))
     elif node is True:
@@ -671,7 +770,15 @@ def _json_text(tree) -> str:
 
 
 def emit_document(doc: ModelDocument) -> str:
-    return _json_text(document_to_json(doc)) + "\n"
+    """``doc`` as canonical indent-2 JSON text; see ``_document_tree`` for
+    what it refuses."""
+    return _json_text(_document_tree(doc)) + "\n"
+
+
+def document_to_json(doc: ModelDocument) -> dict:
+    """The canonical tree of dicts, lists, strings, integers, booleans and
+    nulls: the text ``emit_document`` writes, parsed."""
+    return json.loads(emit_document(doc))
 
 
 def save_document(doc: ModelDocument, path: str) -> None:

@@ -16,10 +16,11 @@ endpoint text is written from them, and the symmetric-difference sweep
 rescales them to the two sides' common denominator, so none of these builds
 a Fraction.  The public endpoints ``intervals`` and ``ray_from`` are a view:
 two cached properties, each built from the keys on its first read.  The
-constructor reduces its input to integer pairs once and checks the keys for
-normal form in one linear pass; only input that fails (unsorted,
-overlapping or touching intervals, or intervals the ray reaches) is sorted
-and merged, on the integers.
+constructor reduces its input to integer pairs once.  ``_keys_of_terms``,
+which the document loader also calls with the pairs it parses, builds the
+keys from such pairs and checks them for normal form in one linear pass;
+only input that fails (unsorted, overlapping or touching intervals, or
+intervals the ray reaches) is sorted and merged, on the integers.
 """
 
 from __future__ import annotations
@@ -78,6 +79,19 @@ def _normal_form(d, los, his, r):
     ):
         return d, los, his, r
     return _merged(d, los, his, r)
+
+
+def _keys_of_terms(ends: list[tuple[int, int]], has_ray: bool):
+    """The normal-form keys of the set whose endpoints lo0, hi0, lo1, ...,
+    then the ray's start when ``has_ray``, are the lowest-terms pairs
+    (numerator, denominator) ``ends``.  No endpoint, or an interval whose
+    ends are out of order, raises ValueError."""
+    if not ends:
+        raise ValueError("a TimeSet must be nonempty")
+    d = lcm(*[den for _, den in ends])
+    keys = [n * (d // den) for n, den in ends]
+    r = keys.pop() if has_ray else None
+    return _normal_form(d, tuple(keys[0::2]), tuple(keys[1::2]), r)
 
 
 def _merged(d, los, his, r):
@@ -146,12 +160,7 @@ class TimeSet:
         ends = [_terms(t) for lo, hi in intervals for t in (lo, hi)]
         if ray_from is not None:
             ends.append(_terms(ray_from))
-        if not ends:
-            raise ValueError("a TimeSet must be nonempty")
-        d = lcm(*[den for _, den in ends])
-        keys = [n * (d // den) for n, den in ends]
-        r = None if ray_from is None else keys.pop()
-        self._keep(*_normal_form(d, tuple(keys[0::2]), tuple(keys[1::2]), r))
+        self._keep(*_keys_of_terms(ends, ray_from is not None))
 
     @classmethod
     def _from_keys(cls, d: int, los: tuple[int, ...], his: tuple[int, ...], r: int | None):

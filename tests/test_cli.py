@@ -320,6 +320,21 @@ def test_malformed_document_is_clean_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "spot, named",
+    [
+        ("value", "informations[0].states[0].value: bad rational '1e5000'"),
+        ("at", "informations[0].states[0].at.intervals[0][0]: bad rational '1e5000'"),
+    ],
+)
+def test_rational_too_long_to_write_is_clean_error(tmp_path, spot, named):
+    golden = Path(__file__).parent / "golden" / "synthetic.json"
+    raw = json.loads(golden.read_text(encoding="utf-8"))
+    state = raw["informations"][0]["states"][0]
+    state[spot] = {"scalar": "1e5000"} if spot == "value" else {"intervals": [["1e5000", "1e5001"]]}
+    _analyze_fails_cleanly(tmp_path, json.dumps(raw), named)
+
+
+@pytest.mark.parametrize(
     "stages, named",
     [
         ([{"Volume": {"kind": "clamp_max", "amount": "-1"}}], "transforms.Volume"),

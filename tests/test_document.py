@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isd
+import reference_document
 from isd.document import (
     BoundRelation,
     ModelDocument,
     NamedChain,
     _json_text,
+    _terms_from_json,
     document_to_json,
     emit_document,
     load_document,
@@ -38,6 +41,7 @@ from isd.oracles import (
     tracking_information,
 )
 from isd.timeset import TimeSet
+from isd.values import Value
 
 BUNDLED = Path(isd.__file__).parent / "data" / "news_pipeline.json"
 
@@ -637,8 +641,9 @@ def test_informations_of_one_name_keep_both_reports(tmp_path):
 
 # -- the indent-2 writer ---------------------------------------------------------
 #
-# ``emit_document`` writes the ``document_to_json`` tree itself;
-# ``json.dumps(tree, indent=2, ensure_ascii=False)`` is its oracle.
+# ``emit_document`` writes indent-2 JSON itself, each element straight from
+# the ``Element``; ``json.dumps(tree, indent=2, ensure_ascii=False)`` is its
+# oracle, on plain trees and on ``document_to_json``, the emitted text parsed.
 
 json_text = st.text(
     st.characters() | st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u00e9\U0001f600'),
@@ -668,6 +673,7 @@ def test_writer_matches_json_dumps(tree):
 
 
 def test_writer_matches_json_dumps_on_documents():
+    """The emitted text is exactly the indent-2 form of what it parses to."""
     for text in (BUNDLED.read_text(encoding="utf-8"), SYNTHETIC):
         doc = loads_document(text)
         tree = document_to_json(doc)
@@ -739,14 +745,42 @@ def _numeric_bundled() -> str:
     return json.dumps(raw)
 
 
-def test_rational_memo_lives_for_one_load():
+def _endpoint_strings(text: str) -> list[str]:
+    """Every endpoint string of the document ``text``, in document order."""
+    raw = json.loads(text)
+    out = []
+    for info in raw["informations"]:
+        times = [info["occurrence"], info["reflection_time"]]
+        times += [element["at"] for element in (*info["states"], *info["reflections"])]
+        for ts in times:
+            out += [t for pair in ts["intervals"] for t in pair if t is not None]
+    return out
+
+
+def test_rational_memo_lives_for_one_load(monkeypatch):
     text = _numeric_bundled()
-    first, second = loads_document(text), loads_document(text)
+    parsed = []
+    real = isd.document._terms_from_json
+    monkeypatch.setattr(
+        isd.document,
+        "_terms_from_json",
+        lambda s, where: parsed.append((s, isd.document._loc(where))) or real(s, where),
+    )
+    first = loads_document(text)
+    endpoints_first = [s for s, where in parsed if ".intervals" in where]
+    parsed.clear()
+    second = loads_document(text)
+    endpoints_second = [s for s, where in parsed if ".intervals" in where]
+    # within one load, each distinct endpoint string is parsed once, and the
+    # next load parses each again: its memo entries did not outlive the load
+    distinct = set(_endpoint_strings(text))
+    assert len(distinct) < len(_endpoint_strings(text))
+    assert sorted(endpoints_first) == sorted(endpoints_second) == sorted(distinct)
     qs = list(_memo_rationals(first))
     assert {"scalar", "vector"} <= {
         e.value.tag for info in first.informations for e in (*info.states, *info.reflections)
     }
-    # within one load, each rational string was parsed once ...
+    # within one load, each value, weight and amount string gave one Fraction ...
     one_each = {}
     for q in qs:
         assert one_each.setdefault(q, q) is q
@@ -788,11 +822,37 @@ def test_request_paths_build_no_endpoint_view(monkeypatch):
     assert built == [("intervals", ts), ("ray_from", ts)]
 
 
+def test_golden_documents_load_with_no_endpoint_fraction(monkeypatch):
+    """The loader builds every time set from its endpoints' integer terms:
+    it takes no Rational apart as ``TimeSet`` does, and the only Fractions
+    it makes are values, weights and amounts."""
+    made, taken_apart = [], []
+    real = Fraction
+
+    def fraction(*args):
+        made.append(isd.document._loc(sys._getframe(1).f_locals["where"]))
+        return real(*args)
+
+    monkeypatch.setattr(isd.document, "Fraction", fraction)
+    real_terms = isd.timeset._terms
+    monkeypatch.setattr(
+        isd.timeset, "_terms", lambda x: taken_apart.append(x) or real_terms(x)
+    )
+    for path in sorted((Path(__file__).parent / "golden").glob("*.json")):
+        loads_document(path.read_text(encoding="utf-8"), source=path.name)
+    assert any(".value" in where for where in made)  # the synthetic one's values
+    assert [where for where in made if ".intervals" in where] == []
+    assert taken_apart == []
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
         ("3/0", "bad rational '3/0' (Fraction(3, 0))"),
         ("1/2x", "bad rational '1/2x' (Invalid literal for Fraction: '1/2x')"),
+        ("1/00", "bad rational '1/00' (Fraction(1, 0))"),
+        ("nan", "bad rational 'nan' (Invalid literal for Fraction: 'nan')"),
+        ("3/-6", "bad rational '3/-6' (Invalid literal for Fraction: '3/-6')"),
     ],
 )
 def test_bad_rational_deep_inside_keeps_its_location(bad, message):
@@ -807,3 +867,126 @@ def test_bad_rational_deep_inside_keeps_its_location(bad, message):
     assert str(exc.value) == (
         f"doc.json: informations[6].reflections[2].at.intervals[0][1]: {message}"
     )
+
+
+# -- rationals too long to write back -------------------------------------------
+#
+# ``Fraction`` reads an exponent, so a short string can stand for a rational
+# whose terms have more digits than ``str`` may write.  Loading refuses it
+# where it stands, so emission and violation messages never meet one.
+
+_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@pytest.mark.skipif(not _LIMIT, reason="this Python limits no int-to-str conversion")
+@pytest.mark.parametrize(
+    "mutate, where, text",
+    [
+        (
+            lambda r: r["informations"][0]["states"][1].update(value={"scalar": "1e5000"}),
+            "informations[0].states[1].value",
+            "1e5000",
+        ),
+        (
+            lambda r: r["informations"][0]["states"][0]["value"]["record"].update(
+                pos={"vector": ["1", "1e-5000"]}
+            ),
+            "informations[0].states[0].value.pos",
+            "1e-5000",
+        ),
+        (
+            lambda r: r["informations"][0]["states"][0].update(
+                at={"intervals": [["1e100000", "1e100001"]]}
+            ),
+            "informations[0].states[0].at.intervals[0][0]",
+            "1e100000",
+        ),
+        (
+            lambda r: r["measures"][0]["weights"].update(lab="15e4999"),
+            "measures[0].weights.lab",
+            "15e4999",
+        ),
+        (
+            lambda r: r["systems"][0]["stages"][0]["transforms"]["Delay"].update(
+                amount="1e-5000"
+            ),
+            "systems[0].stages[0].transforms.Delay.amount",
+            "1e-5000",
+        ),
+    ],
+    ids=["value", "vector-in-record", "endpoint", "weight", "amount"],
+)
+def test_a_rational_too_long_to_write_is_refused_where_it_stands(mutate, where, text):
+    with pytest.raises(DocumentParseError) as exc:
+        loads_document(_patch(mutate), source="doc.json")
+    assert str(exc.value) == (
+        f"doc.json: {where}: bad rational {text!r} (a term has more than {_LIMIT} digits)"
+    )
+
+
+def test_a_long_rational_that_reduces_to_a_short_one_loads():
+    doc = loads_document(
+        _patch(lambda r: r["informations"][0]["states"][1].update(value={"scalar": "0e9999"}))
+    )
+    assert doc.information("probe").sorted_states()[1].value.body == 0
+
+
+# -- the endpoint parse against the seed's --------------------------------------
+
+_SPELLINGS = [
+    "+1", " 1", "1 ", "1_0", "0.5", "1e3", "2/4", "-0", "-0/7", "007/010", "1/0", "1/00",
+    "3/-6", "-3/6", "--1", "1/2/3", "/2", "1/", "١", "²", "", "-", "nan", "inf",
+    "9" * (_LIMIT or 4300) + "1", "1/" + "9" * (_LIMIT or 4300) + "1",
+]
+
+
+@given(
+    st.from_regex(r"-?[0-9]{1,25}(/[0-9]{1,25})?", fullmatch=True)
+    | st.sampled_from(_SPELLINGS)
+    | st.text(st.sampled_from("0123456789-/+._ ١²"), max_size=12)
+)
+@settings(max_examples=400, deadline=None)
+@example("17/4")
+def test_endpoint_parse_matches_the_seed_parse(s):
+    try:
+        want = reference_document.rational_terms(s, "doc.json")
+    except DocumentParseError as e:
+        with pytest.raises(DocumentParseError) as exc:
+            _terms_from_json(s, "doc.json")
+        assert str(exc.value) == str(e)
+    else:
+        assert _terms_from_json(s, "doc.json") == want
+
+
+# -- the element writer ---------------------------------------------------------
+
+values = st.recursive(
+    st.one_of(
+        json_text.filter(bool).map(Value.symbol),
+        st.fractions().map(Value.scalar),
+        st.lists(st.fractions(), max_size=3).map(Value.vector),
+    ),
+    lambda inner: st.dictionaries(json_text, inner, max_size=3).map(Value.record),
+    max_leaves=8,
+)
+
+
+@given(values, st.sampled_from(["ghost", 'gh"o\\st', "gést\U0001f600"]))
+@settings(max_examples=100, deadline=None)
+def test_element_writer_writes_the_seed_schema(value, ghost):
+    raw = json.loads(SYNTHETIC)
+    raw["entities"][1]["id"] = ghost
+    info = raw["informations"][0]
+    info["ontology"] = info["states"][0]["subject"] = info["states"][1]["subject"] = [ghost]
+    info["states"][0]["value"] = reference_document.value_to_json(value)
+    doc = loads_document(json.dumps(raw))
+    text = emit_document(doc)
+    tree = document_to_json(doc)
+    assert text == json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
+    state = tree["informations"][0]["states"][0]
+    assert state == {
+        "subject": [ghost],
+        "at": {"intervals": [["0", "0"]]},
+        "value": reference_document.value_to_json(value),
+    }
+    assert loads_document(text).information("probe").sorted_states()[0].value == value
