@@ -12,11 +12,14 @@ directly, each state and reflection straight from its ``Element``, and
 ``document_to_json`` is that text parsed.  While one load runs, each
 distinct rational string is parsed once: a time-set endpoint to the integer
 terms its set's keys are built from, a value, weight or amount to a
-Fraction.  A rational with a term too long to write back is refused.
+Fraction.  A rational with a term too long to write back is refused: on
+loading, a huge exponent before its power of ten is expanded, and on
+emission, naming the entry that holds it.
 """
 
 from __future__ import annotations
 
+import fractions
 import json
 import os
 import re
@@ -130,12 +133,58 @@ def _index_pairs(obj: dict, key: str, left: list, right: list, where) -> list:
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def _too_long(s: str, where) -> NoReturn:
+    limit = sys.get_int_max_str_digits()
+    _fail(where, f"bad rational {s!r} (a term has more than {limit} digits)")
+
+
+# ``Fraction``'s own grammar, a private name of ``fractions``: without it, or
+# without the groups read below, ``_exponent_terms`` leaves every string to
+# ``Fraction(s)``.
+_RATIONAL_FORMAT = getattr(fractions, "_RATIONAL_FORMAT", None)
+if not {"num", "decimal", "exp"} <= set(getattr(_RATIONAL_FORMAT, "groupindex", ())):
+    _RATIONAL_FORMAT = None
+
+
+def _exponent_terms(s: str, where) -> tuple[int, int] | None:
+    """Settle a decimal string with an exponent before ``Fraction(s)``
+    expands its power of ten: (0, 1) for a zero mantissa, a refusal when a
+    term of the value must have more digits than ``str`` may write, and
+    None otherwise, where ``Fraction(s)`` computes no power of ten longer
+    than about three times that limit.  The parts are read by ``Fraction``'s
+    own grammar, this Python's ``_RATIONAL_FORMAT``; a string it refuses, or
+    one with a part too long for ``int``, is left to it, so that it refuses
+    in its own words.  So is every string when that grammar or the int-string
+    limit is missing."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    m = _RATIONAL_FORMAT.match(s) if limit and _RATIONAL_FORMAT else None
+    if m is None or not m["exp"]:
+        return None
+    num, dec = m["num"] or "0", (m["decimal"] or "").replace("_", "")
+    try:
+        whole, part, exp = int(num), int(dec or "0"), int(m["exp"])
+    except ValueError:
+        return None
+    if not (whole or part):
+        return 0, 1
+    # the value is M * 10**e for an integer M, 1 <= M < 10**digits: with
+    # e >= 0 its numerator M * 10**e has more than e digits, and with e < 0
+    # its denominator, 10**-e over a divisor of M, exceeds 10**(-e - digits)
+    e = exp - len(dec)
+    digits = len(num.replace("_", "")) + len(dec)
+    if e >= limit or -e - digits >= limit:
+        _too_long(s, where)
+    return None
+
+
 def _terms_from_json(s: Any, where) -> tuple[int, int]:
     """The rational string ``s`` as (numerator, denominator) in lowest
     terms.  A canonical spelling with a nonzero denominator is read by
     ``int``; any other goes through ``Fraction(s)``, which refuses what is
     no rational in its own words, and then a rational whose terms have more
-    digits than ``str`` may write is refused too."""
+    digits than ``str`` may write is refused too.  A string with an
+    exponent is settled first by ``_exponent_terms`` when it can be, so a
+    huge exponent costs no power of ten."""
     m = _CANONICAL.fullmatch(s) if type(s) is str else None
     if m is not None:
         num, den = m.groups()
@@ -146,15 +195,17 @@ def _terms_from_json(s: Any, where) -> tuple[int, int]:
         if d:
             g = gcd(n, d)
             return n // g, d // g
+    terms = _exponent_terms(_typed(s, str, where), where)
+    if terms is not None:
+        return terms
     try:
-        q = Fraction(_typed(s, str, where))
+        q = Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         _fail(where, f"bad rational {s!r} ({e})")
     try:
         str(q)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        _fail(where, f"bad rational {s!r} (a term has more than {limit} digits)")
+        _too_long(s, where)
     return q.numerator, q.denominator
 
 
@@ -605,6 +656,58 @@ def _chain_to_json(c: NamedChain, by_name: dict[str, Information]) -> dict:
     raise DocumentInvariantError({c.name: [violation]})
 
 
+def _state_index(info: Information) -> dict[Element, int]:
+    """``info``'s states in canonical order, each to its index."""
+    return {s: i for i, s in enumerate(info.sorted_states())}
+
+
+def _measure_tree(m: MeasureAssignment) -> dict:
+    return {
+        "name": m.name,
+        "default_weight": str(m.default_weight),
+        "weights": {
+            e.id: str(w) for e, w in sorted(m.weights.items(), key=lambda kv: kv[0].sort_key())
+        },
+    }
+
+
+def _system_tree(system: SystemConfig) -> dict:
+    stages = []
+    for stage in system.stages:
+        tr = {}
+        for mk in sorted(stage.transforms, key=lambda m: m.value):
+            t = stage.transforms[mk]
+            entry: dict[str, Any] = {"kind": t.kind}
+            if t.kind != "identity":
+                entry["amount"] = str(t.amount)
+            tr[mk.value] = entry
+        stages.append({"name": stage.name, "kind": stage.kind.value, "transforms": tr})
+    return {"name": system.name, "shape": system.shape.value, "stages": stages}
+
+
+def _unwritable(doc: ModelDocument) -> dict[str, list[Violation]]:
+    """The informations, measures and systems of ``doc`` that hold a
+    rational with a term of more digits than ``str`` may write, each by
+    name with its violation.  Only a failed emission looks for them."""
+    limit = sys.get_int_max_str_digits()
+    bad: dict[str, list[Violation]] = {}
+    for noun, entries, tree in (
+        ("information", doc.informations, lambda i: _information_tree(i, _state_index(i))),
+        ("measure", doc.measures, _measure_tree),
+        ("system", doc.systems, _system_tree),
+    ):
+        for entry in entries:
+            try:
+                _json_text(tree(entry))
+            except ValueError:
+                problem = (
+                    f"{noun} {entry.name!r} holds a rational with a term of more "
+                    f"than {limit} digits"
+                )
+                bad.setdefault(entry.name, []).append(Violation("rational-too-long", problem))
+    return bad
+
+
 def _document_entity_table(doc: ModelDocument) -> list[EntityId]:
     """Every entity the document names, once.  A document writes one realm
     per id, so an id named in both realms raises DocumentInvariantError."""
@@ -650,25 +753,12 @@ def _document_tree(doc: ModelDocument) -> dict:
     ]
     # each information's states in canonical order, indexed once for its
     # own mapping and for the pairs of every relation bound to it
-    state_index = {
-        id(info): {s: i for i, s in enumerate(info.sorted_states())}
-        for info in doc.informations
-    }
+    state_index = {id(info): _state_index(info) for info in doc.informations}
     out["informations"] = [
         _information_tree(info, state_index[id(info)])
         for info in sorted(doc.informations, key=lambda i: i.name)
     ]
-    out["measures"] = [
-        {
-            "name": m.name,
-            "default_weight": str(m.default_weight),
-            "weights": {
-                e.id: str(w)
-                for e, w in sorted(m.weights.items(), key=lambda kv: kv[0].sort_key())
-            },
-        }
-        for m in sorted(doc.measures, key=lambda m: m.name)
-    ]
+    out["measures"] = [_measure_tree(m) for m in sorted(doc.measures, key=lambda m: m.name)]
     rel_out = []
     for bound in sorted(doc.relations, key=lambda b: b.relation.name):
         index = state_index[id(doc.information(bound.info))]
@@ -689,20 +779,7 @@ def _document_tree(doc: ModelDocument) -> dict:
             }
         )
     out["relations"] = rel_out
-    sys_out = []
-    for system in sorted(doc.systems, key=lambda s: s.name):
-        stages = []
-        for stage in system.stages:
-            tr = {}
-            for mk in sorted(stage.transforms, key=lambda m: m.value):
-                t = stage.transforms[mk]
-                entry: dict[str, Any] = {"kind": t.kind}
-                if t.kind != "identity":
-                    entry["amount"] = str(t.amount)
-                tr[mk.value] = entry
-            stages.append({"name": stage.name, "kind": stage.kind.value, "transforms": tr})
-        sys_out.append({"name": system.name, "shape": system.shape.value, "stages": stages})
-    out["systems"] = sys_out
+    out["systems"] = [_system_tree(s) for s in sorted(doc.systems, key=lambda s: s.name)]
     by_name = {info.name: info for info in doc.informations}
     out["chains"] = [_chain_to_json(c, by_name) for c in sorted(doc.chains, key=lambda c: c.name)]
     return out
@@ -771,8 +848,15 @@ def _json_text(tree) -> str:
 
 def emit_document(doc: ModelDocument) -> str:
     """``doc`` as canonical indent-2 JSON text; see ``_document_tree`` for
-    what it refuses."""
-    return _json_text(_document_tree(doc)) + "\n"
+    what it refuses.  A rational with a term of more digits than ``str``
+    may write raises DocumentInvariantError naming its entry."""
+    try:
+        return _json_text(_document_tree(doc)) + "\n"
+    except ValueError:
+        bad = _unwritable(doc)
+        if not bad:
+            raise
+        raise DocumentInvariantError(bad) from None
 
 
 def document_to_json(doc: ModelDocument) -> dict:

@@ -83,8 +83,10 @@ class ConfigShapeError(ISDError):
 
 class MeasureInputError(ISDError, ValueError):
     """An input a measure cannot use: a non-positive or missing atom
-    weight, a carrier reaching outside the coverage target, or a symbolic
-    value or values of different shapes under a numeric metric."""
+    weight, a carrier reaching outside the coverage target, a symbolic
+    value or values of different shapes under a numeric metric, or a
+    tracking run whose steps cannot be matched with an information's pairs
+    to build a reflection map."""
 
 
 class MeasureRangeError(ISDError, ValueError):

@@ -48,6 +48,18 @@ class Element:
         object.__setattr__(self, "entities", entities)
         object.__setattr__(self, "_h", hash((entities, self.at, self.value)))
 
+    @classmethod
+    def _from_set(cls, entities: frozenset[EntityId], at: TimeSet, value: Value) -> Element:
+        """The trusted constructor: ``entities`` is a nonempty frozenset,
+        kept as given, and the hash is the one the public constructor
+        computes."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "entities", entities)
+        object.__setattr__(e, "at", at)
+        object.__setattr__(e, "value", value)
+        object.__setattr__(e, "_h", hash((entities, at, value)))
+        return e
+
     def __eq__(self, other):
         if self is other:
             return True

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
+from operator import lt
 
 import numpy as np
 
-from ..errors import NumericalSingularityError
+from ..errors import MeasureInputError, NumericalSingularityError
 from ..model import Element, Information
 from ..timeset import TimeSet
 from ..values import EntityId, Value, objective
@@ -237,6 +238,24 @@ def simulate_tracking(
     return TrackingRun(model=model, times=times, true_positions=truth[:, 0].copy())
 
 
+def _steps(run: TrackingRun) -> int:
+    """The run's number of steps.  Raises MeasureInputError when its
+    times, true positions and measurements differ in number, since the
+    steps are their rows taken together."""
+    counts = len(run.times), len(run.true_positions), len(run.model.zs)
+    if len(set(counts)) > 1:
+        raise MeasureInputError(
+            "tracking run has {} times, {} true positions and {} measurements".format(*counts)
+        )
+    return counts[0]
+
+
+def _increasing(times: list[float]) -> bool:
+    """True when the float ``times`` strictly increase.  Float comparison
+    is exact, so their exact rational values increase too."""
+    return all(map(lt, times, times[1:]))
+
+
 def tracking_information(
     run: TrackingRun,
     target: EntityId | None = None,
@@ -244,8 +263,17 @@ def tracking_information(
 ) -> Information:
     """Package a tracking run as an information: true positions at sample
     instants as states, raw measurements on the sensor as reflections.
-    Raises NumericalSingularityError when a time, position or
-    measurement is not finite, since it has no exact rational value."""
+    Raises MeasureInputError when the run's columns differ in length, and
+    NumericalSingularityError when a time, position or measurement is not
+    finite, since it has no exact rational value.
+
+    When the times strictly increase, as every simulated run's do, the
+    information is built as it stands: one state per time, so the step
+    order is the canonical mapping order, and occurrence and reflection
+    time are the one set of the points, whose keys over the least common
+    denominator are in normal form.  Any other run, including one with no
+    steps, goes through ``Information.from_pairs``."""
+    _steps(run)
     for what, values in (
         ("time", run.times),
         ("position", run.true_positions),
@@ -256,14 +284,31 @@ def tracking_information(
     target = target or objective("target")
     sensor = sensor or objective("sensor")
     columns = (run.times, run.true_positions, run.model.zs[:, 0])
+    times, positions, measured = (np.asarray(c, dtype=float).tolist() for c in columns)
+    subject, part = frozenset([target]), frozenset([sensor])
+    terms = [t.as_integer_ratio() for t in times]  # in lowest terms, d > 0
     pairs = []
-    for t, pos, z in zip(*(np.asarray(c, dtype=float).tolist() for c in columns)):
-        n, d = t.as_integer_ratio()  # in lowest terms, d > 0
+    for (n, d), pos, z in zip(terms, positions, measured):
         at = TimeSet._from_keys(d, (n,), (n,), None)
-        s = Element(frozenset([target]), at, Value.scalar(Fraction(pos)))
-        r = Element(frozenset([sensor]), at, Value.scalar(Fraction(z)))
+        s = Element._from_set(subject, at, Value.scalar(Fraction(pos)))
+        r = Element._from_set(part, at, Value.scalar(Fraction(z)))
         pairs.append((s, r))
-    return Information.from_pairs("tracking", pairs)
+    if not pairs or not _increasing(times):
+        return Information.from_pairs("tracking", pairs)
+    den = lcm(*[d for _, d in terms])
+    keys = tuple([n * (den // d) for n, d in terms])
+    when = TimeSet._from_keys(den, keys, keys, None)
+    return Information._presorted(
+        "tracking",
+        subject,
+        when,
+        frozenset([s for s, _ in pairs]),
+        part,
+        when,
+        frozenset([r for _, r in pairs]),
+        tuple(pairs),
+        valid=sensor.is_objective,
+    )
 
 
 def kalman_reflection(run: TrackingRun, info: Information) -> dict:
@@ -271,13 +316,28 @@ def kalman_reflection(run: TrackingRun, info: Information) -> dict:
 
     The returned dict sends every reflection of ``info`` (one per step,
     in time order) to a state element carrying the filter's position
-    estimate for that step; feed it to ``measures.distortion``.
+    estimate for that step; feed it to ``measures.distortion``.  The
+    mapping's pairs are matched with the steps by position, so a run
+    whose columns differ in length or whose times do not strictly
+    increase, or an information with another number of pairs than the run
+    has steps, raises MeasureInputError.
     """
+    steps = _steps(run)
+    if len(info.mapping) != steps:
+        raise MeasureInputError(
+            f"information {info.name!r} has {len(info.mapping)} pairs "
+            f"but the tracking run has {steps} steps"
+        )
+    if not _increasing(np.asarray(run.times, dtype=float).tolist()):
+        raise MeasureInputError(
+            "tracking run times do not strictly increase, so its steps "
+            "cannot be matched with the mapping's pairs"
+        )
     result = kalman_filter(run.model)
     estimates = result.states[:, 0].tolist()
     out = {}
     for (s, r), est in zip(info.mapping, estimates):
-        out[r] = Element(s.entities, s.at, Value.scalar(Fraction(est)))
+        out[r] = Element._from_set(s.entities, s.at, Value.scalar(Fraction(est)))
     return out
 
 
@@ -286,5 +346,5 @@ def measurement_reflection(info: Information) -> dict:
     (identity decode); the baseline the filter has to beat."""
     out = {}
     for s, r in info.mapping:
-        out[r] = Element(s.entities, s.at, r.value)
+        out[r] = Element._from_set(s.entities, s.at, r.value)
     return out

@@ -117,7 +117,14 @@ class Value:
 
     @classmethod
     def scalar(cls, q: Rational) -> Value:
-        return cls("scalar", as_fraction(q))
+        """``Value("scalar", as_fraction(q))``, built without ``__init__``'s
+        tag dispatch; the hash is the one it computes."""
+        q = as_fraction(q)
+        v = object.__new__(cls)
+        object.__setattr__(v, "tag", "scalar")
+        object.__setattr__(v, "body", q)
+        object.__setattr__(v, "_h", hash(("scalar", q.numerator, q.denominator)))
+        return v
 
     @classmethod
     def vector(cls, qs: Iterable[Rational]) -> Value:

@@ -11,6 +11,7 @@ lowest terms or the same refusal text, and the same tree.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from isd.errors import DocumentParseError
@@ -24,6 +25,20 @@ def rational_terms(s: str, where: str) -> tuple[int, int]:
     except (ValueError, ZeroDivisionError) as e:
         raise DocumentParseError(f"{where}: bad rational {s!r} ({e})") from None
     return q.numerator, q.denominator
+
+
+def written_rational_terms(s: str, where: str) -> tuple[int, int]:
+    """``rational_terms``, then the refusal of a rational with a term of
+    more digits than ``str`` may write, as the loader words it."""
+    n, d = rational_terms(s, where)
+    try:
+        str(Fraction(n, d))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DocumentParseError(
+            f"{where}: bad rational {s!r} (a term has more than {limit} digits)"
+        ) from None
+    return n, d
 
 
 def value_to_json(v) -> dict:

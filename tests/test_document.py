@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from isd.timeset import TimeSet
 from isd.values import Value
 
 BUNDLED = Path(isd.__file__).parent / "data" / "news_pipeline.json"
+_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
 
 SYNTHETIC = """
 {
@@ -524,6 +526,60 @@ def test_emission_refuses_two_measures_of_one_name(tmp_path):
     assert "another measure is named 'm'" in str(error)
 
 
+def _holding(where: str, q: Fraction) -> ModelDocument:
+    """The synthetic document with the rational ``q`` put ``where``."""
+    doc = loads_document(SYNTHETIC)
+    lab = isd.objective("lab")
+    if where == "default-weight":
+        return dataclasses.replace(doc, measures=(isd.MeasureAssignment("m", {}, q),))
+    if where == "weight":
+        return dataclasses.replace(doc, measures=(isd.MeasureAssignment("m", {lab: q}),))
+    if where == "amount":
+        system = doc.system("bench")
+        stages = list(system.stages)
+        stages[0] = dataclasses.replace(
+            stages[0], transforms={MeasureKind.DELAY: isd.MeasureTransform("add", q)}
+        )
+        return dataclasses.replace(doc, systems=(dataclasses.replace(system, stages=stages),))
+    at, value = TimeSet.point(0), Value.scalar(1)
+    if where == "value":
+        value = Value.scalar(q)
+    else:
+        at = TimeSet.point(1 / q)
+    s = isd.StateElement({lab}, at, value)
+    r = isd.ReflectionElement({lab}, TimeSet.point(1), Value.scalar(1))
+    return ModelDocument(informations=(isd.Information.from_pairs("x", [(s, r)]),))
+
+
+@pytest.mark.skipif(not _LIMIT, reason="this Python limits no int-to-str conversion")
+@pytest.mark.parametrize(
+    "where, noun, name",
+    [
+        ("default-weight", "measure", "m"),
+        ("weight", "measure", "m"),
+        ("amount", "system", "bench"),
+        ("value", "information", "x"),
+        ("endpoint", "information", "x"),
+    ],
+)
+def test_emission_refuses_a_rational_too_long_to_write(tmp_path, where, noun, name):
+    """Loading refuses such a rational, so only a document built in code
+    holds one; emission names the entry that holds it, not a raw
+    ValueError."""
+    huge = Fraction(10**_LIMIT)  # one digit more than str may write
+    error = _refused_on_emission(_holding(where, huge), tmp_path)
+    assert {k: [v.code for v in vs] for k, vs in error.per_info.items()} == {
+        name: ["rational-too-long"]
+    }
+    assert str(error) == (
+        f"document invariants violated: {name}: {noun} {name!r} holds a rational "
+        f"with a term of more than {_LIMIT} digits"
+    )
+    # one digit fewer is written, and loads back
+    doc = _holding(where, Fraction(10 ** (_LIMIT - 1)))
+    assert emit_document(loads_document(emit_document(doc))) == emit_document(doc)
+
+
 @pytest.mark.parametrize(
     "mutate, problem",
     [
@@ -873,9 +929,9 @@ def test_bad_rational_deep_inside_keeps_its_location(bad, message):
 #
 # ``Fraction`` reads an exponent, so a short string can stand for a rational
 # whose terms have more digits than ``str`` may write.  Loading refuses it
-# where it stands, so emission and violation messages never meet one.
-
-_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+# where it stands, deciding a huge exponent before it is expanded, so
+# violation messages never meet one; emission refuses one that a document
+# built in code holds.
 
 
 @pytest.mark.skipif(not _LIMIT, reason="this Python limits no int-to-str conversion")
@@ -902,6 +958,11 @@ _LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") 
             "1e100000",
         ),
         (
+            lambda r: r["informations"][0]["states"][1].update(value={"scalar": "-1e1000000"}),
+            "informations[0].states[1].value",
+            "-1e1000000",
+        ),
+        (
             lambda r: r["measures"][0]["weights"].update(lab="15e4999"),
             "measures[0].weights.lab",
             "15e4999",
@@ -914,7 +975,7 @@ _LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") 
             "1e-5000",
         ),
     ],
-    ids=["value", "vector-in-record", "endpoint", "weight", "amount"],
+    ids=["value", "vector-in-record", "endpoint", "huge-exponent", "weight", "amount"],
 )
 def test_a_rational_too_long_to_write_is_refused_where_it_stands(mutate, where, text):
     with pytest.raises(DocumentParseError) as exc:
@@ -929,6 +990,90 @@ def test_a_long_rational_that_reduces_to_a_short_one_loads():
         _patch(lambda r: r["informations"][0]["states"][1].update(value={"scalar": "0e9999"}))
     )
     assert doc.information("probe").sorted_states()[1].value.body == 0
+
+
+_HUGE_EXPONENT = "9" * 4000  # int reads it, and 10**it has no room in memory
+
+
+@pytest.mark.skipif(not _LIMIT, reason="this Python limits no int-to-str conversion")
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("1e1000000", None),
+        ("1e-1000000", None),
+        ("-2.5e" + _HUGE_EXPONENT, None),
+        ("1e-" + _HUGE_EXPONENT, None),
+        ("0e1000000", (0, 1)),
+        ("-0.00e" + _HUGE_EXPONENT, (0, 1)),
+        (".0e-" + _HUGE_EXPONENT, (0, 1)),
+    ],
+)
+def test_a_huge_exponent_is_settled_before_its_power_of_ten(text, terms):
+    """``Fraction`` expands ``10**exp`` in full, which takes 0.3 s for
+    "1e1000000" and never ends for an exponent of 4,000 digits; the loader
+    settles each of these from the exponent's size and the mantissa's
+    digits, before any power of ten."""
+    start = time.perf_counter()
+    if terms is None:
+        with pytest.raises(DocumentParseError) as exc:
+            _terms_from_json(text, "doc.json")
+        assert str(exc.value) == (
+            f"doc.json: bad rational {text!r} (a term has more than {_LIMIT} digits)"
+        )
+    else:
+        assert _terms_from_json(text, "doc.json") == terms
+    assert time.perf_counter() - start < 0.05
+
+
+_exponent_spellings = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["", "-", "+", " "]),
+    st.from_regex(r"[0-9]{0,4}", fullmatch=True),
+    st.sampled_from(["", "."]) | st.from_regex(r"\.[0-9]{1,4}", fullmatch=True),
+    st.sampled_from(["e", "E", "e+", "e-", "E-0", "e_"]),
+    st.integers(0, (_LIMIT or 4300) + 10).map(str),
+)
+
+
+@given(
+    _exponent_spellings
+    | st.sampled_from(
+        ["1_0e4_299", "1_0e4_300", "\u0661e4300", "\u0660e9999", "1.de5", " 1e4300 ", ".5e-4300"]
+    )
+)
+@settings(max_examples=300, deadline=None)
+@example("1e" + str(_LIMIT - 1))
+@example("10e" + str(_LIMIT - 1))
+@example("5e-" + str(_LIMIT))
+@example("0.5e-" + str(_LIMIT - 1))
+def test_exponent_parse_matches_the_seed_parse_and_refusal(s):
+    """Near the int-to-str limit, where the exponent check decides, the
+    parse gives the terms or the refusal text of ``Fraction(s)`` followed
+    by the check that each term can be written."""
+    try:
+        want = reference_document.written_rational_terms(s, "doc.json")
+    except DocumentParseError as e:
+        with pytest.raises(DocumentParseError) as exc:
+            _terms_from_json(s, "doc.json")
+        assert str(exc.value) == str(e)
+    else:
+        assert _terms_from_json(s, "doc.json") == want
+
+
+@pytest.mark.parametrize("s", ["1e3", "-2.5E-3", "0e9999", "1e" + str(_LIMIT or 4300), "1.de5"])
+def test_without_the_fractions_grammar_fraction_decides(monkeypatch, s):
+    """``fractions._RATIONAL_FORMAT`` is private; a Python without it, or
+    without the groups the exponent check reads, still loads and refuses
+    every spelling as ``Fraction(s)`` and the length check do."""
+    monkeypatch.setattr(isd.document, "_RATIONAL_FORMAT", None)
+    try:
+        want = reference_document.written_rational_terms(s, "doc.json")
+    except DocumentParseError as e:
+        with pytest.raises(DocumentParseError) as exc:
+            _terms_from_json(s, "doc.json")
+        assert str(exc.value) == str(e)
+    else:
+        assert _terms_from_json(s, "doc.json") == want
 
 
 # -- the endpoint parse against the seed's --------------------------------------

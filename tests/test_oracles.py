@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from isd.errors import (
     EmptyLibraryError,
     InsufficientSamplesError,
+    MeasureInputError,
     NumericalSingularityError,
     UnboundedSegmentError,
 )
 from isd.measures import Metric, distortion, mismatch, sampling_rate
-from isd.model import is_reducible
+from isd.model import Element, Information, is_reducible
 from isd.oracles import (
     KalmanModel,
     KalmanResult,
@@ -48,6 +49,7 @@ from isd.oracles import (
     verify_entropy_max,
 )
 from isd.timeset import TimeSet
+from isd.values import Value, objective, subjective
 
 import reference_kalman
 from conftest import two_atom_info
@@ -493,6 +495,132 @@ def test_kalman_beats_raw_on_longer_run():
     d_filter = distortion(info, kalman_reflection(run, info), metric)
     d_raw = distortion(info, measurement_reflection(info), metric)
     assert d_filter < d_raw
+
+
+def _tracking_pairs(run, target, sensor):
+    """The pairs ``tracking_information`` packages, built with the public
+    constructors."""
+    pairs = []
+    columns = (run.times, run.true_positions, run.model.zs[:, 0])
+    for t, pos, z in zip(*(c.tolist() for c in columns)):
+        at = TimeSet.point(Fraction(t))
+        pairs.append(
+            (
+                Element({target}, at, Value.scalar(Fraction(pos))),
+                Element({sensor}, at, Value.scalar(Fraction(z))),
+            )
+        )
+    return pairs
+
+
+def _keys(ts):
+    return ts._d, ts._los, ts._his, ts._ray
+
+
+@given(
+    steps=st.integers(1, 50),
+    dt=st.sampled_from([1.0, 0.1, 0.3, 1 / 3, 2.5, 1e-3, 7.0, 0.0]),
+    reverse=st.booleans(),
+    sensor=st.sampled_from([objective("sensor"), subjective("eye")]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_tracking_information_is_from_pairs_on_its_pairs(steps, dt, reverse, sensor, seed):
+    """A run whose times strictly increase is packaged as it stands; with
+    dt = 0 or reversed times it goes through ``from_pairs``.  Either way
+    the value is the one ``from_pairs`` gives, to the mark and the keys."""
+    run = simulate_tracking(steps=steps, dt=dt, seed=seed)
+    if reverse:
+        run = dataclasses.replace(run, times=run.times[::-1].copy())
+    target = objective("target")
+    got = tracking_information(run, target, sensor)
+    want = Information.from_pairs("tracking", _tracking_pairs(run, target, sensor))
+    assert got == want
+    assert got.mapping == want.mapping
+    assert repr(got) == repr(want)
+    assert got._known_valid == want._known_valid == sensor.is_objective
+    assert _keys(got.occurrence) == _keys(want.occurrence)
+    assert _keys(got.reflection_time) == _keys(want.reflection_time)
+    assert list(got.states) == list(want.states)
+
+
+def test_tracking_information_of_no_steps_is_refused():
+    with pytest.raises(ValueError, match="an information needs at least one pair"):
+        tracking_information(simulate_tracking(steps=0))
+
+
+def test_a_simulated_run_sorts_no_element_and_takes_no_union(monkeypatch):
+    calls = []
+    for cls, name in ((Element, "sort_key"), (TimeSet, "union")):
+        real = getattr(cls, name)
+        count = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        monkeypatch.setattr(cls, name, count)
+    run = simulate_tracking(steps=200, dt=0.1, seed=4)
+    info = tracking_information(run)
+    metric = Metric("euclidean_on_values")
+    distortion(info, kalman_reflection(run, info), metric)
+    distortion(info, measurement_reflection(info), metric)
+    assert calls == []
+    # the counters count: the same pairs through from_pairs call both
+    Information.from_pairs("tracking", info.mapping)
+    assert {"sort_key", "union"} <= set(calls)
+
+
+@pytest.mark.parametrize("dt, reverse", [(1.0, True), (0.0, False)], ids=["reversed", "dt0"])
+def test_kalman_reflection_refuses_times_that_do_not_increase(dt, reverse):
+    """Estimates are matched with the mapping's pairs by position; with
+    these times the canonical order is not the step order, so the state at
+    t = 1 of a reversed run would get step 0's estimate."""
+    run = simulate_tracking(steps=4, dt=dt, seed=0)
+    if reverse:
+        run = dataclasses.replace(run, times=run.times[::-1].copy())
+    info = tracking_information(run)
+    with pytest.raises(MeasureInputError, match="times do not strictly increase") as exc:
+        kalman_reflection(run, info)
+    assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("info_steps, run_steps", [(4, 5), (5, 4), (3, 0)])
+def test_kalman_reflection_refuses_another_step_count(info_steps, run_steps):
+    """Matched by position, the longer side would be cut short: reflections
+    left without an estimate, or estimates dropped without a word."""
+    info = tracking_information(simulate_tracking(steps=info_steps, seed=1))
+    run = simulate_tracking(steps=run_steps, seed=1)
+    problem = f"information 'tracking' has {info_steps} pairs but the tracking run has"
+    with pytest.raises(MeasureInputError, match=f"{problem} {run_steps} steps") as exc:
+        kalman_reflection(run, info)
+    assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "column, rows, counts",
+    [("times", 8, (8, 6, 6)), ("times", 4, (4, 6, 6)), ("true_positions", 5, (6, 5, 6))],
+    ids=["times-longer", "times-shorter", "positions-shorter"],
+)
+def test_a_run_whose_columns_differ_in_length_is_refused(column, rows, counts):
+    """A step is one row of each column; zipped, the shorter column would
+    cut the run short, and a longer one would add instants to the
+    occurrence that no state has."""
+    run = simulate_tracking(steps=6, seed=3)
+    info = tracking_information(run)
+    longer = simulate_tracking(steps=8, seed=3)
+    cut = dataclasses.replace(run, **{column: getattr(longer, column)[:rows].copy()})
+    problem = "tracking run has {} times, {} true positions and {} measurements".format(*counts)
+    for call in (lambda: tracking_information(cut), lambda: kalman_reflection(cut, info)):
+        with pytest.raises(MeasureInputError, match=problem) as exc:
+            call()
+        assert isinstance(exc.value, ValueError)
+
+
+def test_kalman_reflection_pairs_each_state_with_its_step():
+    run = simulate_tracking(steps=30, dt=0.1, seed=2)
+    info = tracking_information(run)
+    estimates = kalman_filter(run.model).states[:, 0].tolist()
+    by_time = {Fraction(t): est for t, est in zip(run.times.tolist(), estimates)}
+    out = kalman_reflection(run, info)
+    for s, r in info.mapping:
+        assert out[r].value.body == Fraction(by_time[s.at.inf])
+        assert out[r].at == s.at and out[r].entities == s.entities
 
 
 # -- search -------------------------------------------------------------------

@@ -362,6 +362,44 @@ def test_equality_is_field_tuple_equality(pair, side, other_side):
     assert _minus_one != _minus_two and hash(_minus_one) == hash(_minus_two)
 
 
+def _pickled(x):
+    """What a pickle round trip of ``x`` gives: its fields and hash, or the
+    type and text of the error unpickling raises."""
+    try:
+        back = pickle.loads(pickle.dumps(x))
+    except Exception as e:
+        return type(e), str(e)
+    return _element_fields(back) if isinstance(back, Element) else _value_fields(back), hash(back)
+
+
+@given(
+    st.fractions() | rationals,
+    _element_sides,
+    st.sampled_from([objective("s"), subjective("s")]),
+)
+@settings(max_examples=150, deadline=None)
+@example(Fraction(-1), (frozenset({objective("p")}), TimeSet.point(0)), objective("s"))
+def test_trusted_element_and_scalar_are_the_public_ones(q, side, extra):
+    """``Value.scalar`` skips ``Value.__init__``'s tag dispatch, and
+    ``Element._from_set`` the public constructor's checks and copies; each
+    gives the same object."""
+    public, trusted = Value("scalar", q), Value.scalar(q)
+    entities, at = side
+    others = entities | {extra}
+    elements = Element(others, at, public), Element._from_set(others, at, trusted)
+    for a, b in ((public, trusted), elements):
+        fields = _element_fields if isinstance(a, Element) else _value_fields
+        assert fields(a) == fields(b)
+        assert hash(a) == hash(b) and a._h == b._h
+        assert a == b and b == a and not a != b
+        assert repr(a) == repr(b)
+        assert _pickled(a) == _pickled(b)
+    assert trusted.body is q and elements[1].entities is others
+    # the trusted element compares with one of other fields as the public one does
+    unlike = Element(entities, at, Value.scalar(q + 1))
+    assert (elements[1] == unlike) is (elements[0] == unlike) is False
+
+
 # -- integer keys ---------------------------------------------------------------
 #
 # A time set also keeps its endpoints as integers over the least common
