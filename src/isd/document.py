@@ -10,11 +10,13 @@ canonical files round-trip byte for byte.
 The writer owns the schema: ``emit_document`` writes indent-2 JSON
 directly, each state and reflection straight from its ``Element``, and
 ``document_to_json`` is that text parsed.  While one load runs, each
-distinct rational string is parsed once: a time-set endpoint to the integer
-terms its set's keys are built from, a value, weight or amount to a
-Fraction.  A rational with a term too long to write back is refused: on
-loading, a huge exponent before its power of ten is expanded, and on
-emission, naming the entry that holds it.
+distinct rational string is parsed once, to its integer terms: a time
+set's keys are built from its endpoints' terms, a scalar or vector value
+keeps its numbers' terms, and a weight or amount is a Fraction made from
+them.  Each value is written back from its terms.  A rational with a
+term too long to write back is refused: on loading, a huge exponent
+before its power of ten is expanded, and on emission, naming the entry
+that holds it.
 """
 
 from __future__ import annotations
@@ -209,33 +211,28 @@ def _terms_from_json(s: Any, where) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _frac_from_json(s: Any, where, fracs: dict[str, Fraction]) -> Fraction:
-    """The rational string ``s`` as a Fraction.  ``fracs`` holds the
+def _memo_terms(s: Any, where, memo: dict[str, tuple[int, int]]) -> tuple[int, int]:
+    """The rational string ``s`` as its lowest terms.  ``memo`` holds the
     strings this load has already parsed; it belongs to one
     ``loads_document`` call."""
-    q = fracs.get(s) if type(s) is str else None
-    if q is None:
-        q = fracs[s] = Fraction(*_terms_from_json(s, where))
-    return q
-
-
-def _endpoint_from_json(s: Any, where, ends: dict[str, tuple[int, int]]) -> tuple[int, int]:
-    """The time-set endpoint string ``s`` as its lowest terms.  ``ends``
-    holds the endpoint strings this load has already parsed; it belongs to
-    one ``loads_document`` call."""
-    terms = ends.get(s) if type(s) is str else None
+    terms = memo.get(s) if type(s) is str else None
     if terms is None:
-        terms = ends[s] = _terms_from_json(s, where)
+        terms = memo[s] = _terms_from_json(s, where)
     return terms
 
 
-def _rate_from_json(s: Any, where, fracs):
+def _frac_from_json(s: Any, where, memo) -> Fraction:
+    """The rational string ``s``, a weight or an amount, as a Fraction."""
+    return Fraction(*_memo_terms(s, where, memo))
+
+
+def _rate_from_json(s: Any, where, memo):
     if s == "inf":
         return ExtendedRate.infinite()
-    return _frac_from_json(s, where, fracs)
+    return _frac_from_json(s, where, memo)
 
 
-def _timeset_from_json(obj: dict, key: str, where, ends) -> TimeSet:
+def _timeset_from_json(obj: dict, key: str, where, memo) -> TimeSet:
     """The time set ``obj[key]``: intervals, the last of which may be a ray.
     Its keys are built from the endpoints' integer terms, with no Fraction."""
     at = (where, ".", key)
@@ -247,9 +244,9 @@ def _timeset_from_json(obj: dict, key: str, where, ends) -> TimeSet:
     for i, entry in enumerate(entries):
         if type(entry) is not list or len(entry) != 2:
             _fail(at, f"interval {i} must be a [lo, hi] pair")
-        terms.append(_endpoint_from_json(entry[0], (at, ".intervals", i, 0), ends))
+        terms.append(_memo_terms(entry[0], (at, ".intervals", i, 0), memo))
         if entry[1] is not None:
-            terms.append(_endpoint_from_json(entry[1], (at, ".intervals", i, 1), ends))
+            terms.append(_memo_terms(entry[1], (at, ".intervals", i, 1), memo))
         elif i != len(entries) - 1:
             _fail(at, "only the last interval may be unbounded")
         else:
@@ -260,7 +257,9 @@ def _timeset_from_json(obj: dict, key: str, where, ends) -> TimeSet:
         _fail(at, str(e))
 
 
-def _value_from_json(obj: Any, where, fracs) -> Value:
+def _value_from_json(obj: Any, where, memo) -> Value:
+    """The value ``obj``; a scalar or vector is built from its numbers'
+    terms, with no Fraction."""
     if type(obj) is not dict or len(obj) != 1:
         _fail(where, "value must be a single-key object")
     (tag, body), = obj.items()
@@ -269,15 +268,14 @@ def _value_from_json(obj: Any, where, fracs) -> Value:
             _fail(where, "symbol must be a nonempty string")
         return Value.symbol(body)
     if tag == "scalar":
-        return Value.scalar(_frac_from_json(body, where, fracs))
+        return Value._from_terms("scalar", _memo_terms(body, where, memo))
     if tag == "vector":
-        return Value.vector(
-            [_frac_from_json(q, where, fracs) for q in _typed(body, list, where)]
-        )
+        numbers = _typed(body, list, where)
+        return Value._from_terms("vector", tuple([_memo_terms(q, where, memo) for q in numbers]))
     if tag == "record":
         return Value.record(
             {
-                k: _value_from_json(inner, (where, ".", k), fracs)
+                k: _value_from_json(inner, (where, ".", k), memo)
                 for k, inner in _typed(body, dict, where).items()
             }
         )
@@ -349,34 +347,34 @@ def _entity_list(obj: dict, key: str, table, where) -> frozenset[EntityId]:
     return frozenset(out)
 
 
-def _element_from_json(obj: Any, table, where, key: str, fracs, ends) -> Element:
+def _element_from_json(obj: Any, table, where, key: str, memo) -> Element:
     """An element whose entities are listed under ``key``: "subject" for a
     state, "carrier_part" for a reflection."""
     entities = _entity_list(_typed(obj, dict, where), key, table, where)
     if not entities:
         _fail((where, ".", key), "must name at least one entity")
-    at = _timeset_from_json(obj, "at", where, ends)
-    value = _value_from_json(_field(obj, "value", dict, where), (where, ".value"), fracs)
+    at = _timeset_from_json(obj, "at", where, memo)
+    value = _value_from_json(_field(obj, "value", dict, where), (where, ".value"), memo)
     return Element(entities, at, value)
 
 
-def _information_from_json(obj: dict, name: str, table, where, fracs, ends) -> Information:
+def _information_from_json(obj: dict, name: str, table, where, memo) -> Information:
     states = [
-        _element_from_json(e, table, (where, ".states", i), "subject", fracs, ends)
+        _element_from_json(e, table, (where, ".states", i), "subject", memo)
         for i, e in enumerate(_field(obj, "states", list, where))
     ]
     reflections = [
-        _element_from_json(e, table, (where, ".reflections", i), "carrier_part", fracs, ends)
+        _element_from_json(e, table, (where, ".reflections", i), "carrier_part", memo)
         for i, e in enumerate(_field(obj, "reflections", list, where))
     ]
     try:
         return Information(
             name,
             _entity_list(obj, "ontology", table, where),
-            _timeset_from_json(obj, "occurrence", where, ends),
+            _timeset_from_json(obj, "occurrence", where, memo),
             frozenset(states),
             _entity_list(obj, "carrier", table, where),
-            _timeset_from_json(obj, "reflection_time", where, ends),
+            _timeset_from_json(obj, "reflection_time", where, memo),
             frozenset(reflections),
             _index_pairs(obj, "mapping", states, reflections, where),
         )
@@ -406,18 +404,18 @@ def _information_named(by_name, name: Any, where) -> Information:
     return by_name[name]
 
 
-def _transform_from_json(obj: Any, where, fracs) -> MeasureTransform:
+def _transform_from_json(obj: Any, where, memo) -> MeasureTransform:
     kind = _field(_typed(obj, dict, where), "kind", str, where)
     if kind == "identity":
         return MeasureTransform.identity()
-    amount = _rate_from_json(_field(obj, "amount", str, where), (where, ".amount"), fracs)
+    amount = _rate_from_json(_field(obj, "amount", str, where), (where, ".amount"), memo)
     try:
         return MeasureTransform(kind, amount)
     except ValueError as e:
         _fail(where, str(e))
 
 
-def _system_from_json(obj: dict, name: str, where, fracs) -> SystemConfig:
+def _system_from_json(obj: dict, name: str, where, memo) -> SystemConfig:
     shape = _enum(Shape, _field(obj, "shape", str, where), where, "shape")
     stages = []
     for i, st in enumerate(_field(obj, "stages", list, where)):
@@ -425,7 +423,7 @@ def _system_from_json(obj: dict, name: str, where, fracs) -> SystemConfig:
         kind = _enum(StageKind, _field(_typed(st, dict, w), "kind", str, w), w, "stage kind")
         transforms = {
             _enum(MeasureKind, mname, w, "measure"): _transform_from_json(
-                tobj, (w, ".transforms.", mname), fracs
+                tobj, (w, ".transforms.", mname), memo
             )
             for mname, tobj in sorted(_field(st, "transforms", dict, w, {}).items())
         }
@@ -447,13 +445,11 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
         realm = _enum(Realm, _field(ent, "realm", str, w, "objective"), w, "realm")
         table[eid] = EntityId(eid, realm)
 
-    # the two memos of this load: values, weights and amounts as Fractions,
-    # and time-set endpoints as integer terms
-    fracs: dict[str, Fraction] = {}
-    ends: dict[str, tuple[int, int]] = {}
+    # the memo of this load: every rational string as its integer terms
+    memo: dict[str, tuple[int, int]] = {}
     by_name: dict[str, Information] = {}
     for w, name, obj in _named_entries(raw, "informations", "information", source):
-        by_name[name] = _information_from_json(obj, name, table, w, fracs, ends)
+        by_name[name] = _information_from_json(obj, name, table, w, memo)
 
     _require_valid("information", "", [(i.name, _checked(i)) for i in by_name.values()])
 
@@ -463,9 +459,9 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
         for eid, wt in _field(obj, "weights", dict, w, {}).items():
             if eid not in table:
                 _fail(w, f"undeclared entity {eid!r}", UnresolvedReferenceError)
-            weights[table[eid]] = _frac_from_json(wt, (w, ".weights.", eid), fracs)
+            weights[table[eid]] = _frac_from_json(wt, (w, ".weights.", eid), memo)
         default = _frac_from_json(
-            _field(obj, "default_weight", str, w, "1"), (w, ".default_weight"), fracs
+            _field(obj, "default_weight", str, w, "1"), (w, ".default_weight"), memo
         )
         try:
             measures.append(MeasureAssignment(name, weights, default))
@@ -481,7 +477,7 @@ def _document_from_json(raw: Any, source: str) -> ModelDocument:
         relations.append(BoundRelation(info_name, Relation(name, pairs, equivalence)))
 
     systems = tuple(
-        _system_from_json(obj, name, w, fracs)
+        _system_from_json(obj, name, w, memo)
         for w, name, obj in _named_entries(raw, "systems", "system", source)
     )
 
@@ -594,17 +590,24 @@ def _time_set_text(ts: TimeSet, indent: str) -> str:
     return "{" + k1 + '"intervals": ' + _list_text(items, k1) + indent + "}"
 
 
+def _number_text(terms: tuple) -> str:
+    """The JSON string of a value's number, from its terms: ``str`` of its
+    Fraction, or of the number itself when it has no integer terms."""
+    text = str(terms[0]) if len(terms) != 2 or terms[1] == 1 else f"{terms[0]}/{terms[1]}"
+    return '"' + text + '"'
+
+
 def _value_text(v: Value, indent: str) -> str:
     """``v`` as the single-key object of its tag: a symbol's string, a
     scalar's rational, a vector's list of rationals, or a record's object of
-    values by key."""
+    values by key.  Numbers are written from their terms."""
     k1 = indent + "  "
     if v.tag == "symbol":
         body = encode_basestring(v.body)
     elif v.tag == "scalar":
-        body = '"' + str(v.body) + '"'
+        body = _number_text(v.numeric_terms()[0])
     elif v.tag == "vector":
-        body = _list_text(['"' + str(q) + '"' for q in v.body], k1)
+        body = _list_text([_number_text(t) for t in v.numeric_terms()], k1)
     else:
         k2 = k1 + "  "
         entries = [encode_basestring(k) + ": " + _value_text(inner, k2) for k, inner in v.body]

@@ -500,18 +500,18 @@ def distortion(
         union = len(info.states | estimated)
         return Fraction(sym, union) if union else Fraction(0)
     if metric.kind == "euclidean_on_values":
-        # each (x - y)**2 as the integer pair ((xn yd - yn xd)**2, (xd yd)**2)
+        # each (x - y)**2 as the integer pair ((xn yd - yn xd)**2, (xd yd)**2),
+        # read from the values' terms
         squares = []
         for s, r in info.mapping:
-            truth = s.value.numeric_components()
-            est = reflection_map[r].value.numeric_components()
+            truth = s.value.numeric_terms()
+            est = reflection_map[r].value.numeric_terms()
             if len(truth) != len(est):
                 raise MeasureInputError(
                     "state and estimate values have different numeric shapes"
                 )
-            for x, y in zip(truth, est):
-                xd, yd = x.denominator, y.denominator
-                squares.append(((x.numerator * yd - y.numerator * xd) ** 2, (xd * yd) ** 2))
+            for (xn, xd), (yn, yd) in zip(truth, est):
+                squares.append(((xn * yd - yn * xd) ** 2, (xd * yd) ** 2))
         return exact_or_float_sqrt(Fraction(*exact_pair_sum(squares)))
     raise ValueError(f"metric kind {metric.kind!r} does not apply to distortion")
 

@@ -11,7 +11,6 @@ reflection map for ``measures.distortion``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isfinite, lcm
 from operator import lt
 
@@ -290,8 +289,8 @@ def tracking_information(
     pairs = []
     for (n, d), pos, z in zip(terms, positions, measured):
         at = TimeSet._from_keys(d, (n,), (n,), None)
-        s = Element._from_set(subject, at, Value.scalar(Fraction(pos)))
-        r = Element._from_set(part, at, Value.scalar(Fraction(z)))
+        s = Element._from_set(subject, at, Value._from_terms("scalar", pos.as_integer_ratio()))
+        r = Element._from_set(part, at, Value._from_terms("scalar", z.as_integer_ratio()))
         pairs.append((s, r))
     if not pairs or not _increasing(times):
         return Information.from_pairs("tracking", pairs)
@@ -337,7 +336,8 @@ def kalman_reflection(run: TrackingRun, info: Information) -> dict:
     estimates = result.states[:, 0].tolist()
     out = {}
     for (s, r), est in zip(info.mapping, estimates):
-        out[r] = Element._from_set(s.entities, s.at, Value.scalar(Fraction(est)))
+        value = Value._from_terms("scalar", est.as_integer_ratio())
+        out[r] = Element._from_set(s.entities, s.at, value)
     return out
 
 

@@ -97,7 +97,7 @@ def sample_signal(
     points = [start + k * gap for k in range(int(steps) + 1)]
     pairs = []
     for t in points:
-        v = Value.scalar(Fraction(signal.value(float(t))))
+        v = Value._from_terms("scalar", signal.value(float(t)).as_integer_ratio())
         s = Element(frozenset([source]), TimeSet.point(t), v)
         r = Element(frozenset([sensor]), TimeSet.point(t), v)
         pairs.append((s, r))
@@ -127,8 +127,8 @@ def _sample_points(samples: Information) -> list[tuple[float, float]]:
     out = []
     for s in samples.sorted_states():
         t = s.at.inf
-        (v,) = s.value.numeric_components()
-        out.append((float(t), float(v)))
+        ((n, d),) = s.value.numeric_terms()
+        out.append((float(t), n / d))  # float(Fraction(n, d)), with no Fraction
     return out
 
 

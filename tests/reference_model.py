@@ -14,7 +14,9 @@ and so does ``combine`` here with the six unions written out one by one.  ``Info
 unions each time component in one normalization; ``from_pairs`` here
 folds pairwise unions field by field.  The property tests check that
 both sides return the same violations, the same mapping in the same
-order, and the same information.
+order, and the same information.  ``value_sort_key`` is the original
+``Value.sort_key``, which orders bodies as Fractions; ``isd.values``
+cross-multiplies integer terms.
 """
 
 from __future__ import annotations
@@ -261,3 +263,12 @@ def combine(a: Information, b: Information) -> Information:
         a.reflections | b.reflections,
         pairs,
     )
+
+
+def value_sort_key(v):
+    """The tag's rank, then the body: a symbol's string, a scalar's
+    Fraction, a vector's tuple of Fractions, or a record's pairs of key and
+    this key of the value."""
+    if v.tag == "record":
+        return (3, tuple((k, value_sort_key(inner)) for k, inner in v.body))
+    return ({"symbol": 0, "scalar": 1, "vector": 2}[v.tag], v.body)

@@ -749,14 +749,12 @@ def test_writer_refuses_what_a_document_tree_never_holds(tree):
 # -- the per-load rational memo -------------------------------------------------
 
 
-def _memo_rationals(doc):
-    """Every rational the loader's memo hands out: the scalar and vector
-    bodies of values, measure weights, and finite transform amounts."""
+def _value_terms(doc):
+    """The integer terms every scalar and vector of the document's values
+    holds, read with no view built."""
     def of_value(v):
-        if v.tag == "scalar":
-            yield v.body
-        elif v.tag == "vector":
-            yield from v.body
+        if v.tag in ("scalar", "vector"):
+            yield from v.numeric_terms()
         elif v.tag == "record":
             for _, inner in v.body:
                 yield from of_value(inner)
@@ -764,6 +762,11 @@ def _memo_rationals(doc):
     for info in doc.informations:
         for element in (*info.states, *info.reflections):
             yield from of_value(element.value)
+
+
+def _weights_and_amounts(doc):
+    """Every Fraction the loader builds: measure weights and finite
+    transform amounts."""
     for m in doc.measures:
         yield m.default_weight
         yield from m.weights.values()
@@ -801,15 +804,37 @@ def _numeric_bundled() -> str:
     return json.dumps(raw)
 
 
-def _endpoint_strings(text: str) -> list[str]:
-    """Every endpoint string of the document ``text``, in document order."""
+def _rational_strings(text: str) -> list[str]:
+    """Every rational string of the document ``text``: time-set endpoints,
+    the numbers of scalar and vector values, weights, default weights and
+    finite transform amounts."""
     raw = json.loads(text)
+
+    def of_value(obj):
+        ((tag, body),) = obj.items()
+        if tag == "scalar":
+            yield body
+        elif tag == "vector":
+            yield from body
+        elif tag == "record":
+            for inner in body.values():
+                yield from of_value(inner)
+
     out = []
     for info in raw["informations"]:
         times = [info["occurrence"], info["reflection_time"]]
-        times += [element["at"] for element in (*info["states"], *info["reflections"])]
+        for element in (*info["states"], *info["reflections"]):
+            times.append(element["at"])
+            out += of_value(element["value"])
         for ts in times:
             out += [t for pair in ts["intervals"] for t in pair if t is not None]
+    for m in raw["measures"]:
+        out += [m.get("default_weight", "1"), *m.get("weights", {}).values()]
+    for system in raw["systems"]:
+        for stage in system["stages"]:
+            for t in stage.get("transforms", {}).values():
+                if t["kind"] != "identity" and t["amount"] != "inf":
+                    out.append(t["amount"])
     return out
 
 
@@ -820,41 +845,38 @@ def test_rational_memo_lives_for_one_load(monkeypatch):
     monkeypatch.setattr(
         isd.document,
         "_terms_from_json",
-        lambda s, where: parsed.append((s, isd.document._loc(where))) or real(s, where),
+        lambda s, where: parsed.append(s) or real(s, where),
     )
     first = loads_document(text)
-    endpoints_first = [s for s, where in parsed if ".intervals" in where]
+    parsed_first = list(parsed)
     parsed.clear()
     second = loads_document(text)
-    endpoints_second = [s for s, where in parsed if ".intervals" in where]
-    # within one load, each distinct endpoint string is parsed once, and the
+    # within one load, each distinct rational string is parsed once, and the
     # next load parses each again: its memo entries did not outlive the load
-    distinct = set(_endpoint_strings(text))
-    assert len(distinct) < len(_endpoint_strings(text))
-    assert sorted(endpoints_first) == sorted(endpoints_second) == sorted(distinct)
-    qs = list(_memo_rationals(first))
+    strings = _rational_strings(text)
+    assert len(set(strings)) < len(strings)
+    assert sorted(parsed_first) == sorted(parsed) == sorted(set(strings))
     assert {"scalar", "vector"} <= {
         e.value.tag for info in first.informations for e in (*info.states, *info.reflections)
     }
-    # within one load, each value, weight and amount string gave one Fraction ...
+    # within one load, values of one string share the memo's terms ...
+    terms = list(_value_terms(first))
     one_each = {}
-    for q in qs:
-        assert one_each.setdefault(q, q) is q
-    assert len(one_each) < len(qs)
-    # ... and no parsed rational outlives the load that made it
-    assert not {id(q) for q in qs} & {id(q) for q in _memo_rationals(second)}
+    for t in terms:
+        assert one_each.setdefault(t, t) is t
+    assert len(one_each) < len(terms)
+    # ... and nothing parsed outlives the load that made it
+    assert not {id(t) for t in terms} & {id(t) for t in _value_terms(second)}
+    fractions = list(_weights_and_amounts(first))
+    assert not {id(q) for q in fractions} & {id(q) for q in _weights_and_amounts(second)}
     # endpoints are views of each set's own keys, so no load shares one
     assert not {id(q) for q in _endpoints(first)} & {id(q) for q in _endpoints(second)}
 
 
-def test_request_paths_build_no_endpoint_view(monkeypatch):
-    """Tracking, and a document round trip with propagation, read only the
-    integer keys of their time sets: none builds its Fraction endpoints."""
-    built = []
-    for name in ("intervals", "ray_from"):
-        view = TimeSet.__dict__[name]
-        count = lambda ts, name=name, real=view.func: built.append((name, ts)) or real(ts)
-        monkeypatch.setattr(view, "func", count)
+def _run_request_paths():
+    """A tracking request (simulate, package, both reflections and both
+    distortions), then a round trip of each golden document with
+    propagation."""
     run = simulate_tracking(steps=60, dt=0.1, seed=3)
     info = tracking_information(run)
     metric = Metric("euclidean_on_values")
@@ -867,6 +889,17 @@ def test_request_paths_build_no_endpoint_view(monkeypatch):
         for system in doc.systems:
             propagate(system, source)
         assert emit_document(doc) == text
+
+
+def test_request_paths_build_no_endpoint_view(monkeypatch):
+    """Tracking, and a document round trip with propagation, read only the
+    integer keys of their time sets: none builds its Fraction endpoints."""
+    built = []
+    for name in ("intervals", "ray_from"):
+        view = TimeSet.__dict__[name]
+        count = lambda ts, name=name, real=view.func: built.append((name, ts)) or real(ts)
+        monkeypatch.setattr(view, "func", count)
+    _run_request_paths()
     assert built == []
     # each field is built once, on its own first read, and repr builds no more
     ts = TimeSet.from_intervals([(0, 1)], 3)
@@ -878,10 +911,31 @@ def test_request_paths_build_no_endpoint_view(monkeypatch):
     assert built == [("intervals", ts), ("ray_from", ts)]
 
 
+def test_request_paths_build_no_value_view(monkeypatch):
+    """The same paths read only the integer terms of their scalar and
+    vector values: none builds a value's Fraction body."""
+    built = []
+    real = isd.values._view
+    monkeypatch.setattr(
+        isd.values, "_view", lambda tag, terms: built.append(tag) or real(tag, terms)
+    )
+    _run_request_paths()
+    assert built == []
+    # the body is built once, on its first read, and repr, sort_key and
+    # equality build none
+    v = Value._from_terms("vector", ((1, 2), (-3, 1)))
+    assert repr(v) == "Value.vector((Fraction(1, 2), Fraction(-3, 1)))"
+    assert v == Value.vector(["1/2", -3]) and v.sort_key() < Value.vector([1]).sort_key()
+    assert built == []
+    assert v.body == (Fraction(1, 2), Fraction(-3)) and v.body is v.body
+    assert built == ["vector"]
+
+
 def test_golden_documents_load_with_no_endpoint_fraction(monkeypatch):
-    """The loader builds every time set from its endpoints' integer terms:
-    it takes no Rational apart as ``TimeSet`` does, and the only Fractions
-    it makes are values, weights and amounts."""
+    """The loader builds every time set from its endpoints' integer terms
+    and every scalar and vector value from its numbers' terms: it takes no
+    Rational apart as ``TimeSet`` does, and the only Fractions it makes are
+    weights and amounts."""
     made, taken_apart = [], []
     real = Fraction
 
@@ -894,10 +948,16 @@ def test_golden_documents_load_with_no_endpoint_fraction(monkeypatch):
     monkeypatch.setattr(
         isd.timeset, "_terms", lambda x: taken_apart.append(x) or real_terms(x)
     )
+    real_view = isd.values._view
+    monkeypatch.setattr(
+        isd.values, "_view", lambda tag, terms: taken_apart.append(terms) or real_view(tag, terms)
+    )
     for path in sorted((Path(__file__).parent / "golden").glob("*.json")):
         loads_document(path.read_text(encoding="utf-8"), source=path.name)
-    assert any(".value" in where for where in made)  # the synthetic one's values
-    assert [where for where in made if ".intervals" in where] == []
+    assert any(".default_weight" in where for where in made)
+    assert any(".amount" in where for where in made)
+    others = [w for w in made if ".weights." not in w]
+    assert [w for w in others if not w.endswith((".default_weight", ".amount"))] == []
     assert taken_apart == []
 
 

@@ -400,6 +400,98 @@ def test_trusted_element_and_scalar_are_the_public_ones(q, side, extra):
     assert (elements[1] == unlike) is (elements[0] == unlike) is False
 
 
+# -- values built from terms ----------------------------------------------------
+#
+# ``Value._from_terms`` stores a number's integer terms and builds no body
+# until it is read.  Drawn from a small pool as well as at large, the numbers
+# repeat, so vectors are often prefixes of one another and values tie.
+
+_huge = st.builds(Fraction, st.integers(-(2**130), 2**130), st.integers(1, 2**130))
+_pool = [Fraction(0), Fraction(-1), Fraction(1, 3), Fraction(-7, 2), Fraction(2**100 + 1, 3**50)]
+_numbers = st.one_of(st.sampled_from(_pool), rationals, _huge)
+_specs = st.recursive(
+    st.one_of(
+        st.tuples(st.just("scalar"), _numbers),
+        st.tuples(st.just("vector"), st.lists(_numbers, max_size=3).map(tuple)),
+    ),
+    lambda inner: st.tuples(
+        st.just("record"), st.dictionaries(st.sampled_from("ab"), inner, max_size=2)
+    ),
+    max_leaves=5,
+)
+
+
+def _built(spec, how: str) -> Value:
+    """The value ``spec`` describes, built from its terms (``how`` is
+    "terms"), by ``Value.scalar``/``Value.vector`` ("named") or by
+    ``Value(tag, body)`` ("public"); a record holds values built the same way."""
+    tag, body = spec
+    if tag == "record":
+        return Value.record({k: _built(inner, how) for k, inner in body.items()})
+    if how == "public":
+        return Value(tag, body)
+    if how == "named":
+        return Value.scalar(body) if tag == "scalar" else Value.vector(body)
+    if tag == "scalar":
+        return Value._from_terms(tag, (body.numerator, body.denominator))
+    return Value._from_terms(tag, tuple((q.numerator, q.denominator) for q in body))
+
+
+def _body_fields(v: Value):
+    """``v``'s tag and body, with the type of the body and of each number."""
+    if v.tag == "record":
+        return v.tag, type(v.body), tuple((k, _body_fields(inner)) for k, inner in v.body)
+    if v.tag == "vector":
+        return v.tag, type(v.body), tuple((type(q), q) for q in v.body)
+    return v.tag, type(v.body), v.body
+
+
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+@given(st.lists(_specs, min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+@example([("scalar", Fraction(0)), ("vector", ()), ("record", {})])
+@example([("vector", (Fraction(1, 3), Fraction(-1))), ("vector", (Fraction(1, 3),))])
+def test_value_from_terms_is_the_public_one(specs):
+    """A value built from terms has the tag, body, hash, equality, repr and
+    pickle outcome of the values ``Value.scalar``, ``Value.vector`` and
+    ``Value(tag, body)`` build, and ``sort_key`` orders it as the seed's
+    Fraction key does."""
+    trusted = [_built(spec, "terms") for spec in specs]
+    for spec, t in zip(specs, trusted):
+        texts = repr(t), _pickled(t)  # read before any view is built
+        for other in (_built(spec, "named"), _built(spec, "public")):
+            assert hash(t) == hash(other) and t._h == other._h
+            assert t == other and other == t and not t != other
+            assert texts == (repr(other), _pickled(other))
+            assert _body_fields(t) == _body_fields(other)
+        assert repr(t) == texts[0]  # and after it is
+    values = trusted + [_built(spec, "named") for spec in specs] + [Value.symbol("s")]
+    by_terms = sorted(values, key=Value.sort_key)
+    by_fractions = sorted(values, key=reference_model.value_sort_key)
+    assert [id(v) for v in by_terms] == [id(v) for v in by_fractions]
+    for a, b in zip(values, values[1:] + values[:1]):
+        seed = _sign(reference_model.value_sort_key(a), reference_model.value_sort_key(b))
+        assert _sign(a.sort_key(), b.sort_key()) == seed == (0 if a == b else seed)
+
+
+def test_equality_on_float_bodies_keeps_its_answers():
+    """A body given to ``Value(tag, body)`` that has no integer terms
+    compares as itself: a NaN scalar equals no scalar, while a vector, a
+    tuple, finds its own NaN object equal.  A float with terms compares
+    by them."""
+    nan = float("nan")
+    assert (Value("scalar", nan) == Value("scalar", nan)) is False
+    assert (Value("scalar", nan) != Value("scalar", nan)) is True
+    assert (Value("vector", (nan,)) == Value("vector", (nan,))) is True
+    half = Fraction(1, 2)
+    for exact in (Value.scalar(half), Value._from_terms("scalar", (1, 2))):
+        assert (Value("scalar", 0.5) == exact) is True and (exact == Value("scalar", 0.5)) is True
+    assert Value("vector", (0.5, 3)) == Value._from_terms("vector", ((1, 2), (3, 1)))
+
+
 # -- integer keys ---------------------------------------------------------------
 #
 # A time set also keeps its endpoints as integers over the least common
