@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -516,52 +516,83 @@ def distortion(
     raise ValueError(f"metric kind {metric.kind!r} does not apply to distortion")
 
 
-def _mismatch_set_part(info: InformationLike, target: InformationLike, metric: Metric):
-    """Step one of ``mismatch``: check the metric and both sides, then add
-    the weighted set-component distances ``w * len(a ^ b)``.  Returns that
-    sum as an integer pair (numerator, denominator), which bounds the whole
-    distance from below because every weight and distance is >= 0, and the
-    ``(wn, wd, a, b)`` of each weighted time component for step two.  A
-    missing weight is 1; a zero weight drops its component."""
-    if metric.kind != "weighted_product":
-        raise ValueError("mismatch requires a weighted_product metric")
-    require_valid(info)
-    require_valid(target)
-    weights = metric.component_weights
-    terms, times = [], []
-    for name in MISMATCH_COMPONENTS:
-        w = weights.get(name)
-        if w is None:
-            wn = wd = 1
-        elif w.numerator:
-            wn, wd = w.numerator, w.denominator
-        else:
-            continue
-        a, b = getattr(info, name), getattr(target, name)
-        if isinstance(a, TimeSet):
-            times.append((wn, wd, a, b))
-        else:
-            terms.append((wn * len(a ^ b), wd))
-    return exact_pair_sum(terms), times
-
-
 # an infinite distance as an integer pair: n * 0 < 1 * d for every finite
 # n/d, so cross-multiplied comparisons order it above them all
 _INFINITE_PAIR = (1, 0)
 
 
-def _mismatch_time_part(low: tuple[int, int], times) -> tuple[int, int]:
-    """Step two of ``mismatch``: the set part ``low`` plus each weighted
-    time distance, read from the sweep's integer length and isolated-point
-    count over its common denominator, as one integer pair; _INFINITE_PAIR
-    when a difference is unbounded."""
-    terms = [low]
-    for wn, wd, a, b in times:
-        length, den, isolated = symmetric_difference_keys(a, b)
-        if length is None:
-            return _INFINITE_PAIR
-        terms.append((wn * (length + isolated * den), wd * den))
-    return exact_pair_sum(terms)
+class _MismatchPlan:
+    """The ``weighted_product`` distance from one information, read once
+    for any number of comparisons.  Building it checks the metric and the
+    information.  Each weighted set component is kept as ``(name, scale,
+    its frozenset)``, its weight being ``scale / den`` over the common
+    denominator ``den`` of the set weights, and each weighted time
+    component as ``(name, wn, wd, its TimeSet)``.  A missing weight is 1;
+    a zero weight drops its component.  A plan lives for one call, so
+    nothing it holds outlives a request."""
+
+    __slots__ = ("den", "sets", "times")
+
+    def __init__(self, info: InformationLike, metric: Metric):
+        if metric.kind != "weighted_product":
+            raise ValueError("mismatch requires a weighted_product metric")
+        require_valid(info)
+        weights = metric.component_weights
+        sets, self.times = [], []
+        for name in MISMATCH_COMPONENTS:
+            w = weights.get(name)
+            wn, wd = (1, 1) if w is None else (w.numerator, w.denominator)
+            if not wn:
+                continue
+            a = getattr(info, name)
+            if isinstance(a, TimeSet):
+                self.times.append((name, wn, wd, a))
+            else:
+                sets.append((name, wn, wd, a))
+        self.den = den = lcm(*[wd for _, _, wd, _ in sets])
+        self.sets = [(name, wn * (den // wd), a) for name, wn, wd, a in sets]
+
+    def set_part(self, other: InformationLike) -> int:
+        """Check ``other``, then return its weighted set-component distance
+        from the plan's information as an integer over ``den``.  Each
+        ``len(a ^ b)`` is counted as ``len(a) + len(b) - 2 * len(a & b)``,
+        so no difference set is built.  Every weight and distance is >= 0,
+        so this bounds the whole distance from below."""
+        require_valid(other)
+        total = 0
+        for name, scale, a in self.sets:
+            b = getattr(other, name)
+            total += scale * (len(a) + len(b) - 2 * len(a & b))
+        return total
+
+    def whole(self, low: int, other: InformationLike) -> tuple[int, int]:
+        """The whole distance to ``other``, whose set part is ``low``: that
+        part plus each weighted time distance, read from the sweep's integer
+        length and isolated-point count over its common denominator, as one
+        integer pair; _INFINITE_PAIR when a difference is unbounded."""
+        terms = [(low, self.den)]
+        for name, wn, wd, a in self.times:
+            length, den, isolated = symmetric_difference_keys(a, getattr(other, name))
+            if length is None:
+                return _INFINITE_PAIR
+            terms.append((wn * (length + isolated * den), wd * den))
+        return exact_pair_sum(terms)
+
+    def distance(self, other: InformationLike) -> Fraction | float:
+        """``mismatch`` of the plan's information and ``other``."""
+        n, d = self.whole(self.set_part(other), other)
+        return Fraction(n, d) if d else inf
+
+
+def _mismatch_set_part(info: InformationLike, target: InformationLike, metric: Metric):
+    """Step one of ``mismatch``, through its plan: check the metric and both
+    sides, then the weighted set-component distances as the integer pair
+    (numerator, denominator), an exact lower bound of the whole distance,
+    and the ``(wn, wd, a, b)`` of each weighted time component."""
+    plan = _MismatchPlan(info, metric)
+    low = plan.set_part(target)
+    times = [(wn, wd, a, getattr(target, name)) for name, wn, wd, a in plan.times]
+    return (low, plan.den), times
 
 
 def mismatch(info: InformationLike, target: InformationLike, metric: Metric) -> Fraction | float:
@@ -570,11 +601,10 @@ def mismatch(info: InformationLike, target: InformationLike, metric: Metric) -> 
     components use symmetric-difference counts, time components use
     symmetric-difference length plus isolated-point count.
 
-    The sum is taken set part first (``_mismatch_set_part``), which is an
-    exact lower bound of the whole, then the two time sweeps
-    (``_mismatch_time_part``); ``min_mismatch_search`` runs the same two
-    steps and sweeps only where the bound cannot settle its answer.  The
+    The sum is taken by a ``_MismatchPlan`` of ``info``: set part first,
+    which is an exact lower bound of the whole, then the two time sweeps;
+    ``min_mismatch_search`` runs the same two steps with one plan of its
+    target and sweeps only where the bound cannot settle its answer.  The
     terms are integer pairs added by ``exact_pair_sum``, and one Fraction
     is built; an unbounded time difference gives ``math.inf``."""
-    n, d = _mismatch_time_part(*_mismatch_set_part(info, target, metric))
-    return Fraction(n, d) if d else inf
+    return _MismatchPlan(info, metric).distance(target)

@@ -16,8 +16,10 @@ from math import inf
 from typing import Sequence
 
 from ..errors import EmptyLibraryError
-from ..measures import _INFINITE_PAIR, _mismatch_set_part, _mismatch_time_part
-from ..measures import Metric, mismatch
+from ..measures import _INFINITE_PAIR, Metric, _MismatchPlan
+# not called here: kept as this module's attribute, which instrumentation
+# (the benchmark's traced library_search) replaces
+from ..measures import mismatch  # noqa: F401
 from ..model import Information
 from ..timeset import as_fraction
 
@@ -95,40 +97,45 @@ def min_mismatch_search(library: SearchLibrary) -> SearchResult:
     is returned.  Answers and errors are those of running ``mismatch`` on
     every entry in turn.
 
-    Each entry's distance is taken set part first: the weighted set
-    differences, an exact lower bound of the whole mismatch.  The time
-    sweeps run only where they can change the answer.  The scan, in entry
-    order, sweeps an entry only when its bound is within the threshold.
-    The best is deferred to a second pass over the bounds kept for this
-    call, which sweeps an entry only when its bound is not strictly above
-    the best distance so far (a tie is swept, so the first index wins) and
-    reuses the distances the scan completed.  Distances stay integer pairs
-    compared by cross-multiplication; the reported one is built once, as
-    a Fraction, or ``math.inf`` when every distance is infinite.
+    One plan of the target (``measures._MismatchPlan``) reads the metric
+    and checks the target once; each entry is checked once, when the scan
+    reaches it.  Each entry's distance is taken set part first: the
+    weighted set differences, one integer over the plan's denominator and
+    an exact lower bound of the whole mismatch.  The time sweeps run only
+    where they can change the answer.  The scan, in entry order, sweeps an
+    entry only when its bound is within the threshold.  The best is
+    deferred to a second pass over the bounds kept for this call, which
+    sweeps an entry only when its bound is not strictly above the best
+    distance so far (a tie is swept, so the first index wins) and reuses
+    the distances the scan completed.  Distances stay integer pairs
+    compared by cross-multiplication; the reported one is built once, as a
+    Fraction, or ``math.inf`` when every distance is infinite.
     """
-    target, metric, threshold = library.target, library.metric, library.threshold
+    threshold = library.threshold
     if not library.entries:
         raise EmptyLibraryError("cannot search an empty library")
+    plan = _MismatchPlan(library.target, library.metric)
+    den = plan.den
     if threshold is not None:
         tn, td = threshold.numerator, threshold.denominator
-    scanned = []  # per entry: (set part numerator, index, its denominator, time pairs, whole)
+    scanned = []  # per entry: (set part over den, index, entry, whole distance or None)
     for i, entry in enumerate(library.entries):
-        low, times = _mismatch_set_part(target, entry, metric)
+        low = plan.set_part(entry)
         whole = None
-        if threshold is not None and low[0] * td <= tn * low[1]:
-            whole = _mismatch_time_part(low, times)
+        if threshold is not None and low * td <= tn * den:
+            whole = plan.whole(low, entry)
             if whole[0] * td <= tn * whole[1]:
                 return SearchResult(index=i, comparisons=i + 1, distance=Fraction(*whole))
-        scanned.append((low[0], i, low[1], times, whole))
-    # The set parts share the metric's denominator, so sorting by numerator
-    # visits the entries by ascending bound, ties by index: the best turns
-    # up early and most sweeps are skipped.  The answer does not depend on
-    # this order, as every skip and tie is decided exactly.
+        scanned.append((low, i, entry, whole))
+    # Sorting by set part visits the entries by ascending bound, ties by
+    # index: the best turns up early and most sweeps are skipped.  The
+    # answer does not depend on this order, as every skip and tie is
+    # decided exactly.
     best_i, (bn, bd) = 0, _INFINITE_PAIR
-    for ln, i, ld, times, whole in sorted(scanned):
-        if ln * bd > bn * ld:
+    for low, i, entry, whole in sorted(scanned):
+        if low * bd > bn * den:
             continue
-        n, d = whole or _mismatch_time_part((ln, ld), times)
+        n, d = whole or plan.whole(low, entry)
         if n * bd < bn * d or (n * bd == bn * d and i < best_i):
             best_i, bn, bd = i, n, d
     return SearchResult(
@@ -146,15 +153,17 @@ def asl_sequential_empirical(
     target is a uniformly random entry.
 
     The pairwise mismatch distances are computed once with the real
-    metric; each trial then replays the sequential scan over the
-    precomputed row, counting comparisons until the zero entry.
+    metric, each row by one plan of its target; each trial then replays
+    the sequential scan over the precomputed row, counting comparisons
+    until the zero entry.
     """
     n = len(entries)
     if n == 0:
         raise EmptyLibraryError("cannot search an empty library")
     rows = []
     for target in entries:
-        rows.append([mismatch(target, e, metric) for e in entries])
+        plan = _MismatchPlan(target, metric)
+        rows.append([plan.distance(e) for e in entries])
     for k, row in enumerate(rows):
         if row[k] != 0:
             raise ValueError(f"entry {k} does not match itself under the metric")

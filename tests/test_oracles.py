@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isd.measures
 from isd.errors import (
     EmptyLibraryError,
     InsufficientSamplesError,
@@ -711,6 +713,42 @@ def test_search_threshold_refuses_bools_and_floats(threshold):
     # a float threshold was compared as given; True passed as 1
     with pytest.raises(TypeError, match="not a rational value"):
         SearchLibrary(_library(1)[0], (), Metric("weighted_product"), threshold)
+
+
+def _count_validations(monkeypatch) -> Counter:
+    """Count the ``require_valid`` calls of ``isd.measures``, by object id."""
+    seen, real = Counter(), isd.measures.require_valid
+
+    def counted(info):
+        seen[id(info)] += 1
+        real(info)
+
+    monkeypatch.setattr(isd.measures, "require_valid", counted)
+    return seen
+
+
+@pytest.mark.parametrize("threshold", [Fraction(0), None], ids=["early-stop", "full-scan"])
+def test_search_validates_its_target_once_and_each_scanned_entry_once(monkeypatch, threshold):
+    """One plan of the target serves every entry; the second pass validates
+    nothing, and entries after an early hit are never reached."""
+    entries = _library(6)
+    target = two_atom_info("query", shift=20)  # equal to entry 2, no object shared
+    seen = _count_validations(monkeypatch)
+    library = SearchLibrary(target, entries, Metric("weighted_product"), threshold)
+    res = min_mismatch_search(library)
+    assert (res.index, res.comparisons) == (2, 3 if threshold is not None else 6)
+    assert seen[id(target)] == 1
+    assert [seen[id(e)] for e in entries] == [1] * res.comparisons + [0] * (6 - res.comparisons)
+    assert sum(seen.values()) == 1 + res.comparisons
+
+
+def test_asl_sequential_empirical_builds_one_plan_per_row(monkeypatch):
+    # each row validates its target once, then every entry once
+    entries = _library(4)
+    seen = _count_validations(monkeypatch)
+    asl_sequential_empirical(entries, Metric("weighted_product"), trials=10)
+    assert [seen[id(e)] for e in entries] == [4 + 1] * 4
+    assert sum(seen.values()) == 4 * (4 + 1)
 
 
 def test_asl_sequential_empirical_matches_closed_form():

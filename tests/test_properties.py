@@ -76,7 +76,7 @@ from isd.model import (
 )
 from isd.oracles.search import SearchLibrary, min_mismatch_search
 from isd.timeset import TimeSet, symmetric_difference_keys
-from isd.values import Value, objective, subjective
+from isd.values import EntityId, Value, objective, subjective
 from isd.verify import (
     random_chain,
     random_information,
@@ -197,15 +197,33 @@ def _fresh(q: Fraction) -> Fraction:
     return Fraction(q.numerator, q.denominator)
 
 
-def _rebuilt(v: Value) -> Value:
-    """An equal value that shares no object with ``v`` but its strings."""
-    if v.tag == "symbol":
-        return Value.symbol(v.body)
-    if v.tag == "scalar":
-        return Value.scalar(_fresh(v.body))
-    if v.tag == "vector":
-        return Value.vector(_fresh(q) for q in v.body)
-    return Value.record({k: _rebuilt(inner) for k, inner in v.body})
+def _rebuilt(x):
+    """An equal value, entity, time set, element or information that shares
+    no object with ``x`` but its strings and realms, as a query built anew
+    or loaded from text does.  An information's mapping holds the rebuilt
+    elements of its states and reflections."""
+    if isinstance(x, Value):
+        if x.tag == "symbol":
+            return Value.symbol(x.body)
+        if x.tag == "scalar":
+            return Value.scalar(_fresh(x.body))
+        if x.tag == "vector":
+            return Value.vector(_fresh(q) for q in x.body)
+        return Value.record({k: _rebuilt(inner) for k, inner in x.body})
+    if isinstance(x, EntityId):
+        return EntityId(x.id, x.realm)
+    if isinstance(x, TimeSet):
+        ray = None if x.ray_from is None else _fresh(x.ray_from)
+        return TimeSet(tuple((_fresh(lo), _fresh(hi)) for lo, hi in x.intervals), ray)
+    if isinstance(x, Element):
+        return Element(frozenset(map(_rebuilt, x.entities)), _rebuilt(x.at), _rebuilt(x.value))
+    fresh = {e: _rebuilt(e) for e in x.states | x.reflections}
+    parts = [
+        frozenset(fresh[e] if isinstance(e, Element) else _rebuilt(e) for e in c)
+        if isinstance(c, frozenset) else _rebuilt(c)
+        for c in x.components()
+    ]
+    return type(x)(x.name, *parts, [(fresh[a], fresh[b]) for a, b in x.mapping])
 
 
 def _with_parts(v: Value):
@@ -1557,6 +1575,14 @@ _NO_SET_WEIGHTS = {name: Fraction(0) for name in ("ontology", "states", "carrier
 # an invalid entry before the hit raises; one after the hit is never validated
 @example(_T0, [_T1, _GHOST], [1, 2, 0], Fraction(0), {})
 @example(_T0, [_GHOST], [0, 1], Fraction(0), {})
+# a rebuilt copy of the target, equal but sharing no object with it, planted
+# mid-library as the benchmark's planted queries are: found by the early
+# stop, and by the full scan as the first zero
+@example(_T0, [_T1, _rebuilt(_T0), _T2], [1, 2, 3, 2], Fraction(0), {})
+@example(_T0, [_T1, _rebuilt(_T0), _T2], [1, 2, 3, 2], None, {})
+@example(_COMPOSITE, [_RAYED, _rebuilt(_COMPOSITE)], [1, 1, 2, 1], Fraction(0), {})
+@example(_COMPOSITE, [_RAYED, _rebuilt(_COMPOSITE)], [1, 1, 2, 1], None,
+         {"occurrence": Fraction(0), "states": Fraction(2, 3)})
 def test_min_mismatch_search_matches_reference(target, others, picks, threshold, weights):
     pool = [target, *others]
     entries = tuple(pool[k % len(pool)] for k in picks)
@@ -1584,6 +1610,27 @@ def test_mismatch_set_part_is_a_lower_bound(info, other, weights):
     metric = Metric("weighted_product", weights)
     (n, d), _ = _mismatch_set_part(info, other, metric)
     assert Fraction(n, d) <= mismatch(info, other, metric)
+
+
+@given(_measured(), _measured(), st.dictionaries(st.sampled_from(MISMATCH_COMPONENTS), _weight))
+@settings(max_examples=150, deadline=None)
+@example(_T0, _T0, {})
+@example(_T0, _T1_RAY, {})
+@example(_COMPOSITE, _COMPOSITE, {"carrier": Fraction(0), "occurrence": Fraction(3, 2)})
+@example(_RAYED, _RAYED, _NO_SET_WEIGHTS)
+@example(_EMPTY, _EMPTY, {})
+@example(_T0, _GHOST, {})
+def test_mismatch_against_a_rebuilt_copy_matches_reference(info, other, weights):
+    """Equal objects that share nothing, as a query built anew holds, give
+    the distances of the originals; a copy of ``info`` itself is 0 away."""
+    metric = Metric("weighted_product", weights)
+    twin = _rebuilt(other)
+    assert twin == other
+    assert _outcome(mismatch, info, twin, metric) == (
+        _outcome(reference_measures.mismatch, info, other, metric)
+    )
+    if other is info:
+        assert mismatch(info, twin, metric) == 0
 
 
 # -- measure profiles ---------------------------------------------------------
