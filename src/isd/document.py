@@ -355,7 +355,7 @@ def _element_from_json(obj: Any, table, where, key: str, memo) -> Element:
         _fail((where, ".", key), "must name at least one entity")
     at = _timeset_from_json(obj, "at", where, memo)
     value = _value_from_json(_field(obj, "value", dict, where), (where, ".value"), memo)
-    return Element(entities, at, value)
+    return Element._from_set(entities, at, value)
 
 
 def _information_from_json(obj: dict, name: str, table, where, memo) -> Information:

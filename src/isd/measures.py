@@ -501,16 +501,20 @@ def distortion(
         return Fraction(sym, union) if union else Fraction(0)
     if metric.kind == "euclidean_on_values":
         # each (x - y)**2 as the integer pair ((xn yd - yn xd)**2, (xd yd)**2),
-        # read from the values' terms
+        # read from the values' terms: two scalars' straight from their slot
         squares = []
         for s, r in info.mapping:
-            truth = s.value.numeric_terms()
-            est = reflection_map[r].value.numeric_terms()
-            if len(truth) != len(est):
+            x, y = s.value, reflection_map[r].value
+            xt, yt = x._t, y._t
+            if x.tag == y.tag == "scalar" and len(xt) == 2 == len(yt):
+                (xn, xd), (yn, yd) = xt, yt
+                squares.append(((xn * yd - yn * xd) ** 2, (xd * yd) ** 2))
+                continue
+            if len(x.numeric_terms()) != len(y.numeric_terms()):
                 raise MeasureInputError(
                     "state and estimate values have different numeric shapes"
                 )
-            for (xn, xd), (yn, yd) in zip(truth, est):
+            for (xn, xd), (yn, yd) in zip(x._integer_terms(), y._integer_terms()):
                 squares.append(((xn * yd - yn * xd) ** 2, (xd * yd) ** 2))
         return exact_or_float_sqrt(Fraction(*exact_pair_sum(squares)))
     raise ValueError(f"metric kind {metric.kind!r} does not apply to distortion")

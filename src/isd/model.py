@@ -45,8 +45,8 @@ class Element:
         entities = frozenset(self.entities)
         if not entities:
             raise ValueError("an element needs at least one entity")
-        object.__setattr__(self, "entities", entities)
-        object.__setattr__(self, "_h", hash((entities, self.at, self.value)))
+        _set_entities(self, entities)
+        _set_h(self, hash((entities, self.at, self.value)))
 
     @classmethod
     def _from_set(cls, entities: frozenset[EntityId], at: TimeSet, value: Value) -> Element:
@@ -54,10 +54,10 @@ class Element:
         kept as given, and the hash is the one the public constructor
         computes."""
         e = object.__new__(cls)
-        object.__setattr__(e, "entities", entities)
-        object.__setattr__(e, "at", at)
-        object.__setattr__(e, "value", value)
-        object.__setattr__(e, "_h", hash((entities, at, value)))
+        _set_entities(e, entities)
+        _set_at(e, at)
+        _set_value(e, value)
+        _set_h(e, hash((entities, at, value)))
         return e
 
     def __eq__(self, other):
@@ -89,6 +89,11 @@ class Element:
 
 
 StateElement = ReflectionElement = Element
+# the slots' own setters, which write past the frozen dataclass's
+# ``__setattr__`` with no lookup by name
+_set_entities, _set_at, _set_value, _set_h = (
+    getattr(Element, name).__set__ for name in ("entities", "at", "value", "_h")
+)
 
 
 @dataclass(frozen=True)

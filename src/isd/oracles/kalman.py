@@ -140,21 +140,32 @@ def kalman_filter(model: KalmanModel) -> KalmanResult:
         its SVD is skipped.  The other matrices all reach the innovation
         covariance, so their non-finite entries fail there.
     """
+    n, p, steps = model.A.shape[0], model.H.shape[0], len(model.zs)
+    pred_x, xs = np.empty((steps, n)), np.empty((steps, n))
+    pred_P, Ps = np.empty((steps, n, n)), np.empty((steps, n, n))
+    gains = np.empty((steps, n, p))
+    for k, step in enumerate(_filter_steps(model)):
+        pred_x[k], pred_P[k], gains[k], xs[k], Ps[k] = step
+    if not steps:
+        return KalmanResult(*(np.array([]) for _ in range(5)))
+    return KalmanResult(pred_x, pred_P, gains, xs, Ps)
+
+
+def _filter_steps(model: KalmanModel):
+    """Yield each step's ``(x_pred, P_pred, G, x, P)`` as ``kalman_filter``
+    documents them, checking the inputs when first resumed, so a model
+    with no steps is checked too.  Raises as ``kalman_filter`` does, at
+    the step that fails."""
     for name in ("x0", "B", "us", "zs"):
         if not np.isfinite(getattr(model, name)).all():
             raise NumericalSingularityError(f"{name} has a non-finite entry")
     A, B, H, Q, R = model.A, model.B, model.H, model.Q, model.R
     At, Ht = A.T, H.T
-    n, p, steps = A.shape[0], H.shape[0], len(model.zs)
+    n, p = A.shape[0], H.shape[0]
     dot = np.matmul if n == 1 else np.dot
     eye = np.eye(n)
     x, P = model.x0, model.P0
-    if not steps:
-        return KalmanResult(*(np.array([]) for _ in range(5)))
-    pred_x, xs = np.empty((steps, n)), np.empty((steps, n))
-    pred_P, Ps = np.empty((steps, n, n)), np.empty((steps, n, n))
-    gains = np.empty((steps, n, p))
-    for k, (u, z) in enumerate(zip(model.us, model.zs)):
+    for u, z in zip(model.us, model.zs):
         x_pred = dot(A, x) + dot(B, u)
         P_pred = dot(dot(A, P), At) + Q
         S = dot(dot(H, P_pred), Ht) + R
@@ -180,8 +191,7 @@ def kalman_filter(model: KalmanModel) -> KalmanResult:
         G = dot(dot(P_pred, Ht), S_inv)
         x = x_pred + dot(G, z - dot(H, x_pred))
         P = dot(eye - dot(G, H), P_pred)
-        pred_x[k], pred_P[k], gains[k], xs[k], Ps[k] = x_pred, P_pred, G, x, P
-    return KalmanResult(pred_x, pred_P, gains, xs, Ps)
+        yield x_pred, P_pred, G, x, P
 
 
 @dataclass(frozen=True)
@@ -332,8 +342,9 @@ def kalman_reflection(run: TrackingRun, info: Information) -> dict:
             "tracking run times do not strictly increase, so its steps "
             "cannot be matched with the mapping's pairs"
         )
-    result = kalman_filter(run.model)
-    estimates = result.states[:, 0].tolist()
+    # the filter runs to its end before any estimate is read, so it
+    # refuses a model as ``kalman_filter`` does; no per-step array is kept
+    estimates = [x.item(0) for _, _, _, x, _ in _filter_steps(run.model)]
     out = {}
     for (s, r), est in zip(info.mapping, estimates):
         value = Value._from_terms("scalar", est.as_integer_ratio())

@@ -127,7 +127,7 @@ def _sample_points(samples: Information) -> list[tuple[float, float]]:
     out = []
     for s in samples.sorted_states():
         t = s.at.inf
-        ((n, d),) = s.value.numeric_terms()
+        ((n, d),) = s.value._integer_terms()
         out.append((float(t), n / d))  # float(Fraction(n, d)), with no Fraction
     return out
 

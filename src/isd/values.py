@@ -117,7 +117,7 @@ class Value:
         else:
             terms = body
         self._keep(tag, terms)
-        object.__setattr__(self, "_b", body)
+        _set_b(self, body)
 
     @classmethod
     def _from_terms(cls, tag: str, terms) -> Value:
@@ -129,10 +129,9 @@ class Value:
         return v
 
     def _keep(self, tag, terms):
-        setattr_ = object.__setattr__
-        setattr_(self, "tag", tag)
-        setattr_(self, "_t", terms)
-        setattr_(self, "_h", hash((tag, *terms)) if tag == "scalar" else hash((tag, terms)))
+        _set_tag(self, tag)
+        _set_t(self, terms)
+        _set_h(self, hash((tag, *terms)) if tag == "scalar" else hash((tag, terms)))
 
     def __setattr__(self, *_):
         raise AttributeError("Value is immutable")
@@ -145,7 +144,7 @@ class Value:
             return self._b
         except AttributeError:
             body = _view(self.tag, self._t)
-            object.__setattr__(self, "_b", body)
+            _set_b(self, body)
             return body
 
     @classmethod
@@ -160,7 +159,7 @@ class Value:
         ``q`` kept as the body."""
         q = as_fraction(q)
         v = cls._from_terms("scalar", (q.numerator, q.denominator))
-        object.__setattr__(v, "_b", q)
+        _set_b(v, q)
         return v
 
     @classmethod
@@ -187,6 +186,17 @@ class Value:
         """The coordinates ``numeric_components`` lists, each as its terms
         ``(n, d)``, read with no view built."""
         return self._numbers("_t")
+
+    def _integer_terms(self) -> tuple[tuple[int, int], ...]:
+        """``numeric_terms()``, refusing a number with no integer terms,
+        such as an infinity or a NaN, with MeasureInputError naming it."""
+        terms = self.numeric_terms()
+        for t in terms:
+            if len(t) != 2:
+                raise MeasureInputError(
+                    f"value {self!r} holds {t[0]!r}, which has no integer terms"
+                )
+        return terms
 
     def _numbers(self, field: str) -> tuple:
         """The numbers of this value's scalars and vectors, in order, as
@@ -229,6 +239,13 @@ class Value:
                 items = [f"Fraction({n}, {d})" for n, d in self._t]
                 text = "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
         return f"Value.{self.tag}({text})"
+
+
+# the slots' own setters, which write past ``Value.__setattr__``'s refusal
+# with no lookup by name
+_set_tag, _set_t, _set_h, _set_b = (
+    getattr(Value, name).__set__ for name in ("tag", "_t", "_h", "_b")
+)
 
 
 def _compare(a: Value, b: Value) -> int:

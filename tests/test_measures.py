@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from math import inf
+from math import inf, nan
 
 import pytest
 
@@ -680,6 +680,30 @@ def test_distortion_euclidean_one_bad_coordinate():
         pairs,
     )
     assert distortion(info, decode, Metric("euclidean_on_values")) == 2
+
+
+@pytest.mark.parametrize("side", ["state", "estimate"])
+@pytest.mark.parametrize(
+    "bad, good, number",
+    [
+        (Value("scalar", inf), Value.scalar(1), "inf"),
+        (Value("scalar", "1/2"), Value.scalar(1), "'1/2'"),
+        (Value("vector", (0.5, nan)), Value.vector([1, 2]), "nan"),
+    ],
+    ids=["inf", "string", "vector-nan"],
+)
+def test_distortion_refuses_a_number_with_no_integer_terms(side, bad, good, number):
+    """A value built in code may hold a number with no integer terms; the
+    euclidean distance refuses it by name rather than failing to unpack it."""
+    a, cam = objective("a"), objective("cam")
+    truth, est = (bad, good) if side == "state" else (good, bad)
+    s = StateElement({a}, TimeSet.point(0), truth)
+    r = ReflectionElement({cam}, TimeSet.point(1), Value.symbol("r"))
+    info = Information.from_pairs("one", [(s, r)])
+    decode = {r: StateElement({a}, TimeSet.point(0), est)}
+    with pytest.raises(MeasureInputError) as exc:
+        distortion(info, decode, Metric("euclidean_on_values"))
+    assert str(exc.value) == f"value {bad!r} holds {number}, which has no integer terms"
 
 
 def test_distortion_requires_total_map(pair_info):

@@ -6,13 +6,16 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import isd.measures
+import isd.oracles.kalman
 from isd.errors import (
     EmptyLibraryError,
     InsufficientSamplesError,
@@ -30,6 +33,7 @@ from isd.oracles import (
     RadarParams,
     SearchLibrary,
     SearchResult,
+    TrackingRun,
     asl_binary,
     asl_binary_closed_form,
     asl_sequential,
@@ -200,6 +204,21 @@ def test_reconstruct_needs_three_samples():
         reconstruct_signal(samples, Fraction(2))
 
 
+@pytest.mark.parametrize(
+    "bad, number",
+    [(Value("scalar", math.inf), "inf"), (Value("scalar", "1/2"), "'1/2'"),
+     (Value("vector", (0.5, math.nan)), "nan")],
+    ids=["inf", "string", "vector-nan"],
+)
+def test_reconstruct_refuses_a_sample_with_no_integer_terms(bad, number):
+    samples = sample_signal(PeriodicSignal.tone(Fraction(2)), gap=1, span=12)
+    (s, r), *rest = samples.mapping
+    broken = Information.from_pairs(samples.name, [(Element(s.entities, s.at, bad), r), *rest])
+    with pytest.raises(MeasureInputError) as exc:
+        reconstruct_signal(broken, Fraction(2))
+    assert str(exc.value) == f"value {bad!r} holds {number}, which has no integer terms"
+
+
 def test_periodic_signal_validation():
     with pytest.raises(ValueError):
         PeriodicSignal.tone(0)
@@ -212,14 +231,14 @@ def test_periodic_signal_validation():
 # -- kalman -------------------------------------------------------------------
 
 
-def _static_model(steps, r, p0, zs):
+def _static_model(steps, r, p0, zs, x0=0.0):
     return KalmanModel(
         A=np.array([[1.0]]),
         B=np.zeros((1, 1)),
         H=np.array([[1.0]]),
         Q=np.zeros((1, 1)),
         R=np.array([[r]]),
-        x0=np.array([0.0]),
+        x0=np.array([x0]),
         P0=np.array([[p0]]),
         us=np.zeros((steps, 1)),
         zs=np.asarray(zs).reshape(steps, 1),
@@ -252,20 +271,18 @@ def test_kalman_static_closed_form_covariance():
         assert abs(got - expected) / expected < 1e-10
 
 
-def test_kalman_singular_innovation_rejected():
-    model = KalmanModel(
-        A=np.eye(2),
-        B=np.zeros((2, 1)),
-        H=np.array([[1.0, 0.0], [1.0, 0.0]]),
-        Q=np.zeros((2, 2)),
-        R=np.zeros((2, 2)),
-        x0=np.zeros(2),
-        P0=np.eye(2),
-        us=np.zeros((3, 1)),
-        zs=np.zeros((3, 2)),
+def _singular_model():
+    """Two identical rows of H and no noise: a singular innovation covariance."""
+    return KalmanModel(
+        A=np.eye(2), B=np.zeros((2, 1)), H=np.array([[1.0, 0.0], [1.0, 0.0]]),
+        Q=np.zeros((2, 2)), R=np.zeros((2, 2)), x0=np.zeros(2), P0=np.eye(2),
+        us=np.zeros((3, 1)), zs=np.zeros((3, 2)),
     )
+
+
+def test_kalman_singular_innovation_rejected():
     with pytest.raises(NumericalSingularityError):
-        kalman_filter(model)
+        kalman_filter(_singular_model())
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -309,9 +326,9 @@ _entries = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.builds(
 
 
 @st.composite
-def kalman_models(draw):
-    n, p, m = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
-    steps = draw(st.integers(0, 12))
+def kalman_models(draw, max_n=3, max_steps=12):
+    n, p, m = draw(st.integers(1, max_n)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    steps = draw(st.integers(0, max_steps))
 
     def matrix(*shape):
         size = math.prod(shape)
@@ -335,6 +352,82 @@ def test_kalman_matches_reference_on_random_models(model):
     else:
         assert isinstance(got, KalmanResult), got
         _same_bytes(got, want, _RESULT_FIELDS)
+
+
+@st.composite
+def _tracking_cases(draw):
+    """A tracking run over a random model, with n and p of 1 or 2 and
+    possibly no steps, whose x0, B, us or zs may hold a non-finite entry,
+    and a stand-in for its information: the run's own, built before any
+    entry is spoiled, or with no steps, an object with no pairs."""
+    model = draw(kalman_models(max_n=2, max_steps=8))
+    steps = len(model.zs)
+    times = np.arange(1.0, steps + 1.0)
+    run = TrackingRun(model, times, np.zeros(steps))
+    info = tracking_information(run) if steps else SimpleNamespace(name="tracking", mapping=())
+    spoil = draw(st.sampled_from([None, "x0", "B", "us", "zs"]))
+    array = getattr(model, spoil) if spoil else np.empty(0)
+    if array.size:
+        bad = draw(st.sampled_from([math.nan, math.inf]))
+        array.flat[draw(st.integers(0, array.size - 1))] = bad
+    return run, info
+
+
+@given(_tracking_cases())
+@settings(max_examples=300, deadline=None)
+@example(
+    (
+        TrackingRun(_static_model(0, 1.0, 1.0, np.empty((0, 1))), np.empty(0), np.empty(0)),
+        SimpleNamespace(name="tracking", mapping=()),
+    )
+)
+def test_kalman_reflection_estimates_are_the_filter_states(case):
+    """Each estimate is the filter's position for its step, exactly; a
+    model the filter refuses (a non-finite input, with no steps too, or a
+    zero or ill-conditioned innovation) is refused with the same error, and
+    a warning comes at the same operation."""
+    run, info = case
+    want = _outcome(kalman_filter, run.model)
+    reflect = partial(_outcome, partial(kalman_reflection, run), info)
+    if isinstance(want, tuple):
+        assert reflect() == want
+        return
+    states = want.states[:, 0].tolist() if len(run.times) else []
+    assume(all(map(math.isfinite, states)))  # no rational estimate to compare
+    got = reflect()
+    assert isinstance(got, dict), got
+    assert [got[r].value._t for _, r in info.mapping] == [x.as_integer_ratio() for x in states]
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (_static_model(0, 1.0, 1.0, np.empty((0, 1)), x0=math.nan), "x0 has a non-finite entry"),
+        (_static_model(2, 1.0, 1.0, [0.0, 1.0], x0=math.inf), "x0 has a non-finite entry"),
+        (_static_model(3, 0.0, 0.0, [0.0, 1.0, 2.0]), "too ill-conditioned to invert"),
+        (_singular_model(), "too ill-conditioned to invert"),
+    ],
+    ids=["x0-without-steps", "x0", "zero-innovation", "ill-conditioned"],
+)
+def test_kalman_reflection_refuses_as_the_filter(model, message):
+    steps = len(model.zs)
+    run = TrackingRun(model, np.arange(1.0, steps + 1.0), np.zeros(steps))
+    info = SimpleNamespace(name="tracking", mapping=((None, None),) * steps)
+    want = _outcome(kalman_filter, model)
+    assert want[0] is NumericalSingularityError and message in want[1]
+    assert _outcome(partial(kalman_reflection, run), info) == want
+
+
+def test_kalman_reflection_does_not_run_kalman_filter(monkeypatch):
+    """The estimates come from the filter's steps, not from its stored arrays."""
+
+    def refuse(model):
+        raise AssertionError("kalman_filter was called")
+
+    monkeypatch.setattr(isd.oracles.kalman, "kalman_filter", refuse)
+    run = simulate_tracking(steps=20, seed=0)
+    info = tracking_information(run)
+    assert len(kalman_reflection(run, info)) == 20
 
 
 def _tracking_arrays(steps=5):

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import isd.dynamics
-from isd.document import loads_document, emit_document
+from isd.document import ModelDocument, loads_document, emit_document
 from isd.dynamics import (
     ALL_MEASURES,
     MeasureKind,
@@ -400,12 +400,24 @@ def _pickled(x):
 def test_trusted_element_and_scalar_are_the_public_ones(q, side, extra):
     """``Value.scalar`` skips ``Value.__init__``'s tag dispatch, and
     ``Element._from_set`` the public constructor's checks and copies; each
-    gives the same object."""
+    gives the same object, as do a vector built from its terms and the
+    element the document loader builds with ``Element._from_set``."""
     public, trusted = Value("scalar", q), Value.scalar(q)
     entities, at = side
     others = entities | {extra}
     elements = Element(others, at, public), Element._from_set(others, at, trusted)
-    for a, b in ((public, trusted), elements):
+    vector = (q, q + 1)
+    vectors = Value("vector", vector), Value._from_terms(
+        "vector", tuple((x.numerator, x.denominator) for x in vector)
+    )
+    carried = Element({objective("c")}, at, public)
+    text = emit_document(_document_of(Information.from_pairs("one", [(elements[0], carried)])))
+    (loaded,) = loads_document(text).informations[0].states
+    # built from the loader's own frozenset, whose iteration order, and so
+    # whose repr, may differ from that of an equal set built another way
+    reloaded = Element(loaded.entities, loaded.at, public), loaded
+    assert loaded == elements[0]
+    for a, b in ((public, trusted), elements, vectors, reloaded):
         fields = _element_fields if isinstance(a, Element) else _value_fields
         assert fields(a) == fields(b)
         assert hash(a) == hash(b) and a._h == b._h
@@ -714,12 +726,9 @@ def test_sub_information_reducible_and_monotone(info, pick):
     assert scope(sub, counting) <= scope(info, counting)
 
 
-@given(infos())
-@settings(max_examples=60, deadline=None)
-def test_document_codec_round_trip(info):
-    from isd.document import ModelDocument
-
-    doc = ModelDocument(
+def _document_of(info: Information) -> ModelDocument:
+    """A document holding ``info`` and nothing else."""
+    return ModelDocument(
         format_version="1",
         entities=(),
         informations=(info,),
@@ -728,7 +737,12 @@ def test_document_codec_round_trip(info):
         systems=(),
         chains=(),
     )
-    text = emit_document(doc)
+
+
+@given(infos())
+@settings(max_examples=60, deadline=None)
+def test_document_codec_round_trip(info):
+    text = emit_document(_document_of(info))
     again = loads_document(text)
     assert emit_document(again) == text
 
@@ -1481,6 +1495,47 @@ def test_dyadic_distortion_takes_each_square_root_branch(estimate, want):
     (s, r), (s2, r2) = _DYADIC.mapping
     got = distortion(_DYADIC, {r: estimate[0], r2: s2}, Metric("euclidean_on_values"))
     assert (type(got), got) == (type(want), want)
+
+
+# -- euclidean distortion on every shape of value --------------------------------
+#
+# Two scalars are read straight from their terms; any other pair of values
+# goes through ``numeric_terms``.  States and estimates are drawn from the
+# scalars, vectors and records of ``_specs``, built from their terms or by
+# ``Value(tag, body)``, and a symbol, so both read paths, mismatched shapes and
+# the symbolic refusal meet the reference's sum of Fractions.
+
+_distortion_sides = st.one_of(_specs, st.just(("symbol", "s")))
+
+
+def _side_value(spec, how: str) -> Value:
+    return Value.symbol(spec[1]) if spec[0] == "symbol" else _built(spec, how)
+
+
+@given(
+    st.lists(
+        st.tuples(_distortion_sides, _distortion_sides, st.sampled_from(["terms", "public"])),
+        min_size=1,
+        max_size=5,
+    )
+)
+@settings(max_examples=200, deadline=None)
+@example([(("scalar", Fraction(-7, 2)), ("scalar", Fraction(1, 3)), "terms")])
+@example([(("scalar", Fraction(1, 3)), ("vector", (Fraction(1, 3),)), "public")])
+@example([(("vector", (Fraction(1),)), ("vector", (Fraction(1), Fraction(2))), "terms")])
+@example([(("scalar", Fraction(1)), ("record", {"a": ("scalar", Fraction(2))}), "terms")])
+@example([(("scalar", Fraction(0)), ("symbol", "s"), "public")])
+def test_euclidean_distortion_matches_reference_on_every_shape(drawn):
+    pairs, estimates = [], []
+    for k, (truth, est, how) in enumerate(drawn):
+        pairs.append((_at("p", k, _side_value(truth, how)), _at("c", k + 1, Value.symbol("r"))))
+        estimates.append(_at("p", k, _side_value(est, how)))
+    info = Information.from_pairs("shapes", pairs)
+    guesses = {r: e for (_, r), e in zip(pairs, estimates)}
+    metric = Metric("euclidean_on_values")
+    assert _outcome(distortion, info, guesses, metric) == (
+        _outcome(reference_measures.distortion, info, guesses, metric)
+    )
 
 
 # -- the mismatch search against the reference --------------------------------
