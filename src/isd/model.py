@@ -65,12 +65,23 @@ class Element:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self._h == other._h
-            and self.at == other.at
-            and self.value == other.value
-            and self.entities == other.entities
-        )
+        if self._h != other._h:
+            return False
+        # the time sets' keys and the values' tags and terms are compared
+        # here, with no nested __eq__ call, as their own __eq__ would
+        a, b = self.at, other.at
+        if a is not b and (
+            a._d != b._d or a._los != b._los or a._his != b._his or a._ray != b._ray
+        ):
+            return False
+        v, w = self.value, other.value
+        if v is not w:
+            if v.tag == "scalar" and not len(v._t) == len(w._t) == 2:
+                if not v == w:  # a body with no integer terms, such as a NaN
+                    return False
+            elif v.tag != w.tag or v._t != w._t:
+                return False
+        return self.entities == other.entities
 
     def __hash__(self):
         return self._h

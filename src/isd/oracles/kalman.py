@@ -123,12 +123,13 @@ def kalman_filter(model: KalmanModel) -> KalmanResult:
 
     Each product is one numpy call on the operands of the reference in
     ``tests/reference_kalman.py``, whose arrays these equal byte for byte.
-    It goes through ``np.dot``, the BLAS routine ``@`` reaches at less
-    call overhead, or through ``@`` for a 1-dimensional state, since
-    ``np.dot`` multiplies two size-1 operands as scalars and keeps a -0.0
-    that ``@`` makes +0.0.  A 1x1 innovation covariance is inverted as
-    the reciprocal of its entry, which is LAPACK's inverse.  With no
-    steps each array has shape ``(0,)``.
+    It goes through ``np.ndarray.dot``, the BLAS routine ``@`` reaches,
+    called with neither ``@``'s overhead nor the array-function dispatch
+    that ``np.dot`` runs first; or through ``@`` for a 1-dimensional
+    state, since ``dot`` multiplies two size-1 operands as scalars and
+    keeps a -0.0 that ``@`` makes +0.0.  A 1x1 innovation covariance is
+    inverted as the reciprocal of its entry, which is LAPACK's inverse.
+    With no steps each array has shape ``(0,)``.
 
     Raises
     ------
@@ -162,7 +163,7 @@ def _filter_steps(model: KalmanModel):
     A, B, H, Q, R = model.A, model.B, model.H, model.Q, model.R
     At, Ht = A.T, H.T
     n, p = A.shape[0], H.shape[0]
-    dot = np.matmul if n == 1 else np.dot
+    dot = np.matmul if n == 1 else np.ndarray.dot
     eye = np.eye(n)
     x, P = model.x0, model.P0
     for u, z in zip(model.us, model.zs):
@@ -228,9 +229,10 @@ def simulate_tracking(
     # one draw of the interleaved stream: two state draws, then one
     # measurement draw, per step
     noise = rng.standard_normal((steps, 3))
-    for k in range(steps):
-        x = np.dot(A, x) + np.dot(chol, noise[k, :2])
-        truth[k] = x
+    # ``ndarray.dot`` skips ``np.dot``'s dispatch; each state sums into its row
+    dot, add = np.ndarray.dot, np.add
+    for row, draw in zip(truth, noise[:, :2]):
+        x = add(dot(A, x), dot(chol, draw), out=row)
     zs[:, 0] = truth[:, 0] + noise[:, 2] * np.sqrt(measurement_noise)
     model = KalmanModel(
         A=A,
@@ -329,7 +331,9 @@ def kalman_reflection(run: TrackingRun, info: Information) -> dict:
     mapping's pairs are matched with the steps by position, so a run
     whose columns differ in length or whose times do not strictly
     increase, or an information with another number of pairs than the run
-    has steps, raises MeasureInputError.
+    has steps, raises MeasureInputError.  A model the filter refuses, or
+    one whose estimates it carries to a NaN or an infinity, raises
+    NumericalSingularityError.
     """
     steps = _steps(run)
     if len(info.mapping) != steps:
@@ -346,9 +350,14 @@ def kalman_reflection(run: TrackingRun, info: Information) -> dict:
     # refuses a model as ``kalman_filter`` does; no per-step array is kept
     estimates = [x.item(0) for _, _, _, x, _ in _filter_steps(run.model)]
     out = {}
-    for (s, r), est in zip(info.mapping, estimates):
-        value = Value._from_terms("scalar", est.as_integer_ratio())
-        out[r] = Element._from_set(s.entities, s.at, value)
+    try:
+        for (s, r), est in zip(info.mapping, estimates):
+            value = Value._from_terms("scalar", est.as_integer_ratio())
+            out[r] = Element._from_set(s.entities, s.at, value)
+    except (ValueError, OverflowError):  # a NaN or infinite estimate
+        raise NumericalSingularityError(
+            "the filter's position estimate is not finite, so it has no exact value"
+        ) from None
     return out
 
 

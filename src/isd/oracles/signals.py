@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import InsufficientSamplesError
+from ..errors import InsufficientSamplesError, MeasureInputError
 from ..measures import sampling_rate
 from ..model import Element, Information
 from ..timeset import Rational, TimeSet, as_fraction
@@ -28,7 +28,8 @@ class PeriodicSignal:
     """A finite cosine series: entries are (frequency, amplitude, phase)
     with rational frequencies.  ``period`` is the reference period T; the
     highest nonzero frequency must be exactly 1/T (a pure DC signal may
-    declare any positive T)."""
+    declare any positive T).  A non-finite amplitude or phase has no exact
+    sample value, and raises MeasureInputError."""
 
     harmonics: tuple[tuple[Fraction, float, float], ...]
     period: Fraction
@@ -42,8 +43,11 @@ class PeriodicSignal:
             f = as_fraction(f)
             if f < 0:
                 raise ValueError("frequencies must be nonnegative")
+            a, ph = float(a), float(ph)
+            if not (math.isfinite(a) and math.isfinite(ph)):
+                raise MeasureInputError(f"amplitude {a!r} and phase {ph!r} must be finite")
             if a != 0:
-                cleaned.append((f, float(a), float(ph)))
+                cleaned.append((f, a, ph))
         nonzero = [f for f, _, _ in cleaned if f > 0]
         if nonzero and max(nonzero) != 1 / period:
             raise ValueError(
@@ -127,7 +131,10 @@ def _sample_points(samples: Information) -> list[tuple[float, float]]:
     out = []
     for s in samples.sorted_states():
         t = s.at.inf
-        ((n, d),) = s.value._integer_terms()
+        terms = s.value._integer_terms()
+        if len(terms) != 1:
+            raise MeasureInputError(f"sample value {s.value!r} holds {len(terms)} numbers, not one")
+        ((n, d),) = terms
         out.append((float(t), n / d))  # float(Fraction(n, d)), with no Fraction
     return out
 
@@ -144,6 +151,7 @@ def reconstruct_signal(
     solved by lstsq (rank deficiency at critical spacing is fine).  The
     residual verdict: below 1e-9 relative means the samples determine
     the signal (reducible); anything larger is flagged non-reducible.
+    A sample whose value is not one finite number raises MeasureInputError.
     """
     period = as_fraction(period)
     if period <= 0:

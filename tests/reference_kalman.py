@@ -4,10 +4,12 @@ verbatim as the references.
 ``isd.oracles.kalman.kalman_filter`` refuses non-finite inputs and a
 non-finite innovation covariance, skips the SVD behind ``np.linalg.cond``
 when the innovation covariance is 1x1 and inverts it as the reciprocal of
-its entry, sends its products through ``np.dot`` (through ``@`` when the
-state is 1-dimensional) and writes into arrays allocated up front.
-``isd.oracles.kalman.simulate_tracking`` draws all its noise in one call
-and computes the measurements as one vector expression.  Every array
+its entry, sends its products through ``np.ndarray.dot``, which skips
+``np.dot``'s array-function dispatch (through ``@`` when the state is
+1-dimensional), and writes into arrays allocated up front.
+``isd.oracles.kalman.simulate_tracking`` draws all its noise in one call,
+sums each state into its row through ``np.ndarray.dot`` and computes the
+measurements as one vector expression.  Every array
 either returns must still equal this copy's byte for byte.
 """
 

@@ -19,6 +19,7 @@ import isd.oracles.kalman
 from isd.errors import (
     EmptyLibraryError,
     InsufficientSamplesError,
+    ISDError,
     MeasureInputError,
     NumericalSingularityError,
     UnboundedSegmentError,
@@ -219,6 +220,39 @@ def test_reconstruct_refuses_a_sample_with_no_integer_terms(bad, number):
     assert str(exc.value) == f"value {bad!r} holds {number}, which has no integer terms"
 
 
+@pytest.mark.parametrize(
+    "bad, count",
+    [(Value.vector([1, 2]), 2), (Value.vector([]), 0),
+     (Value.record({"a": Value.scalar(1), "b": Value.scalar(2)}), 2)],
+    ids=["vector", "empty-vector", "record"],
+)
+def test_reconstruct_refuses_a_sample_that_is_not_one_number(bad, count):
+    samples = sample_signal(PeriodicSignal.tone(Fraction(2)), gap=1, span=12)
+    (s, r), *rest = samples.mapping
+    broken = Information.from_pairs(samples.name, [(Element(s.entities, s.at, bad), r), *rest])
+    with pytest.raises(MeasureInputError) as exc:
+        reconstruct_signal(broken, Fraction(2))
+    assert str(exc.value) == f"sample value {bad!r} holds {count} numbers, not one"
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [(lambda: PeriodicSignal.constant(math.inf), "amplitude inf and phase 0.0"),
+     (lambda: PeriodicSignal.tone(2, -math.inf), "amplitude -inf and phase 0.0"),
+     (lambda: PeriodicSignal.tone(2, math.nan), "amplitude nan and phase 0.0"),
+     (lambda: PeriodicSignal.tone(2, 1.0, math.inf), "amplitude 1.0 and phase inf"),
+     (lambda: PeriodicSignal.tone(2, 0.0, math.nan), "amplitude 0.0 and phase nan")],
+    ids=["constant-inf", "amplitude-minus-inf", "amplitude-nan", "phase-inf", "silent-phase-nan"],
+)
+def test_periodic_signal_refuses_a_non_finite_amplitude_or_phase(make, text):
+    """A non-finite harmonic has no exact sample value, so the signal is
+    refused when built, not when ``sample_signal`` reads it."""
+    with pytest.raises(MeasureInputError) as exc:
+        make()
+    assert str(exc.value) == f"{text} must be finite"
+    assert isinstance(exc.value, ISDError) and isinstance(exc.value, ValueError)
+
+
 def test_periodic_signal_validation():
     with pytest.raises(ValueError):
         PeriodicSignal.tone(0)
@@ -303,7 +337,8 @@ def _same_bytes(got, want, names):
 
 def _read_as_matmul(message) -> str:
     """A numpy warning names the function that raised it; the package's
-    filter calls ``np.dot`` where the reference calls ``@``."""
+    filter calls ``np.ndarray.dot``, whose warnings name ``dot`` as
+    ``np.dot``'s do, where the reference calls ``@``."""
     return str(message).replace("encountered in dot", "encountered in matmul")
 
 
@@ -416,6 +451,44 @@ def test_kalman_reflection_refuses_as_the_filter(model, message):
     want = _outcome(kalman_filter, model)
     assert want[0] is NumericalSingularityError and message in want[1]
     assert _outcome(partial(kalman_reflection, run), info) == want
+
+
+@pytest.mark.parametrize(
+    "r, p0, estimate",
+    [(5e-324, 0.0, "nan"), (0.0, 5e-324, "inf")],
+    ids=["nan", "inf"],
+)
+def test_kalman_reflection_refuses_a_non_finite_estimate(r, p0, estimate):
+    """A subnormal innovation covariance, whose reciprocal is infinite,
+    carries the estimate to a NaN or an infinity, which has no exact value.
+    The filter returns the reference's arrays; the reflection refuses."""
+    model = _static_model(1, r, p0, [1.0])
+    run = TrackingRun(model, np.array([1.0]), np.zeros(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = kalman_filter(model)
+        _same_bytes(result, reference_kalman.kalman_filter(model), _RESULT_FIELDS)
+        assert str(result.states.item()) == estimate
+        with pytest.raises(NumericalSingularityError, match="estimate is not finite"):
+            kalman_reflection(run, tracking_information(run))
+
+
+def test_tracking_products_do_not_call_np_dot(monkeypatch):
+    """The filter and the simulation call ``np.ndarray.dot``, or ``@`` for
+    a 1-dimensional state, and never ``np.dot``, whose array-function
+    dispatch costs a Python-level call per product."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.dot was called")
+
+    monkeypatch.setattr(np, "dot", refuse)
+    run = simulate_tracking(steps=20, seed=0)
+    static = _static_model(3, 1.0, 1.0, [0.0, 1.0, 2.0])
+    two = dataclasses.replace(_singular_model(), R=np.eye(2))  # n = 2, p = 2
+    for model in (run.model, static, two):
+        assert kalman_filter(model).states.shape == (len(model.zs), len(model.x0))
+    for run in (run, TrackingRun(static, np.arange(1.0, 4.0), np.zeros(3))):
+        assert len(kalman_reflection(run, tracking_information(run))) == len(run.times)
 
 
 def test_kalman_reflection_does_not_run_kalman_filter(monkeypatch):
