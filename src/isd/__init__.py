@@ -46,18 +46,24 @@ _EXPORTS = {
     "scenario": ("build_news_pipeline", "run_scenario"),
     "verify": ("run_verify",),
 }
-_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *_OWNER]
 
 
-def __getattr__(name):
-    if name not in _OWNER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
-    globals()[name] = value
-    return value
+def _lazy_exports(namespace: dict, exports: dict, extra=()):
+    """A package's PEP 562 ``__all__``, ``__getattr__`` and ``__dir__``:
+    each name of ``exports`` (submodule to names) is imported from its
+    submodule on first use and kept in the package's ``namespace``."""
+    package = namespace["__name__"]
+    owner = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        if name not in owner:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{owner[name]}", package), name)
+        namespace[name] = value
+        return value
+
+    names = [*extra, *owner]
+    return names, __getattr__, lambda: sorted(set(namespace) | set(names))
 
 
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS, ["__version__"])

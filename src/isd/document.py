@@ -590,16 +590,9 @@ def _time_set_text(ts: TimeSet, indent: str) -> str:
     return "{" + k1 + '"intervals": ' + _list_text(items, k1) + indent + "}"
 
 
-class _NotRational(ValueError):
-    """A value's number with no integer terms, such as an infinity, which
-    only a ``Value`` built in code can hold and no document can load."""
-
-
 def _number_text(terms: tuple) -> str:
     """The JSON string of a value's number, from its terms: ``str`` of its
-    Fraction.  A number with no integer terms raises _NotRational."""
-    if len(terms) != 2:
-        raise _NotRational(terms[0])
+    Fraction."""
     text = str(terms[0]) if terms[1] == 1 else f"{terms[0]}/{terms[1]}"
     return '"' + text + '"'
 
@@ -696,10 +689,10 @@ def _system_tree(system: SystemConfig) -> dict:
 
 
 def _unwritable(doc: ModelDocument) -> dict[str, list[Violation]]:
-    """The informations, measures and systems of ``doc`` that hold a number
-    no document can load, each by name with its violation: a value's
-    number with no integer terms, or a rational with a term of more digits
-    than ``str`` may write.  Only a failed emission looks for them."""
+    """The informations, measures and systems of ``doc`` that hold a
+    rational no document can load, each by name with its violation: one
+    with a term of more digits than ``str`` may write.  Only a failed
+    emission looks for them."""
     limit = sys.get_int_max_str_digits()
     bad: dict[str, list[Violation]] = {}
     for noun, entries, tree in (
@@ -710,12 +703,6 @@ def _unwritable(doc: ModelDocument) -> dict[str, list[Violation]]:
         for entry in entries:
             try:
                 _json_text(tree(entry))
-            except _NotRational as e:
-                problem = (
-                    f"{noun} {entry.name!r} holds a number that is not a rational: "
-                    f"{e.args[0]!r}"
-                )
-                bad.setdefault(entry.name, []).append(Violation("value-not-rational", problem))
             except ValueError:
                 problem = (
                     f"{noun} {entry.name!r} holds a rational with a term of more "
@@ -865,9 +852,9 @@ def _json_text(tree) -> str:
 
 def emit_document(doc: ModelDocument) -> str:
     """``doc`` as canonical indent-2 JSON text; see ``_document_tree`` for
-    what it refuses.  A value's number with no integer terms (an infinity,
-    a NaN) and a rational with a term of more digits than ``str`` may write
-    raise DocumentInvariantError naming the entry that holds them."""
+    what it refuses.  A rational with a term of more digits than ``str``
+    may write raises DocumentInvariantError naming the entry that holds
+    it."""
     try:
         return _json_text(_document_tree(doc)) + "\n"
     except ValueError:

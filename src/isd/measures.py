@@ -505,16 +505,15 @@ def distortion(
         squares = []
         for s, r in info.mapping:
             x, y = s.value, reflection_map[r].value
-            xt, yt = x._t, y._t
-            if x.tag == y.tag == "scalar" and len(xt) == 2 == len(yt):
-                (xn, xd), (yn, yd) = xt, yt
+            if x.tag == y.tag == "scalar":
+                (xn, xd), (yn, yd) = x._t, y._t
                 squares.append(((xn * yd - yn * xd) ** 2, (xd * yd) ** 2))
                 continue
             if len(x.numeric_terms()) != len(y.numeric_terms()):
                 raise MeasureInputError(
                     "state and estimate values have different numeric shapes"
                 )
-            for (xn, xd), (yn, yd) in zip(x._integer_terms(), y._integer_terms()):
+            for (xn, xd), (yn, yd) in zip(x.numeric_terms(), y.numeric_terms()):
                 squares.append(((xn * yd - yn * xd) ** 2, (xd * yd) ** 2))
         return exact_or_float_sqrt(Fraction(*exact_pair_sum(squares)))
     raise ValueError(f"metric kind {metric.kind!r} does not apply to distortion")

@@ -75,12 +75,8 @@ class Element:
         ):
             return False
         v, w = self.value, other.value
-        if v is not w:
-            if v.tag == "scalar" and not len(v._t) == len(w._t) == 2:
-                if not v == w:  # a body with no integer terms, such as a NaN
-                    return False
-            elif v.tag != w.tag or v._t != w._t:
-                return False
+        if v is not w and (v.tag != w.tag or v._t != w._t):
+            return False
         return self.entities == other.entities
 
     def __hash__(self):

@@ -9,7 +9,7 @@ Each name below is imported from its submodule on first use (PEP 562);
 only ``kalman`` and ``signals`` load numpy.
 """
 
-import importlib
+from .. import _lazy_exports
 
 _EXPORTS = {
     "entropy": (
@@ -35,18 +35,4 @@ _EXPORTS = {
         "reconstruct_signal",
     ),
 }
-_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = list(_OWNER)
-
-
-def __getattr__(name):
-    if name not in _OWNER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

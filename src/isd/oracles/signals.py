@@ -88,7 +88,8 @@ def sample_signal(
     span end by less than one gap, keeping all gaps equal so the measured
     sampling rate is exactly 1/gap).  The result is an information whose
     states are the true values at isolated instants and whose reflections
-    record them on the sensor.
+    record them on the sensor.  A sample whose cosine sum overflows to an
+    infinity raises MeasureInputError naming its time.
     """
     gap = as_fraction(gap)
     span = as_fraction(span)
@@ -100,11 +101,16 @@ def sample_signal(
     steps = -(-span // gap)  # ceil for exact rationals
     points = [start + k * gap for k in range(int(steps) + 1)]
     pairs = []
-    for t in points:
-        v = Value._from_terms("scalar", signal.value(float(t)).as_integer_ratio())
-        s = Element(frozenset([source]), TimeSet.point(t), v)
-        r = Element(frozenset([sensor]), TimeSet.point(t), v)
-        pairs.append((s, r))
+    try:
+        for t in points:
+            v = Value._from_terms("scalar", signal.value(float(t)).as_integer_ratio())
+            s = Element(frozenset([source]), TimeSet.point(t), v)
+            r = Element(frozenset([sensor]), TimeSet.point(t), v)
+            pairs.append((s, r))
+    except (ValueError, OverflowError):  # a cosine sum past the float range
+        raise MeasureInputError(
+            f"the sample at time {t} is {signal.value(float(t))!r}, which has no exact value"
+        ) from None
     return Information.from_pairs("samples", pairs)
 
 
@@ -131,7 +137,7 @@ def _sample_points(samples: Information) -> list[tuple[float, float]]:
     out = []
     for s in samples.sorted_states():
         t = s.at.inf
-        terms = s.value._integer_terms()
+        terms = s.value.numeric_terms()
         if len(terms) != 1:
             raise MeasureInputError(f"sample value {s.value!r} holds {len(terms)} numbers, not one")
         ((n, d),) = terms
@@ -151,7 +157,7 @@ def reconstruct_signal(
     solved by lstsq (rank deficiency at critical spacing is fine).  The
     residual verdict: below 1e-9 relative means the samples determine
     the signal (reducible); anything larger is flagged non-reducible.
-    A sample whose value is not one finite number raises MeasureInputError.
+    A sample whose value is not one number raises MeasureInputError.
     """
     period = as_fraction(period)
     if period <= 0:

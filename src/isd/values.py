@@ -66,11 +66,11 @@ def subjective(id: str) -> EntityId:
 _TAG_ORDER = {"symbol": 0, "scalar": 1, "vector": 2, "record": 3}
 
 
-def _hash_terms(q) -> tuple:
-    """A numeric body's (numerator, denominator) in lowest terms, which
-    equal numbers share: an int or Fraction holds them, and a float gives
-    them by ``as_integer_ratio``.  Anything else, such as a non-finite
-    float, is returned as ``(q,)``."""
+def _terms(q) -> tuple[int, int]:
+    """A number's (numerator, denominator) in lowest terms, which equal
+    numbers share: an int, a bool or a Fraction holds them, and a finite
+    float gives them by ``as_integer_ratio``.  Anything else (an infinity,
+    a NaN, a string, None, a complex) raises MeasureInputError naming it."""
     try:
         return q.numerator, q.denominator
     except AttributeError:
@@ -78,7 +78,7 @@ def _hash_terms(q) -> tuple:
     try:
         return q.as_integer_ratio()
     except (AttributeError, OverflowError, ValueError):
-        return (q,)
+        raise MeasureInputError(f"number {q!r} has no integer terms") from None
 
 
 def _view(tag: str, terms):
@@ -96,13 +96,16 @@ class Value:
     keys to nested Values and are stored as sorted pairs so equality and
     hashing are structural.  A number is stored as its integer terms: a
     scalar as ``(n, d)`` in lowest terms with d > 0, a vector as a tuple of
-    those.  Its ``body``, a Fraction or a tuple of them, is a view built on
-    first read, unless the constructor was given one, which it keeps.  The
-    hash is computed once, on construction: a scalar hashes ``(tag, n, d)``
-    and a vector ``(tag, ((n, d), ...))``, which skips the modular inverse
-    that hashing a Fraction computes; a symbol or record hashes ``(tag,
-    body)``.  Equality, ``sort_key`` and ``repr`` read the terms, so none of
-    them builds a view.
+    those, and nothing else is a number: the constructor refuses a body
+    with no integer terms (an infinity, a NaN, a string) with
+    MeasureInputError, so no other module checks for one.  Its ``body``, a
+    Fraction or a tuple of them, is a view built on first read, unless the
+    constructor was given one, which it keeps.  The hash is computed once,
+    on construction: a scalar hashes ``(tag, n, d)`` and a vector ``(tag,
+    ((n, d), ...))``, which skips the modular inverse that hashing a
+    Fraction computes; a symbol or record hashes ``(tag, body)``.
+    Equality, ``sort_key`` and ``repr`` read the terms, so none of them
+    builds a view.
     """
 
     __slots__ = ("tag", "_t", "_h", "_b")
@@ -111,9 +114,9 @@ class Value:
         if tag not in _TAG_ORDER:
             raise ValueError(f"unknown value tag: {tag!r}")
         if tag == "scalar":
-            terms = _hash_terms(body)
+            terms = _terms(body)
         elif tag == "vector":
-            terms = tuple(map(_hash_terms, body))
+            terms = tuple(map(_terms, body))
         else:
             terms = body
         self._keep(tag, terms)
@@ -187,17 +190,6 @@ class Value:
         ``(n, d)``, read with no view built."""
         return self._numbers("_t")
 
-    def _integer_terms(self) -> tuple[tuple[int, int], ...]:
-        """``numeric_terms()``, refusing a number with no integer terms,
-        such as an infinity or a NaN, with MeasureInputError naming it."""
-        terms = self.numeric_terms()
-        for t in terms:
-            if len(t) != 2:
-                raise MeasureInputError(
-                    f"value {self!r} holds {t[0]!r}, which has no integer terms"
-                )
-        return terms
-
     def _numbers(self, field: str) -> tuple:
         """The numbers of this value's scalars and vectors, in order, as
         each holds them in ``field``: ``body`` or the terms ``_t``."""
@@ -217,11 +209,7 @@ class Value:
             return True
         if not isinstance(other, Value) or self._h != other._h or self.tag != other.tag:
             return False
-        a, b = self._t, other._t
-        if self.tag == "scalar" and not len(a) == len(b) == 2:
-            # a body with no integer terms, such as a NaN, compares as itself
-            return self.body == other.body
-        return a == b
+        return self._t == other._t
 
     def __hash__(self):
         return self._h
@@ -265,11 +253,8 @@ def _compare(a: Value, b: Value) -> int:
         x, y = len(a._t), len(b._t)
     elif x == y:
         s, t = a.numeric_terms(), b.numeric_terms()
-        for p, q in zip(s, t):
-            if len(p) == 2 == len(q):
-                x, y = p[0] * q[1], q[0] * p[1]
-            else:  # a number with no integer terms, such as a NaN, as itself
-                x, y = [(u[0] if len(u) == 1 else Fraction(*u),) for u in (p, q)]
+        for (p, q), (r, u) in zip(s, t):
+            x, y = p * u, r * q
             if x != y:
                 return (x > y) - (x < y)
         x, y = len(s), len(t)

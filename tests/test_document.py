@@ -30,6 +30,7 @@ from isd.errors import (
     DocumentError,
     DocumentInvariantError,
     DocumentParseError,
+    MeasureInputError,
     UnresolvedReferenceError,
 )
 from isd.dynamics import MeasureKind, MeasureProfile, propagate
@@ -586,29 +587,21 @@ _INF, _NAN = float("inf"), float("nan")
 @pytest.mark.parametrize(
     "value, shown",
     [
-        (Value("scalar", _INF), "inf"),
-        (Value("scalar", -_INF), "-inf"),
-        (Value("vector", (0.5, _NAN)), "nan"),
-        (Value.record({"a": Value.scalar(1), "b": Value("vector", (_INF,))}), "inf"),
-        (Value("scalar", "1/2"), "'1/2'"),
+        (lambda: Value("scalar", _INF), "inf"),
+        (lambda: Value("scalar", -_INF), "-inf"),
+        (lambda: Value("vector", (0.5, _NAN)), "nan"),
+        (lambda: Value.record({"a": Value.scalar(1), "b": Value("vector", (_INF,))}), "inf"),
+        (lambda: Value("scalar", "1/2"), "'1/2'"),
     ],
     ids=["inf", "minus-inf", "vector-nan", "record-inf", "string"],
 )
-def test_emission_refuses_a_number_with_no_integer_terms(tmp_path, value, shown):
-    """Only a Value built in code holds such a number; written as text it
-    would be refused by loading, so emission names the information."""
-    lab = isd.objective("lab")
-    s = isd.StateElement({lab}, TimeSet.point(0), value)
-    r = isd.ReflectionElement({lab}, TimeSet.point(1), Value.scalar(1))
-    doc = ModelDocument(informations=(isd.Information.from_pairs("x", [(s, r)]),))
-    error = _refused_on_emission(doc, tmp_path)
-    assert {k: [v.code for v in vs] for k, vs in error.per_info.items()} == {
-        "x": ["value-not-rational"]
-    }
-    assert str(error) == (
-        f"document invariants violated: x: information 'x' holds a number that is "
-        f"not a rational: {shown}"
-    )
+def test_emission_refuses_a_number_with_no_integer_terms(value, shown):
+    """Written as text such a number would be refused by loading; no Value
+    can hold one, since building it refuses the number by name, so
+    emission never meets one."""
+    with pytest.raises(MeasureInputError) as exc:
+        value()
+    assert str(exc.value) == f"number {shown} has no integer terms"
 
 
 @pytest.mark.parametrize(

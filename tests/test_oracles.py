@@ -207,17 +207,25 @@ def test_reconstruct_needs_three_samples():
 
 @pytest.mark.parametrize(
     "bad, number",
-    [(Value("scalar", math.inf), "inf"), (Value("scalar", "1/2"), "'1/2'"),
-     (Value("vector", (0.5, math.nan)), "nan")],
+    [(lambda: Value("scalar", math.inf), "inf"), (lambda: Value("scalar", "1/2"), "'1/2'"),
+     (lambda: Value("vector", (0.5, math.nan)), "nan")],
     ids=["inf", "string", "vector-nan"],
 )
 def test_reconstruct_refuses_a_sample_with_no_integer_terms(bad, number):
+    # no sample can hold such a number: building its value refuses it
     samples = sample_signal(PeriodicSignal.tone(Fraction(2)), gap=1, span=12)
     (s, r), *rest = samples.mapping
-    broken = Information.from_pairs(samples.name, [(Element(s.entities, s.at, bad), r), *rest])
     with pytest.raises(MeasureInputError) as exc:
-        reconstruct_signal(broken, Fraction(2))
-    assert str(exc.value) == f"value {bad!r} holds {number}, which has no integer terms"
+        Element(s.entities, s.at, bad())
+    assert str(exc.value) == f"number {number} has no integer terms"
+
+
+def test_sampling_refuses_a_cosine_sum_past_the_float_range():
+    # each amplitude is finite, but their sum at t = 0 overflows to inf
+    signal = PeriodicSignal(((0, 1e308, 0.0), (1, 1e308, 0.0)), 1)
+    with pytest.raises(MeasureInputError) as exc:
+        sample_signal(signal, gap=Fraction(1, 2), span=2)
+    assert str(exc.value) == "the sample at time 0 is inf, which has no exact value"
 
 
 @pytest.mark.parametrize(

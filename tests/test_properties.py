@@ -26,7 +26,7 @@ from isd.dynamics import (
     SystemConfig,
     validate_config,
 )
-from isd.errors import MeasureRangeError, NegativeMeasureError
+from isd.errors import MeasureInputError, MeasureRangeError, NegativeMeasureError
 from isd.measures import (
     MISMATCH_COMPONENTS,
     AtomWeighting,
@@ -265,8 +265,55 @@ def test_value_of_a_body_built_without_value_scalar_hashes_as_its_rational(body,
         (Value("vector", (body, 7)), Value.vector([q, 7])),
     ):
         assert v == w and w == v and hash(v) == hash(w)
-    infinite = Value("scalar", math.inf)
-    assert infinite == Value("scalar", math.inf) and hash(infinite) == hash(("scalar", math.inf))
+    with pytest.raises(MeasureInputError) as exc:
+        Value("scalar", math.inf)
+    assert str(exc.value) == "number inf has no integer terms"
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, 1e308, -1e308]
+)
+# the bodies Value reads terms from
+numeric_bodies = st.integers() | st.booleans() | st.fractions() | finite_floats
+non_rationals = (
+    st.sampled_from([math.inf, -math.inf, math.nan])
+    | st.text(max_size=3)
+    | st.none()
+    | st.complex_numbers()
+)
+
+
+def _exact(q):
+    """``q`` as a Fraction if it is an int, a bool, a Fraction or a finite
+    float, else None."""
+    if isinstance(q, (int, Fraction)) or (isinstance(q, float) and math.isfinite(q)):
+        return Fraction(q)
+    return None
+
+
+@given(
+    st.sampled_from(["scalar", "vector"]),
+    st.lists(numeric_bodies | non_rationals, min_size=1, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_value_is_its_exact_terms_or_refused(tag, items):
+    """The one number rule: ``Value(tag, body)`` is the value of its body's
+    exact terms, with their hash, or it refuses the first item that has
+    none, by its repr."""
+    body = items[0] if tag == "scalar" else tuple(items)
+    items = items[:1] if tag == "scalar" else items
+    exact = [_exact(q) for q in items]
+    bad = [q for q, f in zip(items, exact) if f is None]
+    if bad:
+        with pytest.raises(MeasureInputError) as exc:
+            Value(tag, body)
+        assert str(exc.value) == f"number {bad[0]!r} has no integer terms"
+        return
+    terms = tuple((f.numerator, f.denominator) for f in exact)
+    twin = Value._from_terms(tag, terms[0] if tag == "scalar" else terms)
+    v = Value(tag, body)
+    assert v == twin and twin == v and hash(v) == hash(twin)
+    assert v.body is body
 
 
 @given(st.one_of(timesets(), touching_timesets()), st.none() | rationals)
@@ -508,14 +555,14 @@ def test_value_from_terms_is_the_public_one(specs):
 
 
 def test_equality_on_float_bodies_keeps_its_answers():
-    """A body given to ``Value(tag, body)`` that has no integer terms
-    compares as itself: a NaN scalar equals no scalar, while a vector, a
-    tuple, finds its own NaN object equal.  A float with terms compares
-    by them."""
+    """A body given to ``Value(tag, body)`` that has no integer terms, such
+    as a NaN, is refused when the value is built, as a scalar and as a
+    vector's item.  A float with terms compares by them."""
     nan = float("nan")
-    assert (Value("scalar", nan) == Value("scalar", nan)) is False
-    assert (Value("scalar", nan) != Value("scalar", nan)) is True
-    assert (Value("vector", (nan,)) == Value("vector", (nan,))) is True
+    for tag, body in (("scalar", nan), ("vector", (nan,))):
+        with pytest.raises(MeasureInputError) as exc:
+            Value(tag, body)
+        assert str(exc.value) == "number nan has no integer terms"
     half = Fraction(1, 2)
     for exact in (Value.scalar(half), Value._from_terms("scalar", (1, 2))):
         assert (Value("scalar", 0.5) == exact) is True and (exact == Value("scalar", 0.5)) is True
@@ -739,8 +786,26 @@ def _document_of(info: Information) -> ModelDocument:
     )
 
 
-@given(infos())
-@settings(max_examples=60, deadline=None)
+@st.composite
+def float_infos(draw):
+    """An information whose values are hand-built ``Value(tag, body)`` of
+    floats, one state and one reflection per step."""
+    a, cam = objective("a"), objective("cam")
+    bodies = st.tuples(st.just("scalar"), finite_floats) | st.tuples(
+        st.just("vector"), st.lists(finite_floats, max_size=3).map(tuple)
+    )
+    pairs = [
+        (
+            StateElement({a}, TimeSet.point(k), Value(*draw(bodies))),
+            ReflectionElement({cam}, TimeSet.point(k), Value(*draw(bodies))),
+        )
+        for k in range(draw(st.integers(1, 4)))
+    ]
+    return Information.from_pairs("floats", pairs)
+
+
+@given(infos() | float_infos())
+@settings(max_examples=90, deadline=None)
 def test_document_codec_round_trip(info):
     text = emit_document(_document_of(info))
     again = loads_document(text)
